@@ -21,7 +21,6 @@ from .fem_spaces import (
     build_dof_map,
     eval_edge_basis,
     eval_face_basis,
-    eval_scalar_basis,
 )
 from .linalg import SparseMatrix, from_triplets
 from .material import MaterialParams, cm_matrix, eps_matrix
@@ -54,7 +53,6 @@ class FemContext:
     mesh: Mesh
     topo: Topology
     rule: QuadratureRule
-    origins: np.ndarray   # (nt, 3)
     jac: np.ndarray       # (nt, 3, 3)
     det: np.ndarray       # (nt,)
     inv_jt: np.ndarray    # (nt, 3, 3)
@@ -64,7 +62,6 @@ class FemContext:
     edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls
     face_values: np.ndarray   # (nt, nq, 4, 3) contravariant-mapped RT values
     face_divs: np.ndarray     # (nt, 4)
-    scalar_grads: np.ndarray  # (nt, 4, 3)
 
     @property
     def num_tets(self) -> int:
@@ -103,12 +100,10 @@ def build_context(mesh: Mesh, topo: Topology, quad_degree: int = 5) -> FemContex
     phys = origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points)
     ref_edge_vals, ref_edge_curls = eval_edge_basis(rule.points)
     ref_face_vals, ref_face_divs = eval_face_basis(rule.points)
-    _, ref_grads = eval_scalar_basis(rule.points[:1])
     return FemContext(
         mesh=mesh,
         topo=topo,
         rule=rule,
-        origins=origins,
         jac=J,
         det=det,
         inv_jt=invJT,
@@ -119,7 +114,6 @@ def build_context(mesh: Mesh, topo: Topology, quad_degree: int = 5) -> FemContex
         face_values=np.einsum("tab,qib->tqia", J, ref_face_vals)
         / det[:, None, None, None],
         face_divs=ref_face_divs[None, :] / det[:, None],
-        scalar_grads=np.einsum("tab,ib->tia", invJT, ref_grads),
     )
 
 
@@ -143,9 +137,8 @@ def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> SparseM
     nloc = dofmap.cell_dofs.shape[1]
     rows = np.repeat(dofmap.cell_dofs[:, :, None], nloc, axis=2)
     cols = np.repeat(dofmap.cell_dofs[:, None, :], nloc, axis=1)
-    keep = (rows >= 0) & (cols >= 0)
     return from_triplets(
-        rows[keep], cols[keep], signed[keep], shape=(num_rows, num_rows)
+        rows.ravel(), cols.ravel(), signed.ravel(), shape=(num_rows, num_rows)
     )
 
 
@@ -178,18 +171,6 @@ class BlockDiagMass:
     def solve(self, b: np.ndarray) -> np.ndarray:
         nt = self.blocks.shape[0]
         return np.einsum("tij,tj->ti", self.inv_blocks, b.reshape(nt, 3)).ravel()
-
-    def quadratic(self, x: np.ndarray) -> float:
-        return float(x @ self.matvec(x))
-
-    def to_sparse(self) -> SparseMatrix:
-        nt = self.blocks.shape[0]
-        base = 3 * np.arange(nt)[:, None, None]
-        rows = base + np.arange(3)[None, :, None] + np.zeros((1, 1, 3), dtype=int)
-        cols = base + np.zeros((1, 3, 1), dtype=int) + np.arange(3)[None, None, :]
-        return from_triplets(
-            rows.ravel(), cols.ravel(), self.blocks.ravel(), shape=(3 * nt, 3 * nt)
-        )
 
 
 def assemble_nonlinear_mass(ctx: FemContext, params: MaterialParams,
@@ -339,7 +320,7 @@ def l2_project(ctx: FemContext, target, time=None) -> np.ndarray:
     return (ctx.cell_integrals(target, time=time) / ctx.vol[:, None]).ravel()
 
 
-def curl_project(ctx: FemContext, target, target_curl, time=None,
+def curl_project(forms: AssembledForms, target, target_curl, time=None,
                  pinned_vertex: int = 0, rel_tol: float = 1e-10) -> np.ndarray:
     """Curl-matching projection onto the edge space.
 
@@ -348,11 +329,11 @@ def curl_project(ctx: FemContext, target, target_curl, time=None,
     (u_h, grad p) = (v, grad p) over gauge-fixed P1 scalars.  The result is
     independent of the pinned gauge vertex.
     """
-    dofU = build_dof_map(SpaceKind.NEDELEC_EDGE, ctx.topo)
+    ctx = forms.ctx
+    dofU = forms.dof_u
     A = assemble_curl_curl(ctx, dofU)
-    mu1 = assemble_mass(ctx, SpaceKind.NEDELEC_EDGE, dofU, weight=1.0)
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
-    G = mu1 @ grad
+    G = forms.mass_u1 @ grad
     cell_curl = ctx.cell_integrals(target_curl, time=time)  # (nt, 3)
     f = np.zeros(dofU.num_dofs)
     local = np.einsum(
@@ -378,11 +359,9 @@ class AssembledForms:
     mass_u: SparseMatrix    # mu0-weighted edge Gram matrix
     mass_v1: SparseMatrix   # unweighted face Gram matrix
     mass_v: SparseMatrix    # mu0-weighted face Gram matrix
-    curl_curl: SparseMatrix
     coupling_lm: SparseMatrix     # (3 nt) x (n_edges)
     discrete_curl: SparseMatrix   # faces x edges, exact curl coefficients
     coupling_ned: SparseMatrix    # faces x free edges
-    grad: SparseMatrix            # edges x (nv - 1)
     _solvers: dict = field(default_factory=dict)
 
     def mass_solver(self, name: str):
@@ -426,9 +405,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams,
         mass_u=linalg.from_csr(params.mu0 * mass_u1.csr),
         mass_v1=mass_v1,
         mass_v=linalg.from_csr(params.mu0 * mass_v1.csr),
-        curl_curl=assemble_curl_curl(ctx, dof_u),
         coupling_lm=assemble_coupling(ctx, "lee-madsen", {"U": dof_u}),
         discrete_curl=assemble_discrete_curl(ctx, dof_u, dof_v),
         coupling_ned=assemble_coupling(ctx, "nedelec", {"U0": dof_u0, "V": dof_v}),
-        grad=assemble_gradient(ctx),
     )

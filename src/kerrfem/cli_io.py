@@ -19,6 +19,8 @@ import numpy as np
 
 from .assembly import build_forms
 from .dynamics import (
+    FORMULATIONS,
+    STEPPERS,
     State,
     ZERO_SOURCES,
     discrete_divergence,
@@ -27,6 +29,7 @@ from .dynamics import (
     integrate,
     stability_bound_check,
 )
+from .fem_spaces import eval_edge_basis, eval_face_basis
 from .material import MaterialError, MaterialParams
 from .mesh import (
     Mesh,
@@ -40,8 +43,6 @@ from .mesh import (
 from .verification import get_case, projection_study, run_convergence
 
 CASES = ("cavity", "kerr-manufactured", "custom-zero-source")
-STEPPERS = ("midpoint", "rk4")
-FORMULATIONS = ("lee-madsen", "nedelec")
 
 
 class ConfigError(Exception):
@@ -211,17 +212,13 @@ def cell_sampled_fields(state: State, forms) -> dict:
     """E_h and H_h sampled per cell (centroid values) for VTK output."""
     ctx = forms.ctx
     centroid = np.full((1, 3), 0.25)
-    from .fem_spaces import eval_edge_basis, eval_face_basis  # local to avoid cycle
-
+    ref_vals, _ = eval_edge_basis(centroid)
+    phys = np.einsum("tab,qib->tqia", ctx.inv_jt, ref_vals)[:, 0]
     if state.formulation == "lee-madsen":
         E = state.e.reshape(ctx.num_tets, 3)
-        ref_vals, _ = eval_edge_basis(centroid)
-        phys = np.einsum("tab,qib->tqia", ctx.inv_jt, ref_vals)[:, 0]
         local = state.h[forms.dof_u.cell_dofs] * forms.dof_u.cell_signs
         H = np.einsum("tid,ti->td", phys, local)
     else:
-        ref_vals, _ = eval_edge_basis(centroid)
-        phys = np.einsum("tab,qib->tqia", ctx.inv_jt, ref_vals)[:, 0]
         local = state.e[forms.dof_u.cell_dofs] * forms.dof_u.cell_signs
         E = np.einsum("tid,ti->td", phys, local)
         ref_f, _ = eval_face_basis(centroid)
@@ -258,10 +255,7 @@ def _setup_run(cfg: RunConfig):
     if cfg.case == "kerr-manufactured":
         case = get_case("kerr-manufactured", params=params, t_final=cfg.t_end)
         sources = case.sources
-    elif cfg.case == "cavity":
-        case = get_case("cavity", t_final=cfg.t_end)
-        sources = ZERO_SOURCES
-    else:  # custom-zero-source: cavity-shaped initial data, J = 0, any material
+    else:  # cavity and custom-zero-source: cavity-shaped initial data, J = 0
         case = get_case("cavity", t_final=cfg.t_end)
         sources = ZERO_SOURCES
     state = initialize(
@@ -278,36 +272,18 @@ def _run_simulation(cfg: RunConfig):
     mesh, forms, case, sources, state = _setup_run(cfg)
     num_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / num_steps
+    write_fields = None
     if cfg.vtk_every:
-        from .dynamics import EnergyTrace, e_max_norm, source_norm_sq, total_energy
-
-        write_vtk(mesh, cell_sampled_fields(state, forms),
-                  f"{cfg.vtk_prefix}_000000.vtk")
-        trace = EnergyTrace()
-        trace.times.append(state.t)
-        trace.energy.append(total_energy(state, forms))
-        trace.source_sq.append(source_norm_sq(forms, sources, state.t))
-        trace.e_linf.append(e_max_norm(state, forms))
-        for step in range(1, num_steps + 1):
-            state, sub = integrate(
-                state, dt, 1, sources, forms, stepper=cfg.stepper,
-                nonlinear_tol=cfg.nonlinear_tol, cg_tol=cfg.cg_tol,
-            )
-            trace.times.append(sub.times[-1])
-            trace.energy.append(sub.energy[-1])
-            trace.power.append(sub.power[-1])
-            trace.source_sq.append(sub.source_sq[-1])
-            trace.e_linf.append(sub.e_linf[-1])
+        def write_fields(step, current):
             if step % cfg.vtk_every == 0:
-                write_vtk(
-                    mesh, cell_sampled_fields(state, forms),
-                    f"{cfg.vtk_prefix}_{step:06d}.vtk",
-                )
-    else:
-        state, trace = integrate(
-            state, dt, num_steps, sources, forms, stepper=cfg.stepper,
-            nonlinear_tol=cfg.nonlinear_tol, cg_tol=cfg.cg_tol,
-        )
+                write_vtk(mesh, cell_sampled_fields(current, forms),
+                          f"{cfg.vtk_prefix}_{step:06d}.vtk")
+
+        write_fields(0, state)
+    state, trace = integrate(
+        state, dt, num_steps, sources, forms, stepper=cfg.stepper,
+        nonlinear_tol=cfg.nonlinear_tol, cg_tol=cfg.cg_tol, on_step=write_fields,
+    )
     if cfg.energy_csv:
         write_energy_csv(trace, cfg.energy_csv)
     return mesh, forms, case, sources, state, trace
@@ -411,6 +387,10 @@ def _cmd_energy(args) -> int:
         print(f"max cellwise |div H_h| at T: {np.max(np.abs(div)):.3e}")
     if cfg.energy_csv:
         print(f"energy trace written to {cfg.energy_csv}")
+    if violated:
+        print(f"error: stability bound violated (max W(t)/bound(t) = "
+              f"{np.max(ratios):.6g}); reduce dt", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -32,14 +32,11 @@ from .assembly import (
     curl_project,
     l2_project,
 )
-from .fem_spaces import (
-    SpaceKind,
-    interpolate_edge_dofs,
-    interpolate_face_dofs,
-)
+from .fem_spaces import interpolate_edge_dofs, interpolate_face_dofs
 from .material import d_of_e, e_of_d
 
 FORMULATIONS = ("lee-madsen", "nedelec")
+STEPPERS = ("midpoint", "rk4")
 
 
 class NonlinearSolveError(Exception):
@@ -90,6 +87,17 @@ class EnergyTrace:
     source_sq: list = dataclass_field(default_factory=list)
     e_linf: list = dataclass_field(default_factory=list)
 
+    def sample(self, state: State, forms: AssembledForms, sources: Sources,
+               power: float | None = None) -> None:
+        """Append the monitors of ``state``; ``power`` is the work rate of the
+        step that produced it (omitted for the initial sample)."""
+        self.times.append(state.t)
+        self.energy.append(total_energy(state, forms))
+        if power is not None:
+            self.power.append(power)
+        self.source_sq.append(source_norm_sq(forms, sources, state.t))
+        self.e_linf.append(e_max_norm(state, forms))
+
     def arrays(self):
         return (
             np.asarray(self.times),
@@ -124,7 +132,7 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
             if probe > 0.0:
                 raise ValueError("H0_curl is required for nonzero H0 initial data")
         else:
-            h = curl_project(ctx, H0, H0_curl)
+            h = curl_project(forms, H0, H0_curl)
         return State(formulation, e, h, t)
     e = interpolate_edge_dofs(E0, ctx.mesh, ctx.topo)
     e[forms.dof_u0.constrained] = 0.0
@@ -134,30 +142,15 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
 
 def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
     """Source load vectors (j_e, j_m) against the formulation's test spaces."""
-    ctx = forms.ctx
-    if formulation == "lee-madsen":
-        je = (
-            assemble_source(ctx, sources.j_e, SpaceKind.DISCONTINUOUS_VECTOR,
-                            forms.dof_w, time=t)
-            if sources.j_e is not None else np.zeros(forms.dof_w.num_dofs)
-        )
-        jm = (
-            assemble_source(ctx, sources.j_m, SpaceKind.NEDELEC_EDGE,
-                            forms.dof_u, time=t)
-            if sources.j_m is not None else np.zeros(forms.dof_u.num_dofs)
-        )
-    else:
-        je = (
-            assemble_source(ctx, sources.j_e, SpaceKind.NEDELEC_EDGE,
-                            forms.dof_u, time=t)
-            if sources.j_e is not None else np.zeros(forms.dof_u.num_dofs)
-        )
-        jm = (
-            assemble_source(ctx, sources.j_m, SpaceKind.RAVIART_THOMAS_FACE,
-                            forms.dof_v, time=t)
-            if sources.j_m is not None else np.zeros(forms.dof_v.num_dofs)
-        )
-    return je, jm
+    test_spaces = (
+        (forms.dof_w, forms.dof_u) if formulation == "lee-madsen"
+        else (forms.dof_u, forms.dof_v)
+    )
+    return tuple(
+        assemble_source(forms.ctx, j, dof.kind, dof, time=t) if j is not None
+        else np.zeros(dof.num_dofs)
+        for j, dof in zip((sources.j_e, sources.j_m), test_spaces)
+    )
 
 
 def rhs(state: State, sources: Sources, forms: AssembledForms,
@@ -205,45 +198,62 @@ def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
     return False
 
 
-def _step_midpoint_lee_madsen(state: State, dt: float, sources: Sources,
-                              forms: AssembledForms, tol: float, cap: int):
-    params = forms.params
-    ctx = forms.ctx
-    nt = ctx.num_tets
-    tm = state.t + 0.5 * dt
-    je, jm = _loads(forms, "lee-madsen", sources, tm)
-    solve_u = forms.mass_solver("U")
-    C = forms.coupling_lm
-    e0, h0 = state.e, state.h
-    d0 = d_of_e(params, e0.reshape(nt, 3))
+def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, advance_h, advance_e,
+                     tol: float, cap: int):
+    """Picard sweeps for the end-of-step fields (e1, h1) of one midpoint step.
+
+    Each sweep updates H from the current E guess, ``h1 = advance_h(e1)``,
+    then E from that H, ``e1 = advance_e(e1, h1)``; the sweeps stop per
+    :func:`_picard_exit` on the largest change of either field.
+    """
     e1, h1 = e0.copy(), h0.copy()
     prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cap):
-            em = 0.5 * (e0 + e1)
-            h1_new = h0 + dt * solve_u(-(C.T @ em) - jm)
-            hm = 0.5 * (h0 + h1_new)
-            d1 = d0 + (dt / ctx.vol[:, None]) * (C @ hm - je).reshape(nt, 3)
-            e1_new = e_of_d(params, d1).ravel()
-            delta = max(
-                np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1)
-            )
+            h1_new = advance_h(e1)
+            e1_new = advance_e(e1, h1_new)
+            delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
             scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
             e1, h1 = e1_new, h1_new
             if _picard_exit(delta, prev, scale, tol, it, cap):
                 break
             prev = delta
-    return State("lee-madsen", e1, h1, state.t + dt), je, jm
+    return e1, h1
 
 
-def _step_midpoint_nedelec(state: State, dt: float, sources: Sources,
-                           forms: AssembledForms, tol: float, cap: int):
+def _lee_madsen_updates(state: State, dt: float, sources: Sources,
+                        forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+    """Sweep updates of the lee-madsen step: H by an edge-mass solve, E by
+    cellwise constitutive inversion of the updated flux."""
+    params = forms.params
+    ctx = forms.ctx
+    nt = ctx.num_tets
+    solve_u = forms.mass_solver("U")
+    C = forms.coupling_lm
+    CT = C.T
+    e0, h0 = state.e, state.h
+    d0 = d_of_e(params, e0.reshape(nt, 3))
+
+    def advance_h(e1):
+        em = 0.5 * (e0 + e1)
+        return h0 + dt * solve_u(-(CT @ em) - jm)
+
+    def advance_e(e1, h1):
+        hm = 0.5 * (h0 + h1)
+        d1 = d0 + (dt / ctx.vol[:, None]) * (C @ hm - je).reshape(nt, 3)
+        return e_of_d(params, d1).ravel()
+
+    return advance_h, advance_e
+
+
+def _nedelec_updates(state: State, dt: float, sources: Sources,
+                     forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+    """Sweep updates of the nedelec step: H by the exact discrete curl, E on
+    the free edges by a flux solve (linear) or a Newton solve (Kerr)."""
     params = forms.params
     ctx = forms.ctx
     free = forms.dof_u0.free
-    tm = state.t + 0.5 * dt
-    je, jm = _loads(forms, "nedelec", sources, tm)
-    K = forms.coupling_ned
+    KT = forms.coupling_ned.T
     e0, h0 = state.e, state.h
     jm_term = (
         forms.mass_solver("V1")(jm) if sources.j_m is not None
@@ -258,38 +268,47 @@ def _step_midpoint_nedelec(state: State, dt: float, sources: Sources,
         params.eps_lin * (forms.mass_u1 @ e0)[free] if linear
         else assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
     )
-    e1, h1 = e0.copy(), h0.copy()
-    prev = math.inf
-    for it in range(cap):
+
+    def advance_h(e1):
         em = 0.5 * (e0 + e1)
-        h1_new = h0 - (dt / params.mu0) * (forms.discrete_curl @ em + jm_term)
-        hm = 0.5 * (h0 + h1_new)
-        target = d0_free + dt * ((K.T @ hm) - je[free])
-        e1_new = e1.copy()
+        return h0 - (dt / params.mu0) * (forms.discrete_curl @ em + jm_term)
+
+    def advance_e(e1, h1):
+        hm = 0.5 * (h0 + h1)
+        target = d0_free + dt * ((KT @ hm) - je[free])
         if linear:
+            e1_new = e1.copy()
             e1_new[free] = solve_eps(target)
-        else:
-            x = e1[free].copy()
-            full = e1.copy()
-            res_scale = max(np.linalg.norm(target), 1.0)
-            for _ in range(30):
-                R = assemble_flux_load(ctx, params, forms.dof_u, full)[free] - target
-                if np.linalg.norm(R) <= 1e-13 * res_scale:
-                    break
-                jac_full = assemble_nonlinear_mass_curl(ctx, params, forms.dof_u, full)
-                jac = linalg.from_csr(jac_full.csr[np.ix_(free, free)])
-                x = x - linalg.factorized(jac)(R)
-                full[free] = x
-            else:
-                raise NonlinearSolveError("flux-form Newton solve did not converge")
-            e1_new = full
-        delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
-        scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
-        e1, h1 = e1_new, h1_new
-        if _picard_exit(delta, prev, scale, tol, it, cap):
-            break
-        prev = delta
-    return State("nedelec", e1, h1, state.t + dt), je, jm
+            return e1_new
+        x = e1[free].copy()
+        full = e1.copy()
+        res_scale = max(np.linalg.norm(target), 1.0)
+        for _ in range(30):
+            R = assemble_flux_load(ctx, params, forms.dof_u, full)[free] - target
+            if np.linalg.norm(R) <= 1e-13 * res_scale:
+                return full
+            jac_full = assemble_nonlinear_mass_curl(ctx, params, forms.dof_u, full)
+            jac = linalg.from_csr(jac_full.csr[np.ix_(free, free)])
+            x = x - linalg.factorized(jac)(R)
+            full[free] = x
+        raise NonlinearSolveError("flux-form Newton solve did not converge")
+
+    return advance_h, advance_e
+
+
+_MIDPOINT_UPDATES = {"lee-madsen": _lee_madsen_updates, "nedelec": _nedelec_updates}
+
+
+def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
+                   tol: float, cap: int):
+    """One midpoint step; returns the new state and the midpoint loads (je, jm)."""
+    _validate_formulation(state.formulation)
+    je, jm = _loads(forms, state.formulation, sources, state.t + 0.5 * dt)
+    advance_h, advance_e = _MIDPOINT_UPDATES[state.formulation](
+        state, dt, sources, forms, je, jm
+    )
+    e1, h1 = _midpoint_sweeps(state.e, state.h, advance_h, advance_e, tol, cap)
+    return State(state.formulation, e1, h1, state.t + dt), je, jm
 
 
 def step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
@@ -297,16 +316,7 @@ def step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledFor
     """One implicit-midpoint step on the flux form; second order in dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if state.formulation == "lee-madsen":
-        new, _, _ = _step_midpoint_lee_madsen(
-            state, dt, sources, forms, nonlinear_tol, max_iter
-        )
-    else:
-        _validate_formulation(state.formulation)
-        new, _, _ = _step_midpoint_nedelec(
-            state, dt, sources, forms, nonlinear_tol, max_iter
-        )
-    return new
+    return _step_midpoint(state, dt, sources, forms, nonlinear_tol, max_iter)[0]
 
 
 def step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms,
@@ -401,32 +411,25 @@ def source_norm_sq(forms: AssembledForms, sources: Sources, t: float) -> float:
 def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               forms: AssembledForms, stepper: str = "midpoint",
               nonlinear_tol: float = 1e-11, cg_tol: float = 1e-11,
-              collect: bool = True):
-    """March ``num_steps`` steps, optionally recording an EnergyTrace."""
-    if stepper not in ("midpoint", "rk4"):
-        raise ValueError(f"stepper must be 'midpoint' or 'rk4', got {stepper!r}")
+              collect: bool = True, on_step=None):
+    """March ``num_steps`` steps, optionally recording an EnergyTrace.
+
+    ``on_step(step, state)``, when given, is called after each step
+    ``step = 1 .. num_steps`` with the state that step produced.
+    """
+    if stepper not in STEPPERS:
+        raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
     trace = EnergyTrace() if collect else None
     if collect:
-        trace.times.append(state.t)
-        trace.energy.append(total_energy(state, forms))
-        trace.source_sq.append(source_norm_sq(forms, sources, state.t))
-        trace.e_linf.append(e_max_norm(state, forms))
+        trace.sample(state, forms, sources)
     current = state
-    for _ in range(num_steps):
-        tm = current.t + 0.5 * dt
+    for step in range(1, num_steps + 1):
         if stepper == "midpoint":
-            if current.formulation == "lee-madsen":
-                new, je, jm = _step_midpoint_lee_madsen(
-                    current, dt, sources, forms, nonlinear_tol, 50
-                )
-            else:
-                new, je, jm = _step_midpoint_nedelec(
-                    current, dt, sources, forms, nonlinear_tol, 50
-                )
+            new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol, 50)
         else:
             new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
             je, jm = (
-                _loads(forms, current.formulation, sources, tm)
+                _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if collect and not sources.is_zero else (None, None)
             )
         if collect:
@@ -436,11 +439,9 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 e_mid = 0.5 * (current.e + new.e)
                 h_mid = 0.5 * (current.h + new.h)
                 power = float(je @ e_mid + jm @ h_mid)
-            trace.times.append(new.t)
-            trace.energy.append(total_energy(new, forms))
-            trace.power.append(power)
-            trace.source_sq.append(source_norm_sq(forms, sources, new.t))
-            trace.e_linf.append(e_max_norm(new, forms))
+            trace.sample(new, forms, sources, power)
+        if on_step is not None:
+            on_step(step, new)
         current = new
     return current, trace
 

@@ -1,9 +1,8 @@
 """Reference-element bases, Piola maps, and degree-of-freedom maps.
 
-Four discrete spaces are provided at lowest order (k = 1): Whitney edge
+Three discrete spaces are provided at lowest order (k = 1): Whitney edge
 elements in H(curl), lowest-order Raviart-Thomas face elements in H(div),
-piecewise-constant vectors in L2, and continuous piecewise-linear scalars
-with a one-vertex gauge.  Degrees of freedom sit on mesh entities with a
+and piecewise-constant vectors in L2.  Degrees of freedom sit on mesh entities with a
 combinatorial global orientation (see :mod:`kerrfem.mesh`), so two tets
 sharing an entity always agree on the sign of its dof.
 """
@@ -24,7 +23,6 @@ class SpaceKind(Enum):
     NEDELEC_EDGE_BC = "nedelec_edge_bc"    # U_h with zero tangential trace
     RAVIART_THOMAS_FACE = "raviart_thomas" # V_h, H(div)-conforming
     DISCONTINUOUS_VECTOR = "dg_vector"     # W_h, cellwise-constant vectors
-    LAGRANGE_SCALAR = "lagrange_scalar"    # S_h, continuous P1 with gauge
 
 
 class UnsupportedOrderError(ValueError):
@@ -42,14 +40,6 @@ def _require_order_1(order: int) -> None:
 LAMBDA_GRADS = np.array(
     [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 )
-
-DOFS_PER_CELL = {
-    SpaceKind.NEDELEC_EDGE: 6,
-    SpaceKind.NEDELEC_EDGE_BC: 6,
-    SpaceKind.RAVIART_THOMAS_FACE: 4,
-    SpaceKind.DISCONTINUOUS_VECTOR: 3,
-    SpaceKind.LAGRANGE_SCALAR: 4,
-}
 
 
 def barycentric(points: np.ndarray) -> np.ndarray:
@@ -103,20 +93,12 @@ def eval_face_basis(points) -> tuple[np.ndarray, np.ndarray]:
     return (values[0], divs) if single else (values, divs)
 
 
-def eval_scalar_basis(points) -> tuple[np.ndarray, np.ndarray]:
-    """P1 hat functions: values (m, 4) and constant gradients (4, 3)."""
-    single = np.asarray(points).ndim == 1
-    lam = barycentric(points)
-    return (lam[0], LAMBDA_GRADS.copy()) if single else (lam, LAMBDA_GRADS.copy())
-
-
 def push_forward(kind: SpaceKind, geom: TetGeometry, values, derivs=None):
     """Map reference basis data to a physical tet.
 
     H(curl) values transform covariantly (J^{-T} u) with curls scaled by
     J/det J; H(div) values transform contravariantly (J u / det J) with
-    divergences scaled by 1/det J.  Scalar values are unchanged and their
-    gradients transform by J^{-T}.  Tangential edge dofs and normal face
+    divergences scaled by 1/det J.  Tangential edge dofs and normal face
     fluxes are invariant under these maps.
     """
     if not np.isfinite(geom.det) or geom.det <= 0.0:
@@ -135,10 +117,6 @@ def push_forward(kind: SpaceKind, geom: TetGeometry, values, derivs=None):
         return out, np.asarray(derivs) / geom.det
     if kind is SpaceKind.DISCONTINUOUS_VECTOR:
         return values if derivs is None else (values, np.asarray(derivs))
-    if kind is SpaceKind.LAGRANGE_SCALAR:
-        if derivs is None:
-            return values
-        return values, np.asarray(derivs) @ geom.inv_transpose.T
     raise ValueError(f"unknown space kind {kind}")
 
 
@@ -146,10 +124,10 @@ def push_forward(kind: SpaceKind, geom: TetGeometry, values, derivs=None):
 class DofMap:
     """Cell-to-global dof connectivity of one space.
 
-    ``cell_dofs[t, k]`` is the global index of local dof k on tet t (or -1
-    for a gauge-removed dof) and ``cell_signs[t, k]`` the orientation factor
-    relating the local basis function to the global one.  ``constrained``
-    lists dofs pinned to zero (boundary edges of the H0(curl) space).
+    ``cell_dofs[t, k]`` is the global index of local dof k on tet t and
+    ``cell_signs[t, k]`` the orientation factor relating the local basis
+    function to the global one.  ``constrained`` lists dofs pinned to zero
+    (boundary edges of the H0(curl) space).
     """
 
     kind: SpaceKind
@@ -169,13 +147,11 @@ class DofMap:
         return self.num_dofs - len(self.constrained)
 
 
-def build_dof_map(kind: SpaceKind, topo: Topology, order: int = 1,
-                  pinned_vertex: int = 0) -> DofMap:
+def build_dof_map(kind: SpaceKind, topo: Topology, order: int = 1) -> DofMap:
     """Global dof layout for one space on a given topology.
 
     Counts: edge space -> one dof per edge; face space -> one per face;
-    discontinuous vectors -> three per tet; P1 scalars -> one per vertex
-    minus the pinned gauge vertex.
+    discontinuous vectors -> three per tet.
     """
     _require_order_1(order)
     nt = topo.tet_edges.shape[0]
@@ -206,37 +182,7 @@ def build_dof_map(kind: SpaceKind, topo: Topology, order: int = 1,
             cell_signs=np.ones((nt, 3)),
             constrained=none,
         )
-    if kind is SpaceKind.LAGRANGE_SCALAR:
-        # vertices appear in edges for any valid tet mesh
-        nv = int(topo.edges.max()) + 1
-        if not 0 <= pinned_vertex < nv:
-            raise ValueError(f"pinned vertex {pinned_vertex} out of range")
-        vmap = np.arange(nv, dtype=np.int64)
-        vmap[pinned_vertex] = -1
-        vmap[pinned_vertex + 1:] -= 1
-        tets = _tets_from_topology(topo)
-        return DofMap(
-            kind=kind,
-            num_dofs=nv - 1,
-            cell_dofs=vmap[tets],
-            cell_signs=np.ones((nt, 4)),
-            constrained=none,
-        )
     raise ValueError(f"unknown space kind {kind}")
-
-
-def _tets_from_topology(topo: Topology) -> np.ndarray:
-    """Recover tet vertex tuples from edge incidence (local edges 0,1,2 share
-    local vertex 0 and end at 1, 2, 3)."""
-    e = topo.edges
-    nt = topo.tet_edges.shape[0]
-    tets = np.empty((nt, 4), dtype=np.int64)
-    for loc, edge_slot in enumerate((0, 1, 2)):
-        pair = e[topo.tet_edges[:, edge_slot]]
-        fwd = topo.tet_edge_sign[:, edge_slot] > 0
-        tets[:, 0] = np.where(fwd, pair[:, 0], pair[:, 1])
-        tets[:, loc + 1] = np.where(fwd, pair[:, 1], pair[:, 0])
-    return tets
 
 
 def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology, time=None) -> np.ndarray:

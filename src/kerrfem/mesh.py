@@ -68,7 +68,6 @@ class Topology:
     face_tets: np.ndarray       # (nf, 2) int, second entry -1 on boundary
     boundary_faces: np.ndarray  # (nbf,) int
     boundary_edges: np.ndarray  # (nbe,) int
-    boundary_vertices: np.ndarray  # (nbv,) int
 
     @property
     def num_edges(self) -> int:
@@ -77,11 +76,6 @@ class Topology:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
-
-    def is_boundary_face(self) -> np.ndarray:
-        mask = np.zeros(self.num_faces, dtype=bool)
-        mask[self.boundary_faces] = True
-        return mask
 
 
 @dataclass(frozen=True)
@@ -272,8 +266,6 @@ def build_topology(mesh: Mesh) -> Topology:
         for f in tet_faces[t]:
             face_tets[f, 0 if face_tets[f, 0] < 0 else 1] = t
     boundary_faces = np.flatnonzero(counts == 1)
-    bmask_v = np.zeros(mesh.num_vertices, dtype=bool)
-    bmask_v[faces[boundary_faces].ravel()] = True
     # boundary edges: both endpoints on a boundary face that contains the edge
     be = set()
     for f in boundary_faces:
@@ -293,7 +285,6 @@ def build_topology(mesh: Mesh) -> Topology:
         face_tets=face_tets,
         boundary_faces=boundary_faces,
         boundary_edges=boundary_edges,
-        boundary_vertices=np.flatnonzero(bmask_v),
     )
 
 

@@ -370,7 +370,7 @@ def projection_study(levels, quad_degree: int = 5) -> EocTable:
             np.einsum("q,tqd,tqd,t->", ctx.rule.weights, dw, dw, ctx.det)
         )
 
-        vc = curl_project(ctx, v_field, v_curl)
+        vc = curl_project(forms, v_field, v_curl)
         v_h = ctx.field_at_quads(forms.dof_u, vc)
         dv = v_h - np.asarray(v_field(flat)).reshape(*ctx.phys_pts.shape)
         err_v = math.sqrt(

@@ -239,6 +239,31 @@ def test_cli_run_with_config_and_vtk(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_cli_run_vtk_leaves_energy_csv_unchanged(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--case", "kerr-manufactured", "--chi3", "1", "--n", "2",
+            "--t-end", "0.05", "--dt", "0.01"]
+    assert cli_main(args + ["--energy-csv", "plain.csv"]) == 0
+    assert cli_main(args + ["--energy-csv", "vtk.csv", "--vtk-every", "2"]) == 0
+    assert (tmp_path / "vtk.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.glob("*.vtk")) == [
+        "fields_000000.vtk", "fields_000002.vtk", "fields_000004.vtk"
+    ]
+    capsys.readouterr()
+
+
+def test_cli_energy_violated_bound_exits_nonzero(capsys):
+    # RK4 far beyond its stability limit: the energy grows without bound
+    code = cli_main([
+        "energy", "--case", "cavity", "--n", "2", "--stepper", "rk4",
+        "--t-end", "2", "--dt", "0.2",
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "VIOLATED" in captured.out
+    assert "stability bound violated" in captured.err
+
+
 def test_cli_error_paths(tmp_path, capsys):
     # config error -> exit 1 with message
     bad = tmp_path / "bad.cfg"

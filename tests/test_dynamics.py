@@ -418,3 +418,15 @@ def test_trace_times_strictly_increasing(cav_forms2, cavity):
     t = np.asarray(trace.times)
     assert np.all(np.diff(t) > 0)
     assert np.all(np.asarray(trace.energy) >= 0.0)
+
+
+def test_integrate_on_step_once_per_step(cav_forms2, cavity):
+    st = cavity_state(cavity, cav_forms2)
+    seen = []
+    final, trace = integrate(st, 0.01, 5, ZERO_SOURCES, cav_forms2,
+                             on_step=lambda step, state: seen.append((step, state)))
+    assert [step for step, _ in seen] == [1, 2, 3, 4, 5]
+    times = [state.t for _, state in seen]
+    assert np.all(np.diff([st.t] + times) > 0)
+    assert times == trace.times[1:]
+    assert seen[-1][1] is final

@@ -8,7 +8,6 @@ from kerrfem.fem_spaces import (
     build_dof_map,
     eval_edge_basis,
     eval_face_basis,
-    eval_scalar_basis,
     interpolate_edge_dofs,
     interpolate_face_dofs,
     push_forward,
@@ -97,13 +96,6 @@ def test_constant_field_face_expansion():
     assert np.abs(recon - c).max() < 1e-13
 
 
-def test_scalar_basis_partition_of_unity():
-    pts = np.random.default_rng(3).dirichlet(np.ones(4), size=8)[:, :3]
-    vals, grads = eval_scalar_basis(pts)
-    assert np.allclose(vals.sum(axis=1), 1.0)
-    assert np.allclose(grads.sum(axis=0), 0.0)
-
-
 def test_dof_counts_unit_cube(cube1):
     mesh, topo = cube1
     dm_u = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
@@ -115,8 +107,6 @@ def test_dof_counts_unit_cube(cube1):
     assert len(dm_u0.constrained) == 18  # only the body diagonal is interior
     dm_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
     assert dm_v.num_dofs == 18
-    dm_s = build_dof_map(SpaceKind.LAGRANGE_SCALAR, topo)
-    assert dm_s.num_dofs == 7  # vertices minus gauge
 
 
 def test_order_guard(cube1):
