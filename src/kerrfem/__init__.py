@@ -22,10 +22,10 @@ from .fem_spaces import (
     push_forward,
 )
 from .linalg import SparseMatrix, cg_solve, from_triplets, solve_saddle
+from .quadrature import QuadratureRule
 from .assembly import (
     AssembledForms,
     FemContext,
-    QuadratureRule,
     assemble_coupling,
     assemble_mass,
     assemble_nonlinear_mass,

@@ -1,16 +1,24 @@
 """Quadrature-based assembly of mass, coupling, and projection operators.
 
-A :class:`FemContext` caches per-element geometry and physical basis values
-at the quadrature points once per mesh, so repeated assemblies (source terms
-every time step, error norms at sample times) reduce to einsum contractions.
-The Gram matrices of the lowest-order spaces involve polynomial integrands of
-degree <= 2 and are therefore exact under the default degree-5 rule, as are
-the Kerr nonlinear mass (degree 4) and flux integrands.
+This module owns every quadrature decision.  :func:`build_context` fixes the
+degree-:data:`QUAD_DEGREE` tet rule, maps it to each element, and stores the
+measure ``dx`` (weight times Jacobian determinant) and the physical basis
+values at the quadrature points once per mesh.  A :class:`FemContext` then
+samples fields there (:meth:`FemContext.sample`) and integrates densities
+against ``dx`` (:meth:`FemContext.integrate`), so no other module handles
+quadrature weights.  The Gram matrices of the lowest-order spaces involve
+polynomial integrands of degree <= 2 and are therefore exact under this
+rule, as are the Kerr nonlinear mass (degree 4) and flux integrands.
+
+:func:`build_forms` assembles each constant operator of both formulations
+once; :class:`AssembledForms` caches the LU factorizations the time
+steppers need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +33,10 @@ from .fem_spaces import (
 from .linalg import SparseMatrix, from_triplets
 from .material import MaterialParams, cm_matrix, eps_matrix
 from .mesh import Mesh, TET_FACES, Topology, all_geometry
-from .quadrature import QuadratureRule, tetrahedron_rule
+from .quadrature import tetrahedron_rule
 
 __all__ = [
-    "QuadratureRule",
+    "QUAD_DEGREE",
     "FemContext",
     "AssembledForms",
     "BlockDiagMass",
@@ -45,19 +53,22 @@ __all__ = [
     "curl_project",
 ]
 
+# Exact for every integrand assembled here (Kerr mass and flux: degree 4).
+QUAD_DEGREE = 5
+
 
 @dataclass
 class FemContext:
-    """Geometry, quadrature, and cached physical basis values for one mesh."""
+    """Geometry, quadrature measure, and cached physical basis values for one mesh."""
 
     mesh: Mesh
     topo: Topology
-    rule: QuadratureRule
     jac: np.ndarray       # (nt, 3, 3)
     det: np.ndarray       # (nt,)
     inv_jt: np.ndarray    # (nt, 3, 3)
     vol: np.ndarray       # (nt,)
     phys_pts: np.ndarray  # (nt, nq, 3)
+    dx: np.ndarray        # (nt, nq) quadrature weight times det J
     edge_values: np.ndarray   # (nt, nq, 6, 3) covariant-mapped Whitney values
     edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls
     face_values: np.ndarray   # (nt, nq, 4, 3) contravariant-mapped RT values
@@ -72,9 +83,6 @@ class FemContext:
             return self.edge_values
         if kind is SpaceKind.RAVIART_THOMAS_FACE:
             return self.face_values
-        if kind is SpaceKind.DISCONTINUOUS_VECTOR:
-            nt, nq = self.phys_pts.shape[:2]
-            return np.broadcast_to(np.eye(3), (nt, nq, 3, 3))
         raise ValueError(f"no cached vector basis for {kind}")
 
     def field_at_quads(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
@@ -86,29 +94,45 @@ class FemContext:
         local = coeffs[dofmap.cell_dofs] * dofmap.cell_signs
         return np.einsum("tqid,ti->tqd", self.basis_at_quads(dofmap.kind), local)
 
-    def cell_integrals(self, func, time=None) -> np.ndarray:
-        """Integrals of a (possibly time-dependent) vector field per tet, (nt, 3)."""
+    def sample(self, func, time=None) -> np.ndarray:
+        """Values of a vector field at all quadrature points, (nt, nq, 3).
+
+        ``func`` maps (m, 3) points to (m, 3) values; pass ``time`` for
+        closures with signature (t, points).
+        """
         flat = self.phys_pts.reshape(-1, 3)
         vals = func(flat) if time is None else func(time, flat)
-        vals = np.asarray(vals, dtype=np.float64).reshape(*self.phys_pts.shape)
-        return np.einsum("q,tqd,t->td", self.rule.weights, vals, self.det)
+        return np.asarray(vals, dtype=np.float64).reshape(self.phys_pts.shape)
+
+    def integrate(self, density: np.ndarray) -> float:
+        """Integral over the mesh of a scalar density given at the quadrature
+        points, (nt, nq)."""
+        return float(np.einsum("tq,tq->", self.dx, density))
+
+    def norm_sq(self, vals: np.ndarray) -> float:
+        """Squared L2 norm of a vector field given at the quadrature points."""
+        return self.integrate(np.einsum("tqd,tqd->tq", vals, vals))
+
+    def cell_integrals(self, func, time=None) -> np.ndarray:
+        """Integrals of a (possibly time-dependent) vector field per tet, (nt, 3)."""
+        return np.einsum("tq,tqd->td", self.dx, self.sample(func, time))
 
 
-def build_context(mesh: Mesh, topo: Topology, quad_degree: int = 5) -> FemContext:
+def build_context(mesh: Mesh, topo: Topology) -> FemContext:
     origins, J, det, invJT, vol = all_geometry(mesh)
-    rule = tetrahedron_rule(quad_degree)
+    rule = tetrahedron_rule(QUAD_DEGREE)
     phys = origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points)
     ref_edge_vals, ref_edge_curls = eval_edge_basis(rule.points)
     ref_face_vals, ref_face_divs = eval_face_basis(rule.points)
     return FemContext(
         mesh=mesh,
         topo=topo,
-        rule=rule,
         jac=J,
         det=det,
         inv_jt=invJT,
         vol=vol,
         phys_pts=phys,
+        dx=det[:, None] * rule.weights[None, :],
         edge_values=np.einsum("tab,qib->tqia", invJT, ref_edge_vals),
         edge_curls=np.einsum("tab,ib->tia", J, ref_edge_curls) / det[:, None, None],
         face_values=np.einsum("tab,qib->tqia", J, ref_face_vals)
@@ -117,18 +141,24 @@ def build_context(mesh: Mesh, topo: Topology, quad_degree: int = 5) -> FemContex
     )
 
 
-def _weight_at_quads(ctx: FemContext, weight) -> np.ndarray:
-    """Broadcast a scalar / per-tet array / callable weight to (nt, nq)."""
-    nt, nq = ctx.phys_pts.shape[:2]
-    if callable(weight):
-        w = np.asarray(weight(ctx.phys_pts.reshape(-1, 3)), dtype=np.float64)
-        return w.reshape(nt, nq)
-    w = np.asarray(weight, dtype=np.float64)
-    if w.ndim == 0:
-        return np.broadcast_to(w, (nt, nq))
-    if w.shape == (nt,):
-        return np.broadcast_to(w[:, None], (nt, nq))
-    raise ValueError(f"weight must be scalar, per-tet array, or callable; got shape {w.shape}")
+def _local_gram(measure: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per-tet matrices of the integral of phi_i . phi_j against a weighted
+    measure (nt, nq); (nt, nloc, nloc)."""
+    return np.einsum("tq,tqid,tqjd->tij", measure, phi, phi)
+
+
+def _local_moments(measure: np.ndarray, vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per-tet integrals of vals . phi_i against a measure (nt, nq); (nt, nloc)."""
+    return np.einsum("tq,tqd,tqid->ti", measure, vals, phi)
+
+
+def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
+    """Accumulate per-tet local vectors into a global load vector."""
+    return np.bincount(
+        dofmap.cell_dofs.ravel(),
+        weights=(local * dofmap.cell_signs).ravel(),
+        minlength=dofmap.num_dofs,
+    )
 
 
 def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> SparseMatrix:
@@ -142,12 +172,9 @@ def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> SparseM
     )
 
 
-def assemble_mass(ctx: FemContext, kind: SpaceKind, dofmap: DofMap,
-                  weight=1.0) -> SparseMatrix:
-    """Weighted Gram matrix of a vector-valued space (SPD for weight > 0)."""
-    w = _weight_at_quads(ctx, weight)
-    phi = ctx.basis_at_quads(kind)
-    local = np.einsum("q,tq,tqid,tqjd,t->tij", ctx.rule.weights, w, phi, phi, ctx.det)
+def assemble_mass(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
+    """Gram matrix (SPD) of the edge or face space of ``dofmap``."""
+    local = _local_gram(ctx.dx, ctx.basis_at_quads(dofmap.kind))
     return _scatter_matrix(local, dofmap, dofmap.num_dofs)
 
 
@@ -191,17 +218,15 @@ def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
     """Field-dependent mass on the edge space: integral of eps(E_h) psi_i . psi_j.
 
     E_h is piecewise linear here, so the degree-4 integrand is evaluated by
-    quadrature (exact under the default rule).
+    quadrature (exact under the degree-:data:`QUAD_DEGREE` rule).
     """
     E = ctx.field_at_quads(dofmap, coeffs)           # (nt, nq, 3)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     phi = ctx.edge_values
-    local = np.einsum("q,tq,tqid,tqjd,t->tij", ctx.rule.weights, es, phi, phi, ctx.det)
+    local = _local_gram(ctx.dx * es, phi)
     if params.chi3 > 0.0:
         ephi = np.einsum("tqd,tqid->tqi", E, phi)    # E . psi_i
-        local += 2.0 * params.chi3 * np.einsum(
-            "q,tqi,tqj,t->tij", ctx.rule.weights, ephi, ephi, ctx.det
-        )
+        local += 2.0 * params.chi3 * np.einsum("tq,tqi,tqj->tij", ctx.dx, ephi, ephi)
     return _scatter_matrix(params.eps0 * local, dofmap, dofmap.num_dofs)
 
 
@@ -211,40 +236,26 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams, dofmap: DofMap,
     E = ctx.field_at_quads(dofmap, coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     D = params.eps0 * es[..., None] * E
-    local = np.einsum("q,tqd,tqid,t->ti", ctx.rule.weights, D, ctx.edge_values, ctx.det)
-    out = np.zeros(dofmap.num_dofs)
-    np.add.at(out, dofmap.cell_dofs, local * dofmap.cell_signs)
-    return out
+    return _scatter_vector(_local_moments(ctx.dx, D, ctx.edge_values), dofmap)
 
 
-def assemble_coupling(ctx: FemContext, formulation: str, dofmaps: dict) -> SparseMatrix:
-    """Curl coupling matrix of a semi-discrete formulation.
+def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
+    """Curl coupling of the lee-madsen formulation, (3 nt) x (edges).
 
-    ``lee-madsen``: C[i, j] = (curl phi_j^U, psi_i^W); the transpose of the
-    same matrix realizes (E_h, curl Phi_h), which is what makes the discrete
-    energy identity exact.  ``nedelec``: K[i, j] = (phi_i^V, curl psi_j^U0)
-    with constrained boundary columns removed.
+    C[i, j] = (curl phi_j^U, psi_i^W); the transpose of the same matrix
+    realizes (E_h, curl Phi_h), which is what makes the discrete energy
+    identity exact.  The nedelec coupling is built from the face Gram matrix
+    and the discrete curl in :func:`build_forms`.
     """
-    if formulation == "lee-madsen":
-        dofU = dofmaps["U"]
-        nt = ctx.num_tets
-        signed_curls = ctx.edge_curls * dofU.cell_signs[:, :, None]  # (nt, 6, 3)
-        vals = signed_curls * ctx.vol[:, None, None]
-        rows = (3 * np.arange(nt)[:, None, None] + np.arange(3)[None, None, :])
-        rows = np.broadcast_to(rows, (nt, 6, 3))
-        cols = np.broadcast_to(dofU.cell_dofs[:, :, None], (nt, 6, 3))
-        return from_triplets(
-            rows.ravel(), cols.ravel(), vals.ravel(), shape=(3 * nt, dofU.num_dofs)
-        )
-    if formulation == "nedelec":
-        dofU0 = dofmaps["U0"]
-        dofV = dofmaps["V"]
-        mv1 = assemble_mass(ctx, SpaceKind.RAVIART_THOMAS_FACE, dofV, weight=1.0)
-        curl = assemble_discrete_curl(ctx, dofU0, dofV)
-        K = (mv1 @ curl).csr.tocsr()
-        keep = dofU0.free
-        return linalg.from_csr(K[:, keep])
-    raise ValueError(f"unknown formulation {formulation!r}")
+    nt = ctx.num_tets
+    signed_curls = ctx.edge_curls * dofmap.cell_signs[:, :, None]  # (nt, 6, 3)
+    vals = signed_curls * ctx.vol[:, None, None]
+    rows = (3 * np.arange(nt)[:, None, None] + np.arange(3)[None, None, :])
+    rows = np.broadcast_to(rows, (nt, 6, 3))
+    cols = np.broadcast_to(dofmap.cell_dofs[:, :, None], (nt, 6, 3))
+    return from_triplets(
+        rows.ravel(), cols.ravel(), vals.ravel(), shape=(3 * nt, dofmap.num_dofs)
+    )
 
 
 def assemble_discrete_curl(ctx: FemContext, dofmap_u: DofMap,
@@ -295,24 +306,17 @@ def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> SparseMatrix:
     return from_triplets(rows, cols, vals, shape=(len(edges), nv - 1))
 
 
-def assemble_source(ctx: FemContext, target, kind: SpaceKind, dofmap: DofMap,
-                    time=None) -> np.ndarray:
-    """Load vector (target, phi_i) by quadrature.
+def assemble_source(ctx: FemContext, target, dofmap: DofMap, time=None) -> np.ndarray:
+    """Load vector (target, phi_i) over the space of ``dofmap``, by quadrature.
 
     ``target`` maps (m, 3) points to (m, 3) values; pass ``time`` for
     closures with signature (t, points).
     """
-    flat = ctx.phys_pts.reshape(-1, 3)
-    vals = target(flat) if time is None else target(time, flat)
-    vals = np.asarray(vals, dtype=np.float64).reshape(*ctx.phys_pts.shape)
-    if kind is SpaceKind.DISCONTINUOUS_VECTOR:
-        local = np.einsum("q,tqd,t->td", ctx.rule.weights, vals, ctx.det)
-        return local.ravel()
-    phi = ctx.basis_at_quads(kind)
-    local = np.einsum("q,tqd,tqid,t->ti", ctx.rule.weights, vals, phi, ctx.det)
-    out = np.zeros(dofmap.num_dofs)
-    np.add.at(out, dofmap.cell_dofs, local * dofmap.cell_signs)
-    return out
+    if dofmap.kind is SpaceKind.DISCONTINUOUS_VECTOR:
+        return ctx.cell_integrals(target, time=time).ravel()
+    vals = ctx.sample(target, time)
+    local = _local_moments(ctx.dx, vals, ctx.basis_at_quads(dofmap.kind))
+    return _scatter_vector(local, dofmap)
 
 
 def l2_project(ctx: FemContext, target, time=None) -> np.ndarray:
@@ -335,19 +339,17 @@ def curl_project(forms: AssembledForms, target, target_curl, time=None,
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
     G = forms.mass_u1 @ grad
     cell_curl = ctx.cell_integrals(target_curl, time=time)  # (nt, 3)
-    f = np.zeros(dofU.num_dofs)
-    local = np.einsum(
-        "tid,td->ti", ctx.edge_curls * dofU.cell_signs[:, :, None], cell_curl
-    )
-    np.add.at(f, dofU.cell_dofs, local)
-    g = grad.T @ assemble_source(ctx, target, SpaceKind.NEDELEC_EDGE, dofU, time=time)
+    f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
+    g = grad.T @ assemble_source(ctx, target, dofU, time=time)
     u, _ = linalg.solve_saddle(A, G.T, f, g, rel_tol=rel_tol)
     return u
 
 
 @dataclass
 class AssembledForms:
-    """All constant matrices of both semi-discrete formulations."""
+    """All constant matrices of both semi-discrete formulations, and the
+    LU factorizations of those the midpoint rule solves with (factorized on
+    first use, then kept)."""
 
     ctx: FemContext
     params: MaterialParams
@@ -355,45 +357,47 @@ class AssembledForms:
     dof_u0: DofMap     # edge space with boundary constraint (E of nedelec)
     dof_v: DofMap      # face space (H of nedelec)
     dof_w: DofMap      # cellwise-constant vectors (E of lee-madsen)
-    mass_u1: SparseMatrix   # unweighted edge Gram matrix
-    mass_u: SparseMatrix    # mu0-weighted edge Gram matrix
-    mass_v1: SparseMatrix   # unweighted face Gram matrix
-    mass_v: SparseMatrix    # mu0-weighted face Gram matrix
+    mass_u1: SparseMatrix   # edge Gram matrix
+    mass_v1: SparseMatrix   # face Gram matrix
     coupling_lm: SparseMatrix     # (3 nt) x (n_edges)
     discrete_curl: SparseMatrix   # faces x edges, exact curl coefficients
     coupling_ned: SparseMatrix    # faces x free edges
-    _solvers: dict = field(default_factory=dict)
 
-    def mass_solver(self, name: str):
-        """Cached direct factorization of a constant mass matrix."""
-        if name not in self._solvers:
-            mat = {
-                "U": self.mass_u,
-                "U1": self.mass_u1,
-                "V": self.mass_v,
-                "V1": self.mass_v1,
-            }[name]
-            self._solvers[name] = linalg.factorized(mat)
-        return self._solvers[name]
+    @cached_property
+    def solve_mass_u1(self):
+        """Solve with the edge Gram matrix."""
+        return linalg.factorized(self.mass_u1)
 
-    def linear_eps_mass_u0(self) -> SparseMatrix:
-        """eps0 (1 + chi1)-weighted edge mass restricted to free dofs."""
-        full = assemble_mass(
-            self.ctx, SpaceKind.NEDELEC_EDGE, self.dof_u, weight=self.params.eps_lin
+    @cached_property
+    def solve_mass_v1(self):
+        """Solve with the face Gram matrix."""
+        return linalg.factorized(self.mass_v1)
+
+    @cached_property
+    def solve_eps_lin_u0(self):
+        """Solve with the eps0 (1 + chi1)-weighted edge Gram matrix on the free edges."""
+        free = self.dof_u0.free
+        return linalg.factorized(
+            linalg.from_csr(self.params.eps_lin * self.mass_u1.csr[np.ix_(free, free)])
         )
-        keep = self.dof_u0.free
-        return linalg.from_csr(full.csr[np.ix_(keep, keep)])
 
 
-def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams,
-                quad_degree: int = 5) -> AssembledForms:
-    ctx = build_context(mesh, topo, quad_degree=quad_degree)
+def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> AssembledForms:
+    """Context, dof maps and constant operators of both formulations.
+
+    Each operator is assembled once: the two Gram matrices, the lee-madsen
+    coupling C and the discrete curl.  The nedelec coupling
+    K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
+    discrete curl, restricted to the free edges.
+    """
+    ctx = build_context(mesh, topo)
     dof_u = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
     dof_u0 = build_dof_map(SpaceKind.NEDELEC_EDGE_BC, topo)
     dof_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
     dof_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
-    mass_u1 = assemble_mass(ctx, SpaceKind.NEDELEC_EDGE, dof_u, weight=1.0)
-    mass_v1 = assemble_mass(ctx, SpaceKind.RAVIART_THOMAS_FACE, dof_v, weight=1.0)
+    mass_u1 = assemble_mass(ctx, dof_u)
+    mass_v1 = assemble_mass(ctx, dof_v)
+    discrete_curl = assemble_discrete_curl(ctx, dof_u, dof_v)
     return AssembledForms(
         ctx=ctx,
         params=params,
@@ -402,10 +406,8 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams,
         dof_v=dof_v,
         dof_w=dof_w,
         mass_u1=mass_u1,
-        mass_u=linalg.from_csr(params.mu0 * mass_u1.csr),
         mass_v1=mass_v1,
-        mass_v=linalg.from_csr(params.mu0 * mass_v1.csr),
-        coupling_lm=assemble_coupling(ctx, "lee-madsen", {"U": dof_u}),
-        discrete_curl=assemble_discrete_curl(ctx, dof_u, dof_v),
-        coupling_ned=assemble_coupling(ctx, "nedelec", {"U0": dof_u0, "V": dof_v}),
+        coupling_lm=assemble_coupling(ctx, dof_u),
+        discrete_curl=discrete_curl,
+        coupling_ned=linalg.from_csr((mass_v1 @ discrete_curl).csr[:, dof_u0.free]),
     )

@@ -21,6 +21,7 @@ from .assembly import build_forms
 from .dynamics import (
     FORMULATIONS,
     STEPPERS,
+    NonlinearSolveError,
     State,
     ZERO_SOURCES,
     discrete_divergence,
@@ -30,6 +31,7 @@ from .dynamics import (
     stability_bound_check,
 )
 from .fem_spaces import eval_edge_basis, eval_face_basis
+from .linalg import LinalgError
 from .material import MaterialError, MaterialParams
 from .mesh import (
     Mesh,
@@ -476,7 +478,8 @@ def cli_main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, MeshError, MaterialError, OSError, ValueError) as exc:
+    except (ConfigError, MeshError, MaterialError, NonlinearSolveError, LinalgError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -128,7 +128,7 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
         e = l2_project(ctx, E0)
         if H0_curl is None:
             h = np.zeros(forms.dof_u.num_dofs)
-            probe = np.linalg.norm(np.asarray(H0(ctx.phys_pts.reshape(-1, 3))))
+            probe = np.linalg.norm(ctx.sample(H0))
             if probe > 0.0:
                 raise ValueError("H0_curl is required for nonzero H0 initial data")
         else:
@@ -147,7 +147,7 @@ def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
         else (forms.dof_u, forms.dof_v)
     )
     return tuple(
-        assemble_source(forms.ctx, j, dof.kind, dof, time=t) if j is not None
+        assemble_source(forms.ctx, j, dof, time=t) if j is not None
         else np.zeros(dof.num_dofs)
         for j, dof in zip((sources.j_e, sources.j_m), test_spaces)
     )
@@ -163,9 +163,9 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         meps = assemble_nonlinear_mass(forms.ctx, params, state.e)
         de = meps.solve(forms.coupling_lm @ state.h - je)
         dh = linalg.cg_solve(
-            forms.mass_u, -(forms.coupling_lm.T @ state.e) - jm, rel_tol=cg_tol
+            forms.mass_u1, -(forms.coupling_lm.T @ state.e) - jm, rel_tol=cg_tol
         )
-        return de, dh
+        return de, dh / params.mu0
     free = forms.dof_u0.free
     meps_full = assemble_nonlinear_mass_curl(forms.ctx, params, forms.dof_u, state.e)
     meps = linalg.from_csr(meps_full.csr[np.ix_(free, free)])
@@ -228,7 +228,7 @@ def _lee_madsen_updates(state: State, dt: float, sources: Sources,
     params = forms.params
     ctx = forms.ctx
     nt = ctx.num_tets
-    solve_u = forms.mass_solver("U")
+    solve_u = forms.solve_mass_u1
     C = forms.coupling_lm
     CT = C.T
     e0, h0 = state.e, state.h
@@ -236,7 +236,7 @@ def _lee_madsen_updates(state: State, dt: float, sources: Sources,
 
     def advance_h(e1):
         em = 0.5 * (e0 + e1)
-        return h0 + dt * solve_u(-(CT @ em) - jm)
+        return h0 + (dt / params.mu0) * solve_u(-(CT @ em) - jm)
 
     def advance_e(e1, h1):
         hm = 0.5 * (h0 + h1)
@@ -256,14 +256,10 @@ def _nedelec_updates(state: State, dt: float, sources: Sources,
     KT = forms.coupling_ned.T
     e0, h0 = state.e, state.h
     jm_term = (
-        forms.mass_solver("V1")(jm) if sources.j_m is not None
+        forms.solve_mass_v1(jm) if sources.j_m is not None
         else np.zeros(forms.dof_v.num_dofs)
     )
     linear = params.chi3 == 0.0
-    if linear:
-        if "eps_lin_u0" not in forms._solvers:
-            forms._solvers["eps_lin_u0"] = linalg.factorized(forms.linear_eps_mass_u0())
-        solve_eps = forms._solvers["eps_lin_u0"]
     d0_free = (
         params.eps_lin * (forms.mass_u1 @ e0)[free] if linear
         else assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
@@ -278,7 +274,7 @@ def _nedelec_updates(state: State, dt: float, sources: Sources,
         target = d0_free + dt * ((KT @ hm) - je[free])
         if linear:
             e1_new = e1.copy()
-            e1_new[free] = solve_eps(target)
+            e1_new[free] = forms.solve_eps_lin_u0(target)
             return e1_new
         x = e1[free].copy()
         full = e1.copy()
@@ -359,13 +355,13 @@ def total_energy(state: State, forms: AssembledForms) -> float:
         e2 = np.sum(E * E, axis=1)
         we = np.sum(ctx.vol * (0.5 * params.eps_lin * e2
                                + 0.75 * params.eps0 * params.chi3 * e2 * e2))
-        wh = 0.5 * float(state.h @ (forms.mass_u @ state.h))
+        wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
     E = ctx.field_at_quads(forms.dof_u, state.e)
     e2 = np.einsum("tqd,tqd->tq", E, E)
     dens_e = 0.5 * params.eps_lin * e2 + 0.75 * params.eps0 * params.chi3 * e2 * e2
-    we = float(np.einsum("q,tq,t->", ctx.rule.weights, dens_e, ctx.det))
-    wh = 0.5 * float(state.h @ (forms.mass_v @ state.h))
+    we = ctx.integrate(dens_e)
+    wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_v1 @ state.h))
     return we + wh
 
 
@@ -396,15 +392,9 @@ def source_norm_sq(forms: AssembledForms, sources: Sources, t: float) -> float:
     ctx = forms.ctx
     params = forms.params
     total = 0.0
-    flat = ctx.phys_pts.reshape(-1, 3)
-    if sources.j_e is not None:
-        v = np.asarray(sources.j_e(t, flat)).reshape(*ctx.phys_pts.shape)
-        sq = np.einsum("tqd,tqd->tq", v, v)
-        total += float(np.einsum("q,tq,t->", ctx.rule.weights, sq, ctx.det)) / params.eps_lin
-    if sources.j_m is not None:
-        v = np.asarray(sources.j_m(t, flat)).reshape(*ctx.phys_pts.shape)
-        sq = np.einsum("tqd,tqd->tq", v, v)
-        total += float(np.einsum("q,tq,t->", ctx.rule.weights, sq, ctx.det)) / params.mu0
+    for j, weight in ((sources.j_e, params.eps_lin), (sources.j_m, params.mu0)):
+        if j is not None:
+            total += ctx.norm_sq(ctx.sample(j, t)) / weight
     return total
 
 

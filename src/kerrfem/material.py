@@ -102,16 +102,18 @@ def field_magnitude_from_flux(p: MaterialParams, r, tol: float = 1e-14,
     """Solve eps0*chi3*s^3 + eps0*(1+chi1)*s = r for s >= 0, elementwise.
 
     The cubic is strictly increasing and convex for s > 0, so Newton started
-    from the linear-medium upper bound r/(eps0*(1+chi1)) decreases
-    monotonically onto the root; iterates are clamped to [0, upper] as a
-    safeguard.
+    from an upper bound of the root decreases monotonically onto it.  Both
+    r/(eps0*(1+chi1)) (the linear term alone) and cbrt(r/(eps0*chi3)) (the
+    cubic term alone) bound the root from above; the smaller one is used as
+    the start, which keeps s**3 finite for large |D|, and iterates are
+    clamped to [0, start] as a safeguard.
     """
     r = np.asarray(r, dtype=np.float64)
     a = p.eps0 * p.chi3
     b = p.eps_lin
-    upper = r / b
     if a == 0.0:
-        return upper
+        return r / b
+    upper = np.minimum(r / b, np.cbrt(r / a))
     s = upper.copy()
     for _ in range(max_iter):
         f = a * s**3 + b * s - r

@@ -212,20 +212,15 @@ def error_norms(state: State, case: ManufacturedCase,
     """Weighted errors (||E_h - E||_eps0, ||H_h - H||_mu0) at state.t."""
     ctx = forms.ctx
     params = forms.params
-    flat = ctx.phys_pts.reshape(-1, 3)
-    E_exact = np.asarray(case.E(state.t, flat)).reshape(*ctx.phys_pts.shape)
-    H_exact = np.asarray(case.H(state.t, flat)).reshape(*ctx.phys_pts.shape)
     if state.formulation == "lee-madsen":
         E_h = ctx.field_at_quads(forms.dof_w, state.e)
         H_h = ctx.field_at_quads(forms.dof_u, state.h)
     else:
         E_h = ctx.field_at_quads(forms.dof_u, state.e)
         H_h = ctx.field_at_quads(forms.dof_v, state.h)
-    de = E_h - E_exact
-    dh = H_h - H_exact
-    err_e = params.eps0 * np.einsum("q,tqd,tqd,t->", ctx.rule.weights, de, de, ctx.det)
-    err_h = params.mu0 * np.einsum("q,tqd,tqd,t->", ctx.rule.weights, dh, dh, ctx.det)
-    return float(np.sqrt(err_e)), float(np.sqrt(err_h))
+    err_e = params.eps0 * ctx.norm_sq(E_h - ctx.sample(case.E, state.t))
+    err_h = params.mu0 * ctx.norm_sq(H_h - ctx.sample(case.H, state.t))
+    return math.sqrt(err_e), math.sqrt(err_h)
 
 
 @dataclass
@@ -326,7 +321,7 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
     return (table, traces) if collect_traces else table
 
 
-def projection_study(levels, quad_degree: int = 5) -> EocTable:
+def projection_study(levels) -> EocTable:
     """Rates of the two projection operators on smooth reference fields.
 
     Column errE holds the cellwise-average projection error of
@@ -359,23 +354,12 @@ def projection_study(levels, quad_degree: int = 5) -> EocTable:
     for n in levels:
         mesh = generate_structured_cube(int(n))
         topo = build_topology(mesh)
-        forms = build_forms(mesh, topo, MaterialParams(), quad_degree=quad_degree)
+        forms = build_forms(mesh, topo, MaterialParams())
         ctx = forms.ctx
-        flat = ctx.phys_pts.reshape(-1, 3)
-
-        wc = l2_project(ctx, w_field)
-        w_h = ctx.field_at_quads(forms.dof_w, wc)
-        dw = w_h - np.asarray(w_field(flat)).reshape(*ctx.phys_pts.shape)
-        err_w = math.sqrt(
-            np.einsum("q,tqd,tqd,t->", ctx.rule.weights, dw, dw, ctx.det)
-        )
-
-        vc = curl_project(forms, v_field, v_curl)
-        v_h = ctx.field_at_quads(forms.dof_u, vc)
-        dv = v_h - np.asarray(v_field(flat)).reshape(*ctx.phys_pts.shape)
-        err_v = math.sqrt(
-            np.einsum("q,tqd,tqd,t->", ctx.rule.weights, dv, dv, ctx.det)
-        )
+        w_h = ctx.field_at_quads(forms.dof_w, l2_project(ctx, w_field))
+        err_w = math.sqrt(ctx.norm_sq(w_h - ctx.sample(w_field)))
+        v_h = ctx.field_at_quads(forms.dof_u, curl_project(forms, v_field, v_curl))
+        err_v = math.sqrt(ctx.norm_sq(v_h - ctx.sample(v_field)))
         hs.append(mesh_size(mesh))
         errs_w.append(err_w)
         errs_v.append(err_v)

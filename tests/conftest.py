@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kerrfem.assembly import build_forms
 from kerrfem.fem_spaces import SpaceKind, eval_edge_basis, eval_face_basis, push_forward
 from kerrfem.material import MaterialParams
 from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, tet_geometry
+
+# Property tests draw the same examples on every run, keep no example
+# database, and have no per-example time limit, so the suite stays
+# deterministic on a loaded machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import discrete_field_closure, piecewise_curl_closure
+from kerrfem import assembly
 from kerrfem.assembly import (
     assemble_coupling,
     assemble_curl_curl,
@@ -15,6 +16,7 @@ from kerrfem.assembly import (
     curl_project,
     l2_project,
 )
+from kerrfem.dynamics import ZERO_SOURCES, initialize, step_midpoint
 from kerrfem.fem_spaces import SpaceKind, build_dof_map
 from kerrfem.material import MaterialParams
 from kerrfem.mesh import TET_EDGES, build_topology, generate_structured_cube, make_mesh
@@ -24,6 +26,7 @@ from kerrfem.quadrature import (
     tetrahedron_rule,
     triangle_rule,
 )
+from kerrfem.verification import cavity_mode_case
 
 
 def test_tet_rule_monomial_exactness():
@@ -66,35 +69,40 @@ def ctx2(cube2):
     return build_context(mesh, topo)
 
 
-def test_w_mass_is_volume_blocks(ctx2):
-    dm = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, ctx2.topo)
-    M = assemble_mass(ctx2, SpaceKind.DISCONTINUOUS_VECTOR, dm)
-    expect = np.kron(np.diag(ctx2.vol), np.eye(3))
-    assert np.abs(M.to_dense() - expect).max() < 1e-15
-    # volume sum: trace of the unweighted Gram equals 3 |Omega|
-    assert np.trace(M.to_dense()) == pytest.approx(3.0, abs=1e-12)
+def test_integrate_constant_is_volume(ctx2):
+    assert ctx2.integrate(np.ones_like(ctx2.dx)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_build_forms_assembles_each_gram_once(cube2, monkeypatch):
+    calls = []
+    original = assembly.assemble_mass
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_mass", counted)
+    mesh, topo = cube2
+    forms = build_forms(mesh, topo, MaterialParams())
+    assert len(calls) == 2
+    calls.clear()
+    case = cavity_mode_case()
+    state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "nedelec", forms)
+    for _ in range(2):
+        state = step_midpoint(state, 0.01, ZERO_SOURCES, forms)
+    assert len(calls) == 0
 
 
 def test_masses_are_spd(ctx2):
     rng = np.random.default_rng(0)
     for kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.RAVIART_THOMAS_FACE):
         dm = build_dof_map(kind, ctx2.topo)
-        M = assemble_mass(ctx2, kind, dm, weight=2.0)
+        M = assemble_mass(ctx2, dm)
         D = M.to_dense()
         assert np.abs(D - D.T).max() < 1e-14
         for _ in range(5):
             x = rng.normal(size=dm.num_dofs)
             assert x @ (M @ x) > 0.0
-
-
-def test_mass_weight_forms(ctx2):
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, ctx2.topo)
-    M1 = assemble_mass(ctx2, SpaceKind.NEDELEC_EDGE, dm, weight=1.0)
-    M2 = assemble_mass(ctx2, SpaceKind.NEDELEC_EDGE, dm, weight=np.full(ctx2.num_tets, 2.0))
-    assert np.abs(2.0 * M1.to_dense() - M2.to_dense()).max() < 1e-13
-    M3 = assemble_mass(ctx2, SpaceKind.NEDELEC_EDGE, dm,
-                       weight=lambda X: 2.0 * np.ones(len(X)))
-    assert np.abs(M2.to_dense() - M3.to_dense()).max() < 1e-13
 
 
 def test_nonlinear_mass_vacuum(ctx2):
@@ -132,7 +140,7 @@ def test_nonlinear_mass_curl_matches_block_structure(ctx2):
     rng = np.random.default_rng(2)
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
-    M1 = assemble_mass(ctx2, SpaceKind.NEDELEC_EDGE, dm, weight=1.0)
+    M1 = assemble_mass(ctx2, dm)
     assert np.abs(M.to_dense() - 3.0 * M1.to_dense()).max() < 1e-12
 
 
@@ -143,7 +151,7 @@ def test_nonlinear_mass_curl_is_spd_kerr(ctx2):
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
     w = np.linalg.eigvalsh(M.to_dense())
-    M1 = assemble_mass(ctx2, SpaceKind.NEDELEC_EDGE, dm, weight=1.0)
+    M1 = assemble_mass(ctx2, dm)
     w1 = np.linalg.eigvalsh(M1.to_dense())
     assert w.min() >= w1.min() - 1e-12  # eps(E) >= eps0 I = I
 
@@ -154,7 +162,7 @@ def test_coupling_reference_tet_entries():
     topo = build_topology(mesh)
     ctx = build_context(mesh, topo)
     dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
-    C = assemble_coupling(ctx, "lee-madsen", {"U": dm}).to_dense()
+    C = assemble_coupling(ctx, dm).to_dense()
     # entries are |K| times the constant curl components (signs are +1 here)
     for j in range(6):
         assert np.allclose(C[:, dm.cell_dofs[0, j]],
@@ -182,10 +190,9 @@ def test_coupling_transpose_identity(forms2):
 
 def test_nedelec_coupling_matches_quadrature(cube1):
     mesh, topo = cube1
-    ctx = build_context(mesh, topo)
-    dm_u0 = build_dof_map(SpaceKind.NEDELEC_EDGE_BC, topo)
-    dm_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
-    K = assemble_coupling(ctx, "nedelec", {"U0": dm_u0, "V": dm_v}).to_dense()
+    forms = build_forms(mesh, topo, MaterialParams())
+    ctx, dm_u0, dm_v = forms.ctx, forms.dof_u0, forms.dof_v
+    K = forms.coupling_ned.to_dense()
     # quadrature oracle for (phi_i^V, curl psi_j)
     oracle = np.zeros((dm_v.num_dofs, dm_u0.num_dofs))
     for t in range(ctx.num_tets):
@@ -194,9 +201,9 @@ def test_nedelec_coupling_matches_quadrature(cube1):
             for j in range(6):
                 gj, sj = dm_u0.cell_dofs[t, j], dm_u0.cell_signs[t, j]
                 val = np.einsum(
-                    "q,qd,d->", ctx.rule.weights, ctx.face_values[t, :, i, :],
+                    "q,qd,d->", ctx.dx[t], ctx.face_values[t, :, i, :],
                     ctx.edge_curls[t, j],
-                ) * ctx.det[t]
+                )
                 oracle[gi, gj] += si * sj * val
     assert np.abs(K - oracle[:, dm_u0.free]).max() < 1e-13
 
@@ -249,8 +256,7 @@ def test_l2_projection_rate():
         coeffs = l2_project(ctx, w)
         dm = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, ctx.topo)
         wh = ctx.field_at_quads(dm, coeffs)
-        d = wh - np.asarray(w(ctx.phys_pts.reshape(-1, 3))).reshape(*ctx.phys_pts.shape)
-        errs.append(np.sqrt(np.einsum("q,tqd,tqd,t->", ctx.rule.weights, d, d, ctx.det)))
+        errs.append(np.sqrt(ctx.norm_sq(wh - ctx.sample(w))))
     eoc = np.log2(errs[0] / errs[1])
     assert 0.8 <= eoc <= 1.3
 
@@ -284,9 +290,7 @@ def test_curl_project_gradient_field(forms2):
     u = curl_project(forms2, q_grad, zero)
     assert np.abs(forms2.discrete_curl @ u).max() <= 1e-10
     grad = assemble_gradient(forms2.ctx)
-    g = grad.T @ assemble_source(
-        forms2.ctx, q_grad, SpaceKind.NEDELEC_EDGE, forms2.dof_u
-    )
+    g = grad.T @ assemble_source(forms2.ctx, q_grad, forms2.dof_u)
     got = grad.T @ (forms2.mass_u1 @ u)
     assert np.abs(got - g).max() <= 1e-10
 
@@ -311,14 +315,11 @@ def test_curl_project_gauge_invariance(forms2):
 
 def test_assemble_source_zero_and_constant(ctx2):
     dm = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, ctx2.topo)
-    zero = assemble_source(
-        ctx2, lambda X: np.zeros_like(np.atleast_2d(X)), SpaceKind.DISCONTINUOUS_VECTOR, dm
-    )
+    zero = assemble_source(ctx2, lambda X: np.zeros_like(np.atleast_2d(X)), dm)
     assert np.all(zero == 0.0)
     c = np.array([2.0, -1.0, 0.5])
     load = assemble_source(
-        ctx2, lambda X: np.broadcast_to(c, np.atleast_2d(X).shape),
-        SpaceKind.DISCONTINUOUS_VECTOR, dm,
+        ctx2, lambda X: np.broadcast_to(c, np.atleast_2d(X).shape), dm
     )
     expect = (ctx2.vol[:, None] * c).ravel()
     assert np.abs(load - expect).max() < 1e-14
@@ -362,7 +363,7 @@ def test_assemble_source_polynomial_exactness(reference_tet_mesh):
             cols.append(col)
         return np.stack(cols, axis=-1)
 
-    load = assemble_source(ctx, target, SpaceKind.NEDELEC_EDGE, dm)
+    load = assemble_source(ctx, target, dm)
     grads = np.array([[-1.0, -1, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     lam_affine = {  # lambda_i as (c0, cx, cy, cz)
         0: (1.0, -1.0, -1.0, -1.0),

@@ -277,6 +277,16 @@ def test_cli_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_solver_failure_exits_nonzero(capsys):
+    # dt far above the midpoint limit: the sweeps stall, and the CLI reports
+    # the solver error on one line instead of a traceback
+    code = cli_main(["run", "--case", "cavity", "--n", "2", "--dt", "0.5", "--t-end", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "reduce dt" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_nedelec_run(capsys):
     code = cli_main([
         "energy", "--case", "cavity", "--formulation", "nedelec", "--n", "2",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kerrfem.material import (
     MaterialError,
@@ -169,3 +170,33 @@ def test_e_of_d_linear_fast_path():
     p = MaterialParams(eps0=2.0, chi1=1.0, chi3=0.0)
     D = np.array([4.0, -2.0, 6.0])
     assert np.allclose(e_of_d(p, D), D / 4.0)
+
+
+# nondimensional parameters, and SI-scale ones (eps0, mu0 in SI units with
+# chi3 in m^2/V^2); chi3 is drawn by decimal exponent
+NONDIM = st.builds(
+    MaterialParams,
+    chi1=st.floats(0.0, 10.0),
+    chi3=st.one_of(st.just(0.0), st.floats(-12.0, 2.0).map(lambda x: 10.0**x)),
+)
+SI = st.builds(
+    MaterialParams,
+    eps0=st.just(8.854e-12),
+    mu0=st.just(1.2566e-6),
+    chi1=st.floats(0.0, 10.0),
+    chi3=st.floats(-30.0, -18.0).map(lambda x: 10.0**x),
+)
+
+
+@given(
+    params=st.one_of(NONDIM, SI),
+    log_mag=st.floats(-150.0, 150.0),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: np.linalg.norm(v) > 1e-3
+    ),
+)
+def test_constitutive_round_trip_extreme_magnitudes(params, log_mag, direction):
+    v = np.asarray(direction)
+    D = 10.0**log_mag * v / np.linalg.norm(v)
+    back = d_of_e(params, e_of_d(params, D))
+    assert np.linalg.norm(back - D) <= 1e-12 * np.linalg.norm(D)
