@@ -17,7 +17,7 @@ steppers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -335,20 +335,19 @@ def curl_project(forms: AssembledForms, target, target_curl, time=None,
     """
     ctx = forms.ctx
     dofU = forms.dof_u
-    A = assemble_curl_curl(ctx, dofU)
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
     G = forms.mass_u1 @ grad
     cell_curl = ctx.cell_integrals(target_curl, time=time)  # (nt, 3)
     f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
     g = grad.T @ assemble_source(ctx, target, dofU, time=time)
-    u, _ = linalg.solve_saddle(A, G.T, f, g, rel_tol=rel_tol)
+    u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g, rel_tol=rel_tol)
     return u
 
 
 @dataclass
 class AssembledForms:
     """All constant matrices of both semi-discrete formulations, and the
-    LU factorizations of those the midpoint rule solves with (factorized on
+    LU factorizations of those the time steppers solve with (factorized on
     first use, then kept)."""
 
     ctx: FemContext
@@ -362,24 +361,39 @@ class AssembledForms:
     coupling_lm: SparseMatrix     # (3 nt) x (n_edges)
     discrete_curl: SparseMatrix   # faces x edges, exact curl coefficients
     coupling_ned: SparseMatrix    # faces x free edges
+    _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @cached_property
-    def solve_mass_u1(self):
-        """Solve with the edge Gram matrix."""
-        return linalg.factorized(self.mass_u1)
+    def curl_curl(self) -> SparseMatrix:
+        """(curl u, curl v) on the edge space, A_cc = C^T diag(1/|K|) C."""
+        return assemble_curl_curl(self.ctx, self.dof_u)
 
     @cached_property
     def solve_mass_v1(self):
         """Solve with the face Gram matrix."""
         return linalg.factorized(self.mass_v1)
 
-    @cached_property
-    def solve_eps_lin_u0(self):
-        """Solve with the eps0 (1 + chi1)-weighted edge Gram matrix on the free edges."""
+    def reduced_matrix(self, formulation: str, dt: float,
+                       eps_mass: SparseMatrix | None = None) -> SparseMatrix:
+        """Edge matrix of a midpoint step with one field eliminated: mu0 M_u +
+        dt^2/(4 eps_lin) A_cc (lee-madsen), or on the free edges M_eps +
+        dt^2/(4 mu0) A_cc (nedelec; ``eps_mass`` defaults to eps_lin M_u)."""
+        params = self.params
+        A = self.curl_curl.csr
+        if formulation == "lee-madsen":
+            return linalg.from_csr(params.mu0 * self.mass_u1.csr
+                                   + dt * dt / (4.0 * params.eps_lin) * A)
+        M = params.eps_lin * self.mass_u1.csr if eps_mass is None else eps_mass.csr
         free = self.dof_u0.free
-        return linalg.factorized(
-            linalg.from_csr(self.params.eps_lin * self.mass_u1.csr[np.ix_(free, free)])
-        )
+        return linalg.from_csr((M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)])
+
+    def reduced_solver(self, formulation: str, dt: float):
+        """Solve with the linear :meth:`reduced_matrix`, keeping only the latest
+        (formulation, dt) factorization; nedelec at dt = 0 is the RK4 mass."""
+        if self._reduced_lu[0] != (formulation, dt):
+            lu = linalg.factorized(self.reduced_matrix(formulation, dt))
+            self._reduced_lu = ((formulation, dt), lu)
+        return self._reduced_lu[1]
 
 
 def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> AssembledForms:

@@ -12,7 +12,9 @@ Time integration is an addition to the semi-discrete setting: the implicit
 midpoint rule (applied to the electric *flux*, with the field recovered by
 exact constitutive inversion) preserves the quadratic invariants of the
 linear subsystem and is second-order accurate; classical RK4 serves as an
-independent cross-check.
+independent cross-check.  A midpoint step eliminates one field in closed form
+and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
+nedelec) with the matrix M + (dt^2/4) A_cc / material: exact when linear.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .material import d_of_e, e_of_d
 
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
+MAX_SWEEPS = 50  # default cap on the midpoint sweeps of one step
 
 
 class NonlinearSolveError(Exception):
@@ -167,11 +170,14 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         )
         return de, dh / params.mu0
     free = forms.dof_u0.free
-    meps_full = assemble_nonlinear_mass_curl(forms.ctx, params, forms.dof_u, state.e)
-    meps = linalg.from_csr(meps_full.csr[np.ix_(free, free)])
     rhs_e = (forms.coupling_ned.T @ state.h) - je[free]
     de = np.zeros_like(state.e)
-    de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
+    if params.chi3 == 0.0:
+        de[free] = forms.reduced_solver("nedelec", 0.0)(rhs_e)
+    else:
+        eps_mass = assemble_nonlinear_mass_curl(forms.ctx, params, forms.dof_u, state.e)
+        meps = forms.reduced_matrix("nedelec", 0.0, eps_mass)
+        de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
     dh = forms.discrete_curl @ state.e
     if sources.j_m is not None:
         dh = dh + linalg.cg_solve(forms.mass_v1, jm, rel_tol=cg_tol)
@@ -180,17 +186,14 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
 
 def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
                  iteration: int, cap: int) -> bool:
+    """Whether the sweeps stop: the update is at roundoff, or within ``tol``
+    and no longer shrinking (``prev_delta`` is inf at first) or at the cap."""
     if not np.isfinite(delta):
-        raise NonlinearSolveError(
-            "midpoint iteration diverged (non-finite update); reduce dt"
-        )
-    if delta <= 1e-15 * scale:
+        raise NonlinearSolveError("midpoint iteration diverged (non-finite update); reduce dt")
+    last = iteration == cap - 1
+    if delta <= 1e-15 * scale or (delta <= tol * scale and (last or delta >= prev_delta)):
         return True
-    if iteration > 0 and delta >= prev_delta and delta <= tol * scale:
-        return True
-    if iteration == cap - 1:
-        if delta <= tol * scale:
-            return True
+    if last:
         raise NonlinearSolveError(
             f"midpoint iteration stalled at relative update {delta / scale:.3e} "
             f"after {cap} sweeps; reduce dt"
@@ -198,20 +201,16 @@ def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
     return False
 
 
-def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, advance_h, advance_e,
-                     tol: float, cap: int):
-    """Picard sweeps for the end-of-step fields (e1, h1) of one midpoint step.
-
-    Each sweep updates H from the current E guess, ``h1 = advance_h(e1)``,
-    then E from that H, ``e1 = advance_e(e1, h1)``; the sweeps stop per
-    :func:`_picard_exit` on the largest change of either field.
-    """
+def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float, cap: int):
+    """Sweeps ``(e1, h1) = sweep(e1, h1)`` for the end-of-step fields of one
+    midpoint step, each one Newton update of the formulation's edge unknown
+    with the other field recovered in closed form; they stop per
+    :func:`_picard_exit` on the largest change of either field."""
     e1, h1 = e0.copy(), h0.copy()
     prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cap):
-            h1_new = advance_h(e1)
-            e1_new = advance_e(e1, h1_new)
+            e1_new, h1_new = sweep(e1, h1)
             delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
             scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
             e1, h1 = e1_new, h1_new
@@ -221,78 +220,62 @@ def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, advance_h, advance_e,
     return e1, h1
 
 
-def _lee_madsen_updates(state: State, dt: float, sources: Sources,
-                        forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
-    """Sweep updates of the lee-madsen step: H by an edge-mass solve, E by
-    cellwise constitutive inversion of the updated flux."""
+def _lee_madsen_sweep(state: State, dt: float, sources: Sources,
+                      forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+    """Sweep of the lee-madsen step: H by a simplified Newton update on
+    G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 + j_m) with the linear
+    reduced matrix, an upper bound of the Kerr Jacobian (so the update
+    contracts); then E1 by cellwise constitutive inversion."""
     params = forms.params
-    ctx = forms.ctx
-    nt = ctx.num_tets
-    solve_u = forms.solve_mass_u1
+    vol = forms.ctx.vol[:, None]
+    solve = forms.reduced_solver("lee-madsen", dt)
     C = forms.coupling_lm
     CT = C.T
     e0, h0 = state.e, state.h
-    d0 = d_of_e(params, e0.reshape(nt, 3))
+    d0 = d_of_e(params, e0.reshape(-1, 3))
 
-    def advance_h(e1):
-        em = 0.5 * (e0 + e1)
-        return h0 + (dt / params.mu0) * solve_u(-(CT @ em) - jm)
+    def sweep(e1, h1):
+        h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
+                        + dt * (CT @ (0.5 * (e0 + e1)) + jm))
+        d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
+        return e_of_d(params, d1).ravel(), h1
 
-    def advance_e(e1, h1):
-        hm = 0.5 * (h0 + h1)
-        d1 = d0 + (dt / ctx.vol[:, None]) * (C @ hm - je).reshape(nt, 3)
-        return e_of_d(params, d1).ravel()
-
-    return advance_h, advance_e
+    return sweep
 
 
-def _nedelec_updates(state: State, dt: float, sources: Sources,
-                     forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
-    """Sweep updates of the nedelec step: H by the exact discrete curl, E on
-    the free edges by a flux solve (linear) or a Newton solve (Kerr)."""
+def _nedelec_sweep(state: State, dt: float, sources: Sources,
+                   forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+    """Sweep of the nedelec step: a Newton update of E on the free edges for
+    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with Jacobian
+    :meth:`AssembledForms.reduced_matrix` at E1; H1 follows exactly from the
+    discrete curl of E1, so the ``h1`` argument is not read."""
     params = forms.params
     ctx = forms.ctx
     free = forms.dof_u0.free
     KT = forms.coupling_ned.T
     e0, h0 = state.e, state.h
-    jm_term = (
-        forms.solve_mass_v1(jm) if sources.j_m is not None
-        else np.zeros(forms.dof_v.num_dofs)
-    )
-    linear = params.chi3 == 0.0
-    d0_free = (
-        params.eps_lin * (forms.mass_u1 @ e0)[free] if linear
-        else assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
-    )
+    jm_term = forms.solve_mass_v1(jm) if sources.j_m is not None else 0.0
+    d0 = assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
 
-    def advance_h(e1):
-        em = 0.5 * (e0 + e1)
-        return h0 - (dt / params.mu0) * (forms.discrete_curl @ em + jm_term)
+    def h_end(e1):
+        return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
-    def advance_e(e1, h1):
-        hm = 0.5 * (h0 + h1)
-        target = d0_free + dt * ((KT @ hm) - je[free])
-        if linear:
-            e1_new = e1.copy()
-            e1_new[free] = forms.solve_eps_lin_u0(target)
-            return e1_new
-        x = e1[free].copy()
-        full = e1.copy()
-        res_scale = max(np.linalg.norm(target), 1.0)
-        for _ in range(30):
-            R = assemble_flux_load(ctx, params, forms.dof_u, full)[free] - target
-            if np.linalg.norm(R) <= 1e-13 * res_scale:
-                return full
-            jac_full = assemble_nonlinear_mass_curl(ctx, params, forms.dof_u, full)
-            jac = linalg.from_csr(jac_full.csr[np.ix_(free, free)])
-            x = x - linalg.factorized(jac)(R)
-            full[free] = x
-        raise NonlinearSolveError("flux-form Newton solve did not converge")
+    def sweep(e1, h1):
+        residual = (assemble_flux_load(ctx, params, forms.dof_u, e1)[free] - d0
+                    - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
+        if params.chi3 == 0.0:
+            solve = forms.reduced_solver("nedelec", dt)
+        else:
+            eps_mass = assemble_nonlinear_mass_curl(ctx, params, forms.dof_u, e1)
+            solve = linalg.factorized(forms.reduced_matrix("nedelec", dt, eps_mass))
+        e1 = e1.copy()
+        e1[free] -= solve(residual)
+        return e1, h_end(e1)
 
-    return advance_h, advance_e
+    return sweep
 
 
-_MIDPOINT_UPDATES = {"lee-madsen": _lee_madsen_updates, "nedelec": _nedelec_updates}
+_MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
 def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
@@ -300,15 +283,13 @@ def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledFo
     """One midpoint step; returns the new state and the midpoint loads (je, jm)."""
     _validate_formulation(state.formulation)
     je, jm = _loads(forms, state.formulation, sources, state.t + 0.5 * dt)
-    advance_h, advance_e = _MIDPOINT_UPDATES[state.formulation](
-        state, dt, sources, forms, je, jm
-    )
-    e1, h1 = _midpoint_sweeps(state.e, state.h, advance_h, advance_e, tol, cap)
+    sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, sources, forms, je, jm)
+    e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol, cap)
     return State(state.formulation, e1, h1, state.t + dt), je, jm
 
 
 def step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                  nonlinear_tol: float = 1e-11, max_iter: int = 50) -> State:
+                  nonlinear_tol: float = 1e-11, max_iter: int = MAX_SWEEPS) -> State:
     """One implicit-midpoint step on the flux form; second order in dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -415,7 +396,7 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     current = state
     for step in range(1, num_steps + 1):
         if stepper == "midpoint":
-            new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol, 50)
+            new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol, MAX_SWEEPS)
         else:
             new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
             je, jm = (

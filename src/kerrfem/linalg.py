@@ -57,12 +57,9 @@ class SparseMatrix:
             return SparseMatrix(csr=(self.csr @ x.csr).tocsr())
         return self.matvec(x)
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(csr=self.csr.T.tocsr())
-
     @property
     def T(self) -> "SparseMatrix":
-        return self.transpose()
+        return SparseMatrix(csr=self.csr.T.tocsr())
 
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
@@ -93,12 +90,13 @@ def from_triplets(rows, cols, values, shape) -> SparseMatrix:
 
 
 def cg_solve(A: SparseMatrix, b: np.ndarray, rel_tol: float = 1e-11,
-             x0: np.ndarray | None = None, max_iter: int | None = None) -> np.ndarray:
+             max_iter: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Returns x with ||Ax - b|| <= rel_tol * ||b||.  Raises CgBreakdownError on
-    negative curvature (non-SPD operator) and CgNonConvergenceError when the
-    iteration cap (10 n by default) is exhausted.
+    negative curvature (non-SPD operator), CgNonConvergenceError when the
+    iteration cap (10 n by default) is exhausted, and LinalgError at the
+    first non-finite right-hand side, inner product or residual.
     """
     if not (0.0 < rel_tol < 1.0):
         raise LinalgError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -106,40 +104,45 @@ def cg_solve(A: SparseMatrix, b: np.ndarray, rel_tol: float = 1e-11,
     if A.shape[0] != A.shape[1]:
         raise LinalgError(f"matrix is not square: {A.shape}")
     b = np.asarray(b, dtype=np.float64)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    diag = A.diagonal()
-    inv_diag = np.where(np.abs(diag) > 0.0, 1.0 / np.where(diag != 0.0, diag, 1.0), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bnorm = _finite(np.linalg.norm(b), "||b||")
+        if bnorm == 0.0:
+            return np.zeros(n)
+        diag = A.diagonal()
+        inv_diag = np.where(np.abs(diag) > 0.0, 1.0 / np.where(diag != 0.0, diag, 1.0), 1.0)
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    r = b - A.matvec(x)
-    if np.linalg.norm(r) <= rel_tol * bnorm:
-        return x
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    cap = 10 * n if max_iter is None else max_iter
-    for _ in range(cap):
-        Ap = A.matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise CgBreakdownError(
-                f"negative curvature p^T A p = {pAp:.3e}; matrix not positive definite"
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= rel_tol * bnorm:
-            return x
+        x = np.zeros(n)
+        r = b.copy()
         z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        p = z.copy()
+        rz = _finite(float(r @ z), "r^T z")
+        cap = 10 * n if max_iter is None else max_iter
+        for _ in range(cap):
+            Ap = A.matvec(p)
+            pAp = _finite(float(p @ Ap), "p^T A p")
+            if pAp <= 0.0:
+                raise CgBreakdownError(
+                    f"negative curvature p^T A p = {pAp:.3e}; matrix not positive definite"
+                )
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if _finite(np.linalg.norm(r), "residual") <= rel_tol * bnorm:
+                return x
+            z = inv_diag * r
+            rz_new = _finite(float(r @ z), "r^T z")
+            p = z + (rz_new / rz) * p
+            rz = rz_new
     raise CgNonConvergenceError(
         f"no convergence in {cap} iterations; residual "
         f"{np.linalg.norm(r) / bnorm:.3e} of ||b||"
     )
+
+
+def _finite(value: float, name: str) -> float:
+    if not np.isfinite(value):
+        raise LinalgError(f"conjugate gradients met a non-finite {name}: the values overflowed")
+    return value
 
 
 def factorized(A: SparseMatrix):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -278,12 +280,26 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exits_nonzero(capsys):
-    # dt far above the midpoint limit: the sweeps stall, and the CLI reports
-    # the solver error on one line instead of a traceback
-    code = cli_main(["run", "--case", "cavity", "--n", "2", "--dt", "0.5", "--t-end", "1"])
+    # a large step in a strongly Kerr medium: the lee-madsen sweeps stall,
+    # and the CLI reports the solver error on one line instead of a traceback
+    code = cli_main(["run", "--case", "custom-zero-source", "--chi3", "100", "--n", "2",
+                     "--dt", "0.5", "--t-end", "1"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "reduce dt" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_rk4_overflow_exits_nonzero(capsys):
+    # RK4 far above its stability limit drives the state to inf; the CG solve
+    # stops at the first non-finite value, with no numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["energy", "--case", "cavity", "--n", "2", "--stepper", "rk4",
+                         "--dt", "0.5", "--t-end", "400"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
     assert err.count("\n") == 1
 
 

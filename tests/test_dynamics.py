@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from kerrfem import dynamics
 from kerrfem.assembly import (
+    assemble_flux_load,
     assemble_nonlinear_mass,
+    assemble_source,
     build_forms,
     l2_project,
 )
@@ -24,8 +27,8 @@ from kerrfem.dynamics import (
     total_energy,
 )
 from kerrfem.fem_spaces import interpolate_edge_dofs
-from kerrfem.material import MaterialParams
-from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh
+from kerrfem.material import MaterialParams, d_of_e
+from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
 from kerrfem.verification import cavity_mode_case, kerr_manufactured_case
 
 
@@ -119,8 +122,6 @@ def test_rhs_energy_pairing_linear(cav_forms2, cavity):
     kerr = kerr_manufactured_case(MaterialParams(), t_final=1.0)  # linear sources
     st = State("lee-madsen", st.e, st.h, 0.4)
     de, dh = rhs(st, kerr.sources, cav_forms2)
-    from kerrfem.assembly import assemble_source
-
     je = assemble_source(cav_forms2.ctx, kerr.sources.j_e, cav_forms2.dof_w, time=st.t)
     jm = assemble_source(cav_forms2.ctx, kerr.sources.j_m, cav_forms2.dof_u, time=st.t)
     meps = assemble_nonlinear_mass(cav_forms2.ctx, cav_forms2.params, st.e)
@@ -157,13 +158,69 @@ def test_midpoint_rejects_bad_dt(cav_forms2, cavity):
         step_midpoint(st, -0.1, ZERO_SOURCES, cav_forms2)
 
 
-def test_midpoint_signals_nonconvergence(cavity):
-    # a single huge step cannot contract the fixed-point iteration
-    mesh = generate_structured_cube(2)
-    forms = build_forms(mesh, build_topology(mesh), cavity.params)
+def test_midpoint_signals_nonconvergence(cavity, cube2):
+    # a large step in a strongly Kerr medium: the frozen linear matrix of the
+    # lee-madsen sweeps contracts too slowly to converge within the cap
+    mesh, topo = cube2
+    forms = build_forms(mesh, topo, MaterialParams(chi3=100.0))
     st = cavity_state(cavity, forms)
     with pytest.raises(NonlinearSolveError, match="reduce dt"):
-        step_midpoint(st, 5.0, ZERO_SOURCES, forms)
+        step_midpoint(st, 0.5, ZERO_SOURCES, forms)
+    # one Newton sweep of a nedelec Kerr step is not yet converged
+    st = cavity_state(cavity, forms, formulation="nedelec")
+    with pytest.raises(NonlinearSolveError, match="reduce dt"):
+        step_midpoint(st, 0.05, ZERO_SOURCES, forms, max_iter=1)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_midpoint_linear_large_dt_conserves_energy(cube2, cavity, formulation):
+    # the reduced edge solve is exact for chi3 = 0, so dt = h/2 converges
+    mesh, topo = cube2
+    forms = build_forms(mesh, topo, cavity.params)
+    st = cavity_state(cavity, forms, formulation=formulation)
+    _, trace = integrate(st, 0.5 * mesh_size(mesh), 20, ZERO_SOURCES, forms)
+    w = np.asarray(trace.energy)
+    assert np.abs(w - w[0]).max() / w[0] <= 1e-9
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_midpoint_step_solves_flux_form_equations(cube2, formulation):
+    # the returned end-of-step fields satisfy the flux-form midpoint rule
+    mesh, topo = cube2
+    params = MaterialParams(chi3=1.0)
+    case = kerr_manufactured_case(params, t_final=1.0)
+    forms = build_forms(mesh, topo, params)
+    ctx = forms.ctx
+    st = initialize(
+        lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation, forms,
+        H0_curl=lambda X: case.curl_H(0.0, X),
+    )
+    st = State(formulation, st.e, st.h, 0.3)
+    dt = 0.1
+    new = step_midpoint(st, dt, case.sources, forms)
+    em, hm = 0.5 * (st.e + new.e), 0.5 * (st.h + new.h)
+    tm = st.t + 0.5 * dt
+    if formulation == "lee-madsen":
+        je = assemble_source(ctx, case.j_e, forms.dof_w, time=tm)
+        jm = assemble_source(ctx, case.j_m, forms.dof_u, time=tm)
+        C = forms.coupling_lm
+        vol_d = ctx.vol[:, None] * (d_of_e(params, new.e.reshape(-1, 3))
+                                    - d_of_e(params, st.e.reshape(-1, 3)))
+        electric = (vol_d.ravel(), dt * (C @ hm - je))
+        magnetic = (params.mu0 * (forms.mass_u1 @ (new.h - st.h)),
+                    -dt * (C.T @ em + jm))
+    else:
+        free = forms.dof_u0.free
+        je = assemble_source(ctx, case.j_e, forms.dof_u, time=tm)
+        jm = assemble_source(ctx, case.j_m, forms.dof_v, time=tm)
+        flux = [assemble_flux_load(ctx, params, forms.dof_u, e)[free] for e in (st.e, new.e)]
+        electric = (flux[1] - flux[0], dt * (forms.coupling_ned.T @ hm - je[free]))
+        magnetic = (params.mu0 * (forms.mass_v1 @ (new.h - st.h)),
+                    -dt * (forms.mass_v1 @ (forms.discrete_curl @ em) + jm))
+        assert np.all(new.e[forms.dof_u0.constrained] == 0.0)
+    for lhs, rhs_val in (electric, magnetic):
+        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs_val))
+        assert np.linalg.norm(lhs - rhs_val) <= 1e-10 * scale
 
 
 def test_temporal_order_two(cube2):
@@ -209,6 +266,21 @@ def test_rk4_agrees_with_midpoint(cav_forms2, cavity):
     assert diff <= 10.0 * dt**2 * scale
 
 
+def test_rk4_linear_nedelec_assembles_no_nonlinear_mass(cav_forms2, cavity, monkeypatch):
+    calls = []
+    original = dynamics.assemble_nonlinear_mass_curl
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "assemble_nonlinear_mass_curl", counted)
+    st = cavity_state(cavity, cav_forms2, formulation="nedelec")
+    for _ in range(2):
+        st = step_rk4(st, 0.01, ZERO_SOURCES, cav_forms2)
+    assert len(calls) == 0
+
+
 def test_rk4_polynomial_time_exactness(reference_tet_mesh):
     # On a single tet every edge is constrained, so the nedelec electric
     # field is frozen at zero and the magnetic equation reduces to
@@ -220,8 +292,6 @@ def test_rk4_polynomial_time_exactness(reference_tet_mesh):
     forms = build_forms(reference_tet_mesh, topo, params)
     assert forms.dof_u0.num_free == 0
     import scipy.sparse.linalg as spla
-
-    from kerrfem.assembly import assemble_source
 
     g = np.array([1.0, 2.0, -1.0])
     p = np.polynomial.Polynomial([0.0, 1.0, -2.0, 0.5, 0.25])  # degree 4 in t
