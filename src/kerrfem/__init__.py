@@ -21,7 +21,7 @@ from .fem_spaces import (
     eval_face_basis,
     push_forward,
 )
-from .linalg import SparseMatrix, cg_solve, from_triplets, solve_saddle
+from .linalg import cg_solve, from_triplets, solve_saddle
 from .quadrature import QuadratureRule
 from .assembly import (
     AssembledForms,

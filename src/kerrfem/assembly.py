@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .fem_spaces import (
@@ -30,7 +31,7 @@ from .fem_spaces import (
     eval_edge_basis,
     eval_face_basis,
 )
-from .linalg import SparseMatrix, from_triplets
+from .linalg import from_triplets
 from .material import MaterialParams, cm_matrix, eps_matrix
 from .mesh import Mesh, TET_FACES, Topology, all_geometry
 from .quadrature import tetrahedron_rule
@@ -161,7 +162,7 @@ def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
     )
 
 
-def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> SparseMatrix:
+def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> sp.csr_matrix:
     """Accumulate per-tet local matrices into a global sparse matrix."""
     signed = local * dofmap.cell_signs[:, :, None] * dofmap.cell_signs[:, None, :]
     nloc = dofmap.cell_dofs.shape[1]
@@ -172,13 +173,13 @@ def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> SparseM
     )
 
 
-def assemble_mass(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
+def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """Gram matrix (SPD) of the edge or face space of ``dofmap``."""
     local = _local_gram(ctx.dx, ctx.basis_at_quads(dofmap.kind))
     return _scatter_matrix(local, dofmap, dofmap.num_dofs)
 
 
-def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
+def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """(curl u, curl v) on the edge space; curls are cellwise constant."""
     local = np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
     return _scatter_matrix(local, dofmap, dofmap.num_dofs)
@@ -214,7 +215,7 @@ def assemble_nonlinear_mass(ctx: FemContext, params: MaterialParams,
 
 
 def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
-                                 dofmap: DofMap, coeffs: np.ndarray) -> SparseMatrix:
+                                 dofmap: DofMap, coeffs: np.ndarray) -> sp.csr_matrix:
     """Field-dependent mass on the edge space: integral of eps(E_h) psi_i . psi_j.
 
     E_h is piecewise linear here, so the degree-4 integrand is evaluated by
@@ -239,7 +240,7 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams, dofmap: DofMap,
     return _scatter_vector(_local_moments(ctx.dx, D, ctx.edge_values), dofmap)
 
 
-def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
+def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """Curl coupling of the lee-madsen formulation, (3 nt) x (edges).
 
     C[i, j] = (curl phi_j^U, psi_i^W); the transpose of the same matrix
@@ -259,7 +260,7 @@ def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> SparseMatrix:
 
 
 def assemble_discrete_curl(ctx: FemContext, dofmap_u: DofMap,
-                           dofmap_v: DofMap) -> SparseMatrix:
+                           dofmap_v: DofMap) -> sp.csr_matrix:
     """Exact coefficients of curl(u_h) in the face space, one row per face.
 
     curl U_h is a subset of V_h, so each face flux is read off from a single
@@ -287,7 +288,7 @@ def assemble_discrete_curl(ctx: FemContext, dofmap_u: DofMap,
     return from_triplets(rows, cols, vals, shape=(dofmap_v.num_dofs, dofmap_u.num_dofs))
 
 
-def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> SparseMatrix:
+def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> sp.csr_matrix:
     """Whitney coefficients of gradients of P1 hats: +1 at the edge head,
     -1 at the tail, with the pinned gauge vertex's column dropped."""
     edges = ctx.topo.edges
@@ -356,15 +357,15 @@ class AssembledForms:
     dof_u0: DofMap     # edge space with boundary constraint (E of nedelec)
     dof_v: DofMap      # face space (H of nedelec)
     dof_w: DofMap      # cellwise-constant vectors (E of lee-madsen)
-    mass_u1: SparseMatrix   # edge Gram matrix
-    mass_v1: SparseMatrix   # face Gram matrix
-    coupling_lm: SparseMatrix     # (3 nt) x (n_edges)
-    discrete_curl: SparseMatrix   # faces x edges, exact curl coefficients
-    coupling_ned: SparseMatrix    # faces x free edges
+    mass_u1: sp.csr_matrix   # edge Gram matrix
+    mass_v1: sp.csr_matrix   # face Gram matrix
+    coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
+    discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
+    coupling_ned: sp.csr_matrix    # faces x free edges
     _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @cached_property
-    def curl_curl(self) -> SparseMatrix:
+    def curl_curl(self) -> sp.csr_matrix:
         """(curl u, curl v) on the edge space, A_cc = C^T diag(1/|K|) C."""
         return assemble_curl_curl(self.ctx, self.dof_u)
 
@@ -374,18 +375,17 @@ class AssembledForms:
         return linalg.factorized(self.mass_v1)
 
     def reduced_matrix(self, formulation: str, dt: float,
-                       eps_mass: SparseMatrix | None = None) -> SparseMatrix:
+                       eps_mass: sp.csr_matrix | None = None) -> sp.csr_matrix:
         """Edge matrix of a midpoint step with one field eliminated: mu0 M_u +
         dt^2/(4 eps_lin) A_cc (lee-madsen), or on the free edges M_eps +
         dt^2/(4 mu0) A_cc (nedelec; ``eps_mass`` defaults to eps_lin M_u)."""
         params = self.params
-        A = self.curl_curl.csr
+        A = self.curl_curl
         if formulation == "lee-madsen":
-            return linalg.from_csr(params.mu0 * self.mass_u1.csr
-                                   + dt * dt / (4.0 * params.eps_lin) * A)
-        M = params.eps_lin * self.mass_u1.csr if eps_mass is None else eps_mass.csr
+            return params.mu0 * self.mass_u1 + dt * dt / (4.0 * params.eps_lin) * A
+        M = params.eps_lin * self.mass_u1 if eps_mass is None else eps_mass
         free = self.dof_u0.free
-        return linalg.from_csr((M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)])
+        return (M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)]
 
     def reduced_solver(self, formulation: str, dt: float):
         """Solve with the linear :meth:`reduced_matrix`, keeping only the latest
@@ -423,5 +423,5 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
         mass_v1=mass_v1,
         coupling_lm=assemble_coupling(ctx, dof_u),
         discrete_curl=discrete_curl,
-        coupling_ned=linalg.from_csr((mass_v1 @ discrete_curl).csr[:, dof_u0.free]),
+        coupling_ned=(mass_v1 @ discrete_curl)[:, dof_u0.free],
     )

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .assembly import build_forms
 from .dynamics import (
     FORMULATIONS,
+    SOLVER_TOL,
     STEPPERS,
     NonlinearSolveError,
     State,
@@ -69,8 +70,8 @@ class RunConfig:
     vtk_every: int = 0
     vtk_prefix: str = "fields"
     energy_csv: str | None = None
-    cg_tol: float = 1e-11
-    nonlinear_tol: float = 1e-11
+    cg_tol: float = SOLVER_TOL
+    nonlinear_tol: float = SOLVER_TOL
 
     def material(self) -> MaterialParams:
         return MaterialParams(eps0=self.eps0, mu0=self.mu0,
@@ -300,7 +301,7 @@ def _add_material_args(p: argparse.ArgumentParser) -> None:
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="configuration file (flags override it)")
-    p.add_argument("--n", type=int, help="structured cube subdivisions")
+    p.add_argument("--n", type=int, dest="mesh_n", help="structured cube subdivisions")
     p.add_argument("--mesh-file", help="mesh file path")
     p.add_argument("--case", choices=CASES)
     p.add_argument("--formulation", choices=FORMULATIONS)
@@ -322,27 +323,8 @@ def _config_from_args(args) -> RunConfig:
             cfg = parse_config(fh.read())
     else:
         cfg = RunConfig(mesh_n=4)
-    overrides = {}
-    mapping = {
-        "n": "mesh_n",
-        "mesh_file": "mesh_file",
-        "case": "case",
-        "formulation": "formulation",
-        "t_end": "t_end",
-        "dt": "dt",
-        "stepper": "stepper",
-        "chi1": "chi1",
-        "chi3": "chi3",
-        "eps0": "eps0",
-        "mu0": "mu0",
-        "energy_csv": "energy_csv",
-        "vtk_prefix": "vtk_prefix",
-        "vtk_every": "vtk_every",
-    }
-    for arg_name, field_name in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if "mesh_n" in overrides and cfg.mesh_file is not None:
         overrides["mesh_file"] = None
     return replace(cfg, **overrides).validate()
@@ -479,7 +461,7 @@ def cli_main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError, MeshError, MaterialError, NonlinearSolveError, LinalgError,
-            OSError, ValueError) as exc:
+            FloatingPointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

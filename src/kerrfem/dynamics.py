@@ -40,6 +40,7 @@ from .material import d_of_e, e_of_d
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
 MAX_SWEEPS = 50  # default cap on the midpoint sweeps of one step
+SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 
 
 class NonlinearSolveError(Exception):
@@ -157,7 +158,7 @@ def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
 
 
 def rhs(state: State, sources: Sources, forms: AssembledForms,
-        cg_tol: float = 1e-11):
+        cg_tol: float = SOLVER_TOL):
     """Time derivatives (de/dt, dh/dt) of the semi-discrete system."""
     _validate_formulation(state.formulation)
     params = forms.params
@@ -289,21 +290,21 @@ def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledFo
 
 
 def step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                  nonlinear_tol: float = 1e-11, max_iter: int = MAX_SWEEPS) -> State:
+                  nonlinear_tol: float = SOLVER_TOL, max_iter: int = MAX_SWEEPS) -> State:
     """One implicit-midpoint step on the flux form; second order in dt."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     return _step_midpoint(state, dt, sources, forms, nonlinear_tol, max_iter)[0]
 
 
 def step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms,
-             cg_tol: float = 1e-11) -> State:
+             cg_tol: float = SOLVER_TOL) -> State:
     """Classical explicit 4-stage step on :func:`rhs`.
 
     Stability requires dt below roughly 0.5 h sqrt(eps0 mu0); this is the
     caller's responsibility.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
 
     def f(e, h, t):
@@ -381,36 +382,46 @@ def source_norm_sq(forms: AssembledForms, sources: Sources, t: float) -> float:
 
 def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               forms: AssembledForms, stepper: str = "midpoint",
-              nonlinear_tol: float = 1e-11, cg_tol: float = 1e-11,
+              nonlinear_tol: float = SOLVER_TOL, cg_tol: float = SOLVER_TOL,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
     ``on_step(step, state)``, when given, is called after each step
-    ``step = 1 .. num_steps`` with the state that step produced.
+    ``step = 1 .. num_steps`` with the state that step produced.  Raises
+    FloatingPointError at the first step that leaves a non-finite state.
     """
     if stepper not in STEPPERS:
         raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     trace = EnergyTrace() if collect else None
     if collect:
         trace.sample(state, forms, sources)
     current = state
     for step in range(1, num_steps + 1):
-        if stepper == "midpoint":
-            new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol, MAX_SWEEPS)
-        else:
-            new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
-            je, jm = (
-                _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
-                if collect and not sources.is_zero else (None, None)
-            )
-        if collect:
-            if sources.is_zero:
-                power = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stepper == "midpoint":
+                new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol,
+                                             MAX_SWEEPS)
             else:
-                e_mid = 0.5 * (current.e + new.e)
-                h_mid = 0.5 * (current.h + new.h)
-                power = float(je @ e_mid + jm @ h_mid)
-            trace.sample(new, forms, sources, power)
+                new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
+                je, jm = (
+                    _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
+                    if collect and not sources.is_zero else (None, None)
+                )
+            if not (np.isfinite(new.e).all() and np.isfinite(new.h).all()):
+                raise FloatingPointError(
+                    f"step {step} (t = {new.t:.6g}, dt = {dt:.6g}) left a non-finite "
+                    f"state; reduce dt"
+                )
+            if collect:
+                if sources.is_zero:
+                    power = 0.0
+                else:
+                    e_mid = 0.5 * (current.e + new.e)
+                    h_mid = 0.5 * (current.h + new.h)
+                    power = float(je @ e_mid + jm @ h_mid)
+                trace.sample(new, forms, sources, power)
         if on_step is not None:
             on_step(step, new)
         current = new

@@ -1,14 +1,13 @@
 """Minimal sparse linear algebra used by assembly and the time steppers.
 
-Storage and factorizations are delegated to scipy.sparse; the conjugate
-gradient loop is written out here because callers need to distinguish an
-indefinite operator (breakdown) from a slow one (non-convergence), which the
-library solvers do not report.  Everything is float64.
+Matrices are plain scipy.sparse CSR matrices (built by :func:`from_triplets`)
+and factorizations are scipy's SuperLU; the conjugate gradient loop is
+written out here because callers need to distinguish an indefinite operator
+(breakdown) from a slow one (non-convergence), which the library solvers do
+not report.  Everything is float64.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,52 +30,8 @@ class SaddleSolveError(LinalgError):
     """Saddle-point solve failed or left a large residual."""
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Compressed-row real sparse matrix.
-
-    Column indices are sorted and unique within each row.  Immutable after
-    construction; matrix-vector products are safe to run concurrently.
-    """
-
-    csr: sp.csr_matrix
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.csr.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.csr.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ np.asarray(x, dtype=np.float64)
-
-    def __matmul__(self, x):
-        if isinstance(x, SparseMatrix):
-            return SparseMatrix(csr=(self.csr @ x.csr).tocsr())
-        return self.matvec(x)
-
-    @property
-    def T(self) -> "SparseMatrix":
-        return SparseMatrix(csr=self.csr.T.tocsr())
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-
-def from_csr(csr) -> SparseMatrix:
-    csr = sp.csr_matrix(csr)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return SparseMatrix(csr=csr)
-
-
-def from_triplets(rows, cols, values, shape) -> SparseMatrix:
-    """Build a SparseMatrix from COO triplets, summing duplicates."""
+def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
+    """Canonical CSR matrix (sorted, duplicates summed) from COO triplets."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -85,11 +40,10 @@ def from_triplets(rows, cols, values, shape) -> SparseMatrix:
         raise LinalgError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= nc):
         raise LinalgError("column index out of range")
-    coo = sp.coo_matrix((values, (rows, cols)), shape=shape)
-    return from_csr(coo.tocsr())
+    return sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
 
 
-def cg_solve(A: SparseMatrix, b: np.ndarray, rel_tol: float = 1e-11,
+def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float = 1e-11,
              max_iter: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
@@ -118,7 +72,7 @@ def cg_solve(A: SparseMatrix, b: np.ndarray, rel_tol: float = 1e-11,
         rz = _finite(float(r @ z), "r^T z")
         cap = 10 * n if max_iter is None else max_iter
         for _ in range(cap):
-            Ap = A.matvec(p)
+            Ap = A @ p
             pAp = _finite(float(p @ Ap), "p^T A p")
             if pAp <= 0.0:
                 raise CgBreakdownError(
@@ -145,13 +99,13 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-def factorized(A: SparseMatrix):
+def factorized(A: sp.spmatrix):
     """Cached sparse LU solve function for repeated right-hand sides."""
-    lu = spla.splu(A.csr.tocsc())
+    lu = spla.splu(A.tocsc())
     return lu.solve
 
 
-def solve_saddle(A: SparseMatrix, B: SparseMatrix, f: np.ndarray, g: np.ndarray,
+def solve_saddle(A: sp.spmatrix, B: sp.spmatrix, f: np.ndarray, g: np.ndarray,
                  rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Solve the saddle system  [A B^T; B 0] [u; p] = [f; g].
 
@@ -164,12 +118,9 @@ def solve_saddle(A: SparseMatrix, B: SparseMatrix, f: np.ndarray, g: np.ndarray,
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     nu = A.shape[0]
-    npp = B.shape[0]
-    if B.shape != (npp, nu) and npp > 0:
+    if B.shape[1] != nu:
         raise LinalgError(f"B shape {B.shape} incompatible with A {A.shape}")
-    if npp == 0:
-        return cg_solve(A, f, rel_tol=min(rel_tol, 1e-11)), np.zeros(0)
-    K = sp.bmat([[A.csr, B.csr.T], [B.csr, None]], format="csc")
+    K = sp.bmat([[A, B.T], [B, None]], format="csc")
     try:
         lu = spla.splu(K)
         sol = lu.solve(np.concatenate([f, g]))
@@ -177,8 +128,8 @@ def solve_saddle(A: SparseMatrix, B: SparseMatrix, f: np.ndarray, g: np.ndarray,
         raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
     u, p = sol[:nu], sol[nu:]
     scale = max(np.linalg.norm(f), np.linalg.norm(g), 1e-30)
-    res1 = np.linalg.norm(A.matvec(u) + B.csr.T @ p - f)
-    res2 = np.linalg.norm(B.matvec(u) - g)
+    res1 = np.linalg.norm(A @ u + B.T @ p - f)
+    res2 = np.linalg.norm(B @ u - g)
     if max(res1, res2) > rel_tol * scale:
         raise SaddleSolveError(
             f"saddle residuals ({res1:.3e}, {res2:.3e}) exceed "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledForms, build_forms, curl_project, l2_project
-from .dynamics import Sources, State, initialize, integrate
+from .dynamics import SOLVER_TOL, Sources, State, initialize, integrate
 from .material import MaterialParams
 from .mesh import build_topology, generate_structured_cube, mesh_size
 
@@ -283,7 +283,7 @@ def _make_table(levels, hs, errs_e, errs_h) -> EocTable:
 
 def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-madsen",
                     dt_factor: float = 0.08, stepper: str = "midpoint",
-                    nonlinear_tol: float = 1e-11, collect_traces: bool = False):
+                    nonlinear_tol: float = SOLVER_TOL, collect_traces: bool = False):
     """Terminal-time error study under mesh halving with dt proportional to
     h^2, so the midpoint's temporal error stays well below the spatial one.
 

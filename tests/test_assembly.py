@@ -98,7 +98,7 @@ def test_masses_are_spd(ctx2):
     for kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.RAVIART_THOMAS_FACE):
         dm = build_dof_map(kind, ctx2.topo)
         M = assemble_mass(ctx2, dm)
-        D = M.to_dense()
+        D = M.toarray()
         assert np.abs(D - D.T).max() < 1e-14
         for _ in range(5):
             x = rng.normal(size=dm.num_dofs)
@@ -141,7 +141,7 @@ def test_nonlinear_mass_curl_matches_block_structure(ctx2):
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
     M1 = assemble_mass(ctx2, dm)
-    assert np.abs(M.to_dense() - 3.0 * M1.to_dense()).max() < 1e-12
+    assert np.abs(M.toarray() - 3.0 * M1.toarray()).max() < 1e-12
 
 
 def test_nonlinear_mass_curl_is_spd_kerr(ctx2):
@@ -150,9 +150,9 @@ def test_nonlinear_mass_curl_is_spd_kerr(ctx2):
     rng = np.random.default_rng(3)
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
-    w = np.linalg.eigvalsh(M.to_dense())
+    w = np.linalg.eigvalsh(M.toarray())
     M1 = assemble_mass(ctx2, dm)
-    w1 = np.linalg.eigvalsh(M1.to_dense())
+    w1 = np.linalg.eigvalsh(M1.toarray())
     assert w.min() >= w1.min() - 1e-12  # eps(E) >= eps0 I = I
 
 
@@ -162,7 +162,7 @@ def test_coupling_reference_tet_entries():
     topo = build_topology(mesh)
     ctx = build_context(mesh, topo)
     dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
-    C = assemble_coupling(ctx, dm).to_dense()
+    C = assemble_coupling(ctx, dm).toarray()
     # entries are |K| times the constant curl components (signs are +1 here)
     for j in range(6):
         assert np.allclose(C[:, dm.cell_dofs[0, j]],
@@ -192,7 +192,7 @@ def test_nedelec_coupling_matches_quadrature(cube1):
     mesh, topo = cube1
     forms = build_forms(mesh, topo, MaterialParams())
     ctx, dm_u0, dm_v = forms.ctx, forms.dof_u0, forms.dof_v
-    K = forms.coupling_ned.to_dense()
+    K = forms.coupling_ned.toarray()
     # quadrature oracle for (phi_i^V, curl psi_j)
     oracle = np.zeros((dm_v.num_dofs, dm_u0.num_dofs))
     for t in range(ctx.num_tets):
@@ -391,9 +391,9 @@ def test_assembly_permutation_invariance():
     f1 = build_forms(mesh, build_topology(mesh), MaterialParams())
     f2 = build_forms(mesh_p, build_topology(mesh_p), MaterialParams())
     # summation order differs, so agreement is to roundoff in the entries
-    assert np.abs(f1.mass_u1.to_dense() - f2.mass_u1.to_dense()).max() < 1e-14
-    a1 = assemble_curl_curl(f1.ctx, f1.dof_u).to_dense()
-    a2 = assemble_curl_curl(f2.ctx, f2.dof_u).to_dense()
+    assert np.abs(f1.mass_u1.toarray() - f2.mass_u1.toarray()).max() < 1e-14
+    a1 = assemble_curl_curl(f1.ctx, f1.dof_u).toarray()
+    a2 = assemble_curl_curl(f2.ctx, f2.dof_u).toarray()
     assert np.abs(a1 - a2).max() < 1e-14
 
 
@@ -410,7 +410,7 @@ def test_curl_curl_gram(forms2):
 def test_gradient_matrix_is_incidence(cube2):
     mesh, topo = cube2
     ctx = build_context(mesh, topo)
-    G = assemble_gradient(ctx, pinned_vertex=0).to_dense()
+    G = assemble_gradient(ctx, pinned_vertex=0).toarray()
     nv = mesh.num_vertices
     for e, (lo, hi) in enumerate(topo.edges[:10]):
         row = np.zeros(nv - 1)

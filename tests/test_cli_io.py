@@ -1,4 +1,6 @@
+import argparse
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from kerrfem.assembly import build_forms
 from kerrfem.cli_io import (
     ConfigError,
     RunConfig,
+    _add_run_args,
+    _config_from_args,
     cell_sampled_fields,
     cli_main,
     parse_config,
@@ -303,6 +307,19 @@ def test_cli_rk4_overflow_exits_nonzero(capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_rk4_nedelec_overflow_exits_nonzero(capsys):
+    # the nedelec RK4 stages solve no CG system, so integrate's own check of
+    # the state reports the blow-up, again with no numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli_main(["run", "--case", "cavity", "--formulation", "nedelec", "--n", "2",
+                         "--stepper", "rk4", "--dt", "0.5", "--t-end", "400"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and "non-finite" in err
+    assert err.endswith("reduce dt\n") and err.count("\n") == 1
+
+
 def test_cli_nedelec_run(capsys):
     code = cli_main([
         "energy", "--case", "cavity", "--formulation", "nedelec", "--n", "2",
@@ -311,6 +328,24 @@ def test_cli_nedelec_run(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "div H_h" in out
+
+
+def test_flags_override_config(tmp_path):
+    parser = argparse.ArgumentParser()
+    _add_run_args(parser)
+    # every run flag but --config names the RunConfig field it overrides
+    names = set(vars(parser.parse_args([]))) - {"config"}
+    assert names <= {f.name for f in fields(RunConfig)}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mesh.n = 3\ncase = cavity\ntime.t_end = 1\ntime.dt = 0.01\n",
+                        encoding="utf-8")
+    args = parser.parse_args(["--config", str(cfg_file), "--n", "2", "--t-end", "0.5"])
+    cfg = _config_from_args(args)
+    assert (cfg.mesh_n, cfg.t_end, cfg.dt) == (2, 0.5, 0.01)
+    cfg_file.write_text("mesh.file = cube.msh\ncase = cavity\ntime.t_end = 1\n"
+                        "time.dt = 0.01\n", encoding="utf-8")
+    cfg = _config_from_args(parser.parse_args(["--config", str(cfg_file), "--n", "2"]))
+    assert (cfg.mesh_n, cfg.mesh_file) == (2, None)
 
 
 def test_runconfig_validate_misc():

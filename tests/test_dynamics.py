@@ -158,6 +158,21 @@ def test_midpoint_rejects_bad_dt(cav_forms2, cavity):
         step_midpoint(st, -0.1, ZERO_SOURCES, cav_forms2)
 
 
+@pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan")])
+def test_integrate_rejects_bad_dt(cav_forms2, cavity, dt):
+    st = cavity_state(cavity, cav_forms2)
+    for stepper in ("midpoint", "rk4"):
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            integrate(st, dt, 3, ZERO_SOURCES, cav_forms2, stepper=stepper)
+
+
+def test_integrate_stops_at_non_finite_state(cav_forms2, cavity):
+    # nedelec RK4 far above its stability limit overflows without a CG solve
+    st = cavity_state(cavity, cav_forms2, formulation="nedelec")
+    with pytest.raises(FloatingPointError, match=r"non-finite.*reduce dt$"):
+        integrate(st, 0.5, 800, ZERO_SOURCES, cav_forms2, stepper="rk4")
+
+
 def test_midpoint_signals_nonconvergence(cavity, cube2):
     # a large step in a strongly Kerr medium: the frozen linear matrix of the
     # lee-madsen sweeps contracts too slowly to converge within the cap
@@ -304,7 +319,7 @@ def test_rk4_polynomial_time_exactness(reference_tet_mesh):
     g_load = assemble_source(
         forms.ctx, lambda X: np.broadcast_to(g, np.atleast_2d(X).shape), forms.dof_v
     )
-    shape = spla.splu(forms.mass_v1.csr.tocsc()).solve(g_load)
+    shape = spla.splu(forms.mass_v1.tocsc()).solve(g_load)
     st = State(
         "nedelec", np.zeros(forms.dof_u.num_dofs), np.zeros(forms.dof_v.num_dofs), 0.0
     )
