@@ -192,10 +192,6 @@ class BlockDiagMass:
     blocks: np.ndarray      # (nt, 3, 3)
     inv_blocks: np.ndarray  # (nt, 3, 3)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        nt = self.blocks.shape[0]
-        return np.einsum("tij,tj->ti", self.blocks, x.reshape(nt, 3)).ravel()
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         nt = self.blocks.shape[0]
         return np.einsum("tij,tj->ti", self.inv_blocks, b.reshape(nt, 3)).ravel()
@@ -347,9 +343,9 @@ def curl_project(forms: AssembledForms, target, target_curl, time=None,
 
 @dataclass
 class AssembledForms:
-    """All constant matrices of both semi-discrete formulations, and the
-    LU factorizations of those the time steppers solve with (factorized on
-    first use, then kept)."""
+    """All constant matrices of both semi-discrete formulations, the LU
+    factorizations of those the time steppers solve with, and the load
+    vectors of separable sources (both made on first use, then kept)."""
 
     ctx: FemContext
     params: MaterialParams
@@ -363,6 +359,8 @@ class AssembledForms:
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
     coupling_ned: sp.csr_matrix    # faces x free edges
     _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # load vectors of separable source factors, keyed by (g, space kind)
+    source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def curl_curl(self) -> sp.csr_matrix:

@@ -62,10 +62,25 @@ class State:
 
 @dataclass(frozen=True)
 class Sources:
-    """Time-dependent current densities; ``None`` entries mean zero."""
+    """Time-dependent current densities; ``None`` entries mean zero.
+
+    A current may also declare the time-separable form J(t, x) =
+    sum_k a_k(t) g_k(x) as a tuple of ``(a, g)`` pairs, ``a(t) -> float`` and
+    ``g(points (m,3)) -> (m,3)``; its closure must still be given and equal
+    that sum.  The load vector of each g_k is then assembled once per mesh
+    and space, keyed by the callable g_k itself (so build the terms once, not
+    per step), and each step only combines them.
+    """
 
     j_e: object = None  # callable (t, points (m,3)) -> (m,3)
     j_m: object = None
+    j_e_terms: tuple | None = None
+    j_m_terms: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("j_e", "j_m"):
+            if getattr(self, f"{name}_terms") is not None and getattr(self, name) is None:
+                raise ValueError(f"{name}_terms given without the {name} closure")
 
     @property
     def is_zero(self) -> bool:
@@ -144,17 +159,35 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
     return State(formulation, e, h, t)
 
 
+def _term_load(forms: AssembledForms, g, dof) -> np.ndarray:
+    """Load vector of the time-independent factor ``g`` over ``dof``'s space,
+    assembled on first use and then kept on ``forms``."""
+    key = (g, dof.kind)
+    load = forms.source_loads.get(key)
+    if load is None:
+        load = forms.source_loads[key] = assemble_source(forms.ctx, g, dof)
+    return load
+
+
 def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
     """Source load vectors (j_e, j_m) against the formulation's test spaces."""
     test_spaces = (
         (forms.dof_w, forms.dof_u) if formulation == "lee-madsen"
         else (forms.dof_u, forms.dof_v)
     )
-    return tuple(
-        assemble_source(forms.ctx, j, dof, time=t) if j is not None
-        else np.zeros(dof.num_dofs)
-        for j, dof in zip((sources.j_e, sources.j_m), test_spaces)
-    )
+    loads = []
+    for j, terms, dof in zip((sources.j_e, sources.j_m),
+                             (sources.j_e_terms, sources.j_m_terms), test_spaces):
+        if terms is not None:
+            load = np.zeros(dof.num_dofs)
+            for a, g in terms:
+                load += a(t) * _term_load(forms, g, dof)
+        elif j is not None:
+            load = assemble_source(forms.ctx, j, dof, time=t)
+        else:
+            load = np.zeros(dof.num_dofs)
+        loads.append(load)
+    return tuple(loads)
 
 
 def rhs(state: State, sources: Sources, forms: AssembledForms,
@@ -380,6 +413,10 @@ def source_norm_sq(forms: AssembledForms, sources: Sources, t: float) -> float:
     return total
 
 
+def _step_label(step: int, t: float, dt: float) -> str:
+    return f"step {step} (t = {t:.6g}, dt = {dt:.6g})"
+
+
 def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               forms: AssembledForms, stepper: str = "midpoint",
               nonlinear_tol: float = SOLVER_TOL, cg_tol: float = SOLVER_TOL,
@@ -388,7 +425,9 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
 
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
-    FloatingPointError at the first step that leaves a non-finite state.
+    FloatingPointError at the first step that leaves a non-finite state; a
+    LinalgError or NonlinearSolveError raised inside a step is re-raised as
+    the same type with the step number, its end time and dt prefixed.
     """
     if stepper not in STEPPERS:
         raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
@@ -400,19 +439,25 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     current = state
     for step in range(1, num_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            if stepper == "midpoint":
-                new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol,
-                                             MAX_SWEEPS)
-            else:
-                new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
-                je, jm = (
-                    _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
-                    if collect and not sources.is_zero else (None, None)
-                )
+            try:
+                if stepper == "midpoint":
+                    new, je, jm = _step_midpoint(current, dt, sources, forms,
+                                                 nonlinear_tol, MAX_SWEEPS)
+                else:
+                    new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
+                    je, jm = (
+                        _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
+                        if collect and not sources.is_zero else (None, None)
+                    )
+            except (linalg.LinalgError, NonlinearSolveError) as exc:
+                message = str(exc)
+                if not message.endswith("reduce dt"):
+                    message += "; reduce dt"
+                label = _step_label(step, current.t + dt, dt)
+                raise type(exc)(f"{label}: {message}") from exc
             if not (np.isfinite(new.e).all() and np.isfinite(new.h).all()):
                 raise FloatingPointError(
-                    f"step {step} (t = {new.t:.6g}, dt = {dt:.6g}) left a non-finite "
-                    f"state; reduce dt"
+                    f"{_step_label(step, new.t, dt)} left a non-finite state; reduce dt"
                 )
             if collect:
                 if sources.is_zero:

@@ -25,17 +25,6 @@ class SpaceKind(Enum):
     DISCONTINUOUS_VECTOR = "dg_vector"     # W_h, cellwise-constant vectors
 
 
-class UnsupportedOrderError(ValueError):
-    """Raised for any polynomial order other than 1."""
-
-
-def _require_order_1(order: int) -> None:
-    if order != 1:
-        raise UnsupportedOrderError(
-            f"only lowest order (1) is implemented; got order {order}"
-        )
-
-
 # Barycentric gradients on the reference tet (rows: lambda_0..lambda_3).
 LAMBDA_GRADS = np.array(
     [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -147,13 +136,12 @@ class DofMap:
         return self.num_dofs - len(self.constrained)
 
 
-def build_dof_map(kind: SpaceKind, topo: Topology, order: int = 1) -> DofMap:
+def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
     """Global dof layout for one space on a given topology.
 
     Counts: edge space -> one dof per edge; face space -> one per face;
     discontinuous vectors -> three per tet.
     """
-    _require_order_1(order)
     nt = topo.tet_edges.shape[0]
     none = np.empty(0, dtype=np.int64)
     if kind is SpaceKind.NEDELEC_EDGE or kind is SpaceKind.NEDELEC_EDGE_BC:

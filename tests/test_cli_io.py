@@ -1,6 +1,7 @@
 import argparse
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from kerrfem.cli_io import (
 from kerrfem.dynamics import ZERO_SOURCES, initialize, integrate
 from kerrfem.mesh import generate_structured_cube, read_mesh
 from kerrfem.verification import cavity_mode_case
+
+DATA = Path(__file__).parent / "data"
 
 MINIMAL = """
 mesh.n = 4
@@ -210,6 +213,15 @@ def test_cli_converge_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_converge_kerr_matches_reference_csv(tmp_path, capsys):
+    # the Kerr EOC study's CSV is byte-identical to the committed reference
+    out = tmp_path / "eoc.csv"
+    assert cli_main(["converge", "--case", "kerr-manufactured", "--chi3", "1",
+                     "--levels", "2,4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "converge_kerr_chi3_1_levels_2_4.csv").read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_project_subcommand(tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert cli_main(["project", "--levels", "2,4", "--out", str(out)]) == 0
@@ -296,15 +308,16 @@ def test_cli_solver_failure_exits_nonzero(capsys):
 
 def test_cli_rk4_overflow_exits_nonzero(capsys):
     # RK4 far above its stability limit drives the state to inf; the CG solve
-    # stops at the first non-finite value, with no numpy overflow warning
+    # stops at the first non-finite value, with no numpy overflow warning, and
+    # the error names the step and dt
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = cli_main(["energy", "--case", "cavity", "--n", "2", "--stepper", "rk4",
                          "--dt", "0.5", "--t-end", "400"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite" in err
-    assert err.count("\n") == 1
+    assert err.startswith("error: step ") and "dt = 0.5" in err and "non-finite" in err
+    assert err.endswith("reduce dt\n") and err.count("\n") == 1
 
 
 def test_cli_rk4_nedelec_overflow_exits_nonzero(capsys):

@@ -126,7 +126,8 @@ def test_rhs_energy_pairing_linear(cav_forms2, cavity):
     jm = assemble_source(cav_forms2.ctx, kerr.sources.j_m, cav_forms2.dof_u, time=st.t)
     meps = assemble_nonlinear_mass(cav_forms2.ctx, cav_forms2.params, st.e)
     mu0 = cav_forms2.params.mu0
-    lhs = st.e @ meps.matvec(de) + mu0 * (st.h @ (cav_forms2.mass_u1 @ dh))
+    meps_de = np.einsum("tij,tj->ti", meps.blocks, de.reshape(-1, 3)).ravel()
+    lhs = st.e @ meps_de + mu0 * (st.h @ (cav_forms2.mass_u1 @ dh))
     rhs_val = -(je @ st.e) - (jm @ st.h)
     assert lhs == pytest.approx(rhs_val, rel=1e-11, abs=1e-11)
 
@@ -363,7 +364,8 @@ def test_total_energy_linear_limit(cav_forms2, cavity):
     w = total_energy(st, cav_forms2)
     meps = assemble_nonlinear_mass(cav_forms2.ctx, cav_forms2.params, st.e)
     mu0 = cav_forms2.params.mu0
-    quad = 0.5 * (st.e @ meps.matvec(st.e) + mu0 * (st.h @ (cav_forms2.mass_u1 @ st.h)))
+    meps_e = np.einsum("tij,tj->ti", meps.blocks, st.e.reshape(-1, 3)).ravel()
+    quad = 0.5 * (st.e @ meps_e + mu0 * (st.h @ (cav_forms2.mass_u1 @ st.h)))
     assert w == pytest.approx(quad, rel=1e-13)
 
 
@@ -498,3 +500,44 @@ def test_integrate_on_step_once_per_step(cav_forms2, cavity):
     assert np.all(np.diff([st.t] + times) > 0)
     assert times == trace.times[1:]
     assert seen[-1][1] is final
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_separable_loads_match_closure_loads(cube2, formulation):
+    mesh, topo = cube2
+    case = kerr_manufactured_case(MaterialParams(chi1=0.3, chi3=1.0))
+    forms = build_forms(mesh, topo, case.params)
+    spaces = ((forms.dof_w, forms.dof_u) if formulation == "lee-madsen"
+              else (forms.dof_u, forms.dof_v))
+    for t in (0.0, 0.3, 1.7):
+        loads = dynamics._loads(forms, formulation, case.sources, t)
+        for load, j, dof in zip(loads, (case.j_e, case.j_m), spaces):
+            ref = assemble_source(forms.ctx, j, dof, time=t)
+            assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_separable_sources_assemble_once_per_mesh(cube2, monkeypatch):
+    # 20 forced Kerr midpoint steps: one load per term (two of j_e, one of
+    # j_m), instead of a j_e and a j_m load in every step
+    mesh, topo = cube2
+    case = kerr_manufactured_case(MaterialParams(chi3=1.0))
+    forms = build_forms(mesh, topo, case.params)
+    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "lee-madsen",
+                    forms, H0_curl=lambda X: case.curl_H(0.0, X))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble_source(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "assemble_source", counted)
+    integrate(st, 0.01, 20, case.sources, forms)
+    assert len(calls) == 3
+
+
+def test_sources_terms_require_closure():
+    terms = ((np.sin, lambda X: np.ones_like(X)),)
+    with pytest.raises(ValueError, match="j_e"):
+        Sources(j_e_terms=terms)
+    with pytest.raises(ValueError, match="j_m"):
+        Sources(j_e=lambda t, X: np.sin(t) * np.ones_like(X), j_m_terms=terms)

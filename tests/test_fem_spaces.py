@@ -4,7 +4,6 @@ import pytest
 from conftest import eval_on_tet
 from kerrfem.fem_spaces import (
     SpaceKind,
-    UnsupportedOrderError,
     build_dof_map,
     eval_edge_basis,
     eval_face_basis,
@@ -107,12 +106,6 @@ def test_dof_counts_unit_cube(cube1):
     assert len(dm_u0.constrained) == 18  # only the body diagonal is interior
     dm_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
     assert dm_v.num_dofs == 18
-
-
-def test_order_guard(cube1):
-    _, topo = cube1
-    with pytest.raises(UnsupportedOrderError):
-        build_dof_map(SpaceKind.NEDELEC_EDGE, topo, order=2)
 
 
 def test_push_forward_identity(reference_tet_mesh):
