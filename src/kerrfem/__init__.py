@@ -1,7 +1,7 @@
 """kerrfem: finite element simulation of time-dependent Maxwell's equations
 in Kerr-type nonlinear media on tetrahedral meshes."""
 
-from .material import MaterialParams, cm_matrix, d_of_e, e_of_d, energy_density, eps_matrix
+from .material import MaterialParams, cm_matrix, d_of_e, e_of_d, eps_matrix
 from .mesh import (
     Mesh,
     MeshError,
@@ -10,7 +10,6 @@ from .mesh import (
     generate_structured_cube,
     mesh_size,
     read_mesh,
-    tet_geometry,
     write_mesh,
 )
 from .fem_spaces import (
@@ -19,7 +18,7 @@ from .fem_spaces import (
     build_dof_map,
     eval_edge_basis,
     eval_face_basis,
-    push_forward,
+    piola_map,
 )
 from .linalg import cg_solve, from_triplets, solve_saddle
 from .quadrature import QuadratureRule

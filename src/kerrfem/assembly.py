@@ -24,16 +24,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import (
-    DofMap,
-    SpaceKind,
-    build_dof_map,
-    eval_edge_basis,
-    eval_face_basis,
-)
+from .fem_spaces import DofMap, SpaceKind, build_dof_map, piola_map
 from .linalg import from_triplets
-from .material import MaterialParams, cm_matrix, eps_matrix
-from .mesh import Mesh, TET_FACES, Topology, all_geometry
+from .material import MaterialParams, cm_matrix
+from .mesh import Mesh, Topology, all_geometry
 from .quadrature import tetrahedron_rule
 
 __all__ = [
@@ -122,9 +116,7 @@ class FemContext:
 def build_context(mesh: Mesh, topo: Topology) -> FemContext:
     origins, J, det, invJT, vol = all_geometry(mesh)
     rule = tetrahedron_rule(QUAD_DEGREE)
-    phys = origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points)
-    ref_edge_vals, ref_edge_curls = eval_edge_basis(rule.points)
-    ref_face_vals, ref_face_divs = eval_face_basis(rule.points)
+    edge_values, edge_curls, face_values, face_divs = piola_map(J, det, invJT, rule.points)
     return FemContext(
         mesh=mesh,
         topo=topo,
@@ -132,13 +124,12 @@ def build_context(mesh: Mesh, topo: Topology) -> FemContext:
         det=det,
         inv_jt=invJT,
         vol=vol,
-        phys_pts=phys,
+        phys_pts=origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points),
         dx=det[:, None] * rule.weights[None, :],
-        edge_values=np.einsum("tab,qib->tqia", invJT, ref_edge_vals),
-        edge_curls=np.einsum("tab,ib->tia", J, ref_edge_curls) / det[:, None, None],
-        face_values=np.einsum("tab,qib->tqia", J, ref_face_vals)
-        / det[:, None, None, None],
-        face_divs=ref_face_divs[None, :] / det[:, None],
+        edge_values=edge_values,
+        edge_curls=edge_curls,
+        face_values=face_values,
+        face_divs=face_divs,
     )
 
 
@@ -187,13 +178,13 @@ def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class BlockDiagMass:
-    """3x3-per-tet block-diagonal matrix |K| eps(E_K) with closed-form inverse."""
+    """3x3-per-tet block-diagonal matrix |K| eps(E_K), held by its closed-form
+    inverse."""
 
-    blocks: np.ndarray      # (nt, 3, 3)
     inv_blocks: np.ndarray  # (nt, 3, 3)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        nt = self.blocks.shape[0]
+        nt = self.inv_blocks.shape[0]
         return np.einsum("tij,tj->ti", self.inv_blocks, b.reshape(nt, 3)).ravel()
 
 
@@ -205,9 +196,8 @@ def assemble_nonlinear_mass(ctx: FemContext, params: MaterialParams,
     |K| eps(E_h|_K); each block is SPD and inverted in closed form.
     """
     E = np.asarray(e_coeffs, dtype=np.float64).reshape(ctx.num_tets, 3)
-    blocks = ctx.vol[:, None, None] * eps_matrix(params, E)
     inv_blocks = cm_matrix(params, E) / (params.eps0 * ctx.vol[:, None, None])
-    return BlockDiagMass(blocks=blocks, inv_blocks=inv_blocks)
+    return BlockDiagMass(inv_blocks=inv_blocks)
 
 
 def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
@@ -255,33 +245,17 @@ def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     )
 
 
-def assemble_discrete_curl(ctx: FemContext, dofmap_u: DofMap,
-                           dofmap_v: DofMap) -> sp.csr_matrix:
-    """Exact coefficients of curl(u_h) in the face space, one row per face.
+def assemble_discrete_curl(topo: Topology) -> sp.csr_matrix:
+    """Coefficients of curl(u_h) in the face space: the signed face-edge
+    incidence (faces x edges), built from topology alone.
 
-    curl U_h is a subset of V_h, so each face flux is read off from a single
-    adjacent tet; interior faces give the same value from either side.
+    By Stokes the flux of curl u through face (a, b, c) is the circulation
+    u_ab + u_bc - u_ac of u around it (see :class:`kerrfem.mesh.Topology`),
+    so every entry is +-1 and the curl of a discrete gradient is exactly 0.
     """
-    topo = ctx.topo
-    verts = ctx.mesh.vertices
-    owner = topo.face_tets[:, 0]
-    # local slot of each face within its owner tet
-    slot = np.argmax(topo.tet_faces[owner] == np.arange(topo.num_faces)[:, None], axis=1)
-    loc_f = np.array(TET_FACES)
-    tets = ctx.mesh.tets[owner]
-    tri = np.take_along_axis(tets, loc_f[slot], axis=1)      # local vertex ids (nf, 3)
-    p0, p1, p2 = verts[tri[:, 0]], verts[tri[:, 1]], verts[tri[:, 2]]
-    area_normal = 0.5 * np.cross(p1 - p0, p2 - p0)           # local orientation
-    sign_f = np.take_along_axis(topo.tet_face_sign[owner], slot[:, None], axis=1)[:, 0]
-    flux = np.einsum(
-        "fed,fd->fe",
-        ctx.edge_curls[owner] * dofmap_u.cell_signs[owner][:, :, None],
-        area_normal * sign_f[:, None],
-    )  # (nf, 6): global flux of curl w_e through face f
-    rows = np.repeat(np.arange(topo.num_faces), 6)
-    cols = dofmap_u.cell_dofs[owner].ravel()
-    vals = flux.ravel()
-    return from_triplets(rows, cols, vals, shape=(dofmap_v.num_dofs, dofmap_u.num_dofs))
+    nf = topo.num_faces
+    return from_triplets(np.repeat(np.arange(nf), 3), topo.face_edges.ravel(),
+                         np.tile([1.0, 1.0, -1.0], nf), shape=(nf, topo.num_edges))
 
 
 def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> sp.csr_matrix:
@@ -362,6 +336,13 @@ class AssembledForms:
     # load vectors of separable source factors, keyed by (g, space kind)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def spaces(self, formulation: str) -> tuple[DofMap, DofMap]:
+        """Dof maps (E, H) of a formulation: (W, U) for lee-madsen, (U, V)
+        for nedelec."""
+        if formulation == "lee-madsen":
+            return self.dof_w, self.dof_u
+        return self.dof_u, self.dof_v
+
     @cached_property
     def curl_curl(self) -> sp.csr_matrix:
         """(curl u, curl v) on the edge space, A_cc = C^T diag(1/|K|) C."""
@@ -387,7 +368,7 @@ class AssembledForms:
 
     def reduced_solver(self, formulation: str, dt: float):
         """Solve with the linear :meth:`reduced_matrix`, keeping only the latest
-        (formulation, dt) factorization; nedelec at dt = 0 is the RK4 mass."""
+        (formulation, dt) factorization; at dt = 0 it is the RK4 mass."""
         if self._reduced_lu[0] != (formulation, dt):
             lu = linalg.factorized(self.reduced_matrix(formulation, dt))
             self._reduced_lu = ((formulation, dt), lu)
@@ -409,7 +390,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     dof_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
     mass_u1 = assemble_mass(ctx, dof_u)
     mass_v1 = assemble_mass(ctx, dof_v)
-    discrete_curl = assemble_discrete_curl(ctx, dof_u, dof_v)
+    discrete_curl = assemble_discrete_curl(topo)
     return AssembledForms(
         ctx=ctx,
         params=params,

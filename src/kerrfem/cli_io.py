@@ -31,7 +31,7 @@ from .dynamics import (
     integrate,
     stability_bound_check,
 )
-from .fem_spaces import eval_edge_basis, eval_face_basis
+from .fem_spaces import SpaceKind, piola_map
 from .linalg import LinalgError
 from .material import MaterialError, MaterialParams
 from .mesh import (
@@ -215,20 +215,17 @@ def cell_sampled_fields(state: State, forms) -> dict:
     """E_h and H_h sampled per cell (centroid values) for VTK output."""
     ctx = forms.ctx
     centroid = np.full((1, 3), 0.25)
-    ref_vals, _ = eval_edge_basis(centroid)
-    phys = np.einsum("tab,qib->tqia", ctx.inv_jt, ref_vals)[:, 0]
-    if state.formulation == "lee-madsen":
-        E = state.e.reshape(ctx.num_tets, 3)
-        local = state.h[forms.dof_u.cell_dofs] * forms.dof_u.cell_signs
-        H = np.einsum("tid,ti->td", phys, local)
-    else:
-        local = state.e[forms.dof_u.cell_dofs] * forms.dof_u.cell_signs
-        E = np.einsum("tid,ti->td", phys, local)
-        ref_f, _ = eval_face_basis(centroid)
-        physf = np.einsum("tab,qib->tqia", ctx.jac, ref_f)[:, 0] / ctx.det[:, None, None]
-        localf = state.h[forms.dof_v.cell_dofs] * forms.dof_v.cell_signs
-        H = np.einsum("tid,ti->td", physf, localf)
-    return {"E_h": E, "H_h": H}
+    edge_vals, _, face_vals, _ = piola_map(ctx.jac, ctx.det, ctx.inv_jt, centroid)
+
+    def at_centroid(dof, coeffs):
+        if dof.kind is SpaceKind.DISCONTINUOUS_VECTOR:
+            return coeffs.reshape(ctx.num_tets, 3)
+        phys = face_vals if dof.kind is SpaceKind.RAVIART_THOMAS_FACE else edge_vals
+        local = coeffs[dof.cell_dofs] * dof.cell_signs
+        return np.einsum("tid,ti->td", phys[:, 0], local)
+
+    dof_e, dof_h = forms.spaces(state.formulation)
+    return {"E_h": at_centroid(dof_e, state.e), "H_h": at_centroid(dof_h, state.h)}
 
 
 def write_energy_csv(trace, path) -> None:

@@ -171,13 +171,10 @@ def _term_load(forms: AssembledForms, g, dof) -> np.ndarray:
 
 def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
     """Source load vectors (j_e, j_m) against the formulation's test spaces."""
-    test_spaces = (
-        (forms.dof_w, forms.dof_u) if formulation == "lee-madsen"
-        else (forms.dof_u, forms.dof_v)
-    )
     loads = []
     for j, terms, dof in zip((sources.j_e, sources.j_m),
-                             (sources.j_e_terms, sources.j_m_terms), test_spaces):
+                             (sources.j_e_terms, sources.j_m_terms),
+                             forms.spaces(formulation)):
         if terms is not None:
             load = np.zeros(dof.num_dofs)
             for a, g in terms:
@@ -192,17 +189,20 @@ def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
 
 def rhs(state: State, sources: Sources, forms: AssembledForms,
         cg_tol: float = SOLVER_TOL):
-    """Time derivatives (de/dt, dh/dt) of the semi-discrete system."""
+    """Time derivatives (de/dt, dh/dt) of the semi-discrete system.
+
+    The constant masses are solved with their cached LU factorizations (mu0
+    M_u is the lee-madsen reduced matrix at dt = 0); only the nedelec Kerr
+    mass, new at every stage, is solved by CG to ``cg_tol``.
+    """
     _validate_formulation(state.formulation)
     params = forms.params
     je, jm = _loads(forms, state.formulation, sources, state.t)
     if state.formulation == "lee-madsen":
         meps = assemble_nonlinear_mass(forms.ctx, params, state.e)
         de = meps.solve(forms.coupling_lm @ state.h - je)
-        dh = linalg.cg_solve(
-            forms.mass_u1, -(forms.coupling_lm.T @ state.e) - jm, rel_tol=cg_tol
-        )
-        return de, dh / params.mu0
+        dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm.T @ state.e) - jm)
+        return de, dh
     free = forms.dof_u0.free
     rhs_e = (forms.coupling_ned.T @ state.h) - je[free]
     de = np.zeros_like(state.e)
@@ -214,7 +214,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
     dh = forms.discrete_curl @ state.e
     if sources.j_m is not None:
-        dh = dh + linalg.cg_solve(forms.mass_v1, jm, rel_tol=cg_tol)
+        dh = dh + forms.solve_mass_v1(jm)
     return de, -dh / params.mu0
 
 

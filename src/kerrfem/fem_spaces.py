@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mesh import Mesh, TET_EDGES, TET_FACES, TetGeometry, Topology
+from .mesh import Mesh, TET_EDGES, TET_FACES, Topology
 from .quadrature import segment_rule, triangle_rule
 
 
@@ -82,31 +82,25 @@ def eval_face_basis(points) -> tuple[np.ndarray, np.ndarray]:
     return (values[0], divs) if single else (values, divs)
 
 
-def push_forward(kind: SpaceKind, geom: TetGeometry, values, derivs=None):
-    """Map reference basis data to a physical tet.
+def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):
+    """Physical edge and face basis data on every tet at reference points.
 
-    H(curl) values transform covariantly (J^{-T} u) with curls scaled by
-    J/det J; H(div) values transform contravariantly (J u / det J) with
-    divergences scaled by 1/det J.  Tangential edge dofs and normal face
-    fluxes are invariant under these maps.
+    ``jac``, ``det`` and ``inv_jt`` are the batched affine-map arrays of
+    :func:`kerrfem.mesh.all_geometry`.  H(curl) values transform covariantly
+    (J^{-T} u) with curls scaled by J/det J; H(div) values transform
+    contravariantly (J u / det J) with divergences scaled by 1/det J, so
+    tangential edge dofs and normal face fluxes are invariant.  Returns
+    ``(edge_values, edge_curls, face_values, face_divs)`` shaped (nt, m, 6, 3),
+    (nt, 6, 3), (nt, m, 4, 3) and (nt, 4).
     """
-    if not np.isfinite(geom.det) or geom.det <= 0.0:
-        raise ValueError(f"degenerate geometry with det J = {geom.det}")
-    values = np.asarray(values, dtype=np.float64)
-    if kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.NEDELEC_EDGE_BC):
-        out = values @ geom.inv_transpose.T
-        if derivs is None:
-            return out
-        curls = np.asarray(derivs) @ geom.jacobian.T / geom.det
-        return out, curls
-    if kind is SpaceKind.RAVIART_THOMAS_FACE:
-        out = values @ geom.jacobian.T / geom.det
-        if derivs is None:
-            return out
-        return out, np.asarray(derivs) / geom.det
-    if kind is SpaceKind.DISCONTINUOUS_VECTOR:
-        return values if derivs is None else (values, np.asarray(derivs))
-    raise ValueError(f"unknown space kind {kind}")
+    ref_edge_vals, ref_edge_curls = eval_edge_basis(points)
+    ref_face_vals, ref_face_divs = eval_face_basis(points)
+    return (
+        np.einsum("tab,qib->tqia", inv_jt, ref_edge_vals),
+        np.einsum("tab,ib->tia", jac, ref_edge_curls) / det[:, None, None],
+        np.einsum("tab,qib->tqia", jac, ref_face_vals) / det[:, None, None, None],
+        ref_face_divs[None, :] / det[:, None],
+    )
 
 
 @dataclass(frozen=True)

@@ -137,15 +137,3 @@ def e_of_d(p: MaterialParams, D) -> np.ndarray:
         scale = np.where(r > 0.0, s / np.where(r > 0.0, r, 1.0), 0.0)
     return scale[..., None] * D
 
-
-def energy_density(p: MaterialParams, E, H) -> np.ndarray:
-    """Pointwise electromagnetic energy density of the Kerr medium.
-
-    0.5*[eps0*(1+chi1)|E|^2 + 1.5*eps0*chi3*|E|^4 + mu0*|H|^2]; nonnegative,
-    and zero only for E = H = 0.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    e2 = np.sum(E * E, axis=-1)
-    h2 = np.sum(H * H, axis=-1)
-    return 0.5 * (p.eps_lin * e2 + 1.5 * p.eps0 * p.chi3 * e2 * e2 + p.mu0 * h2)

@@ -44,10 +44,6 @@ class Mesh:
     def num_tets(self) -> int:
         return self.tets.shape[0]
 
-    def tet_vertices(self, tet_id: int) -> np.ndarray:
-        """Coordinates of the 4 vertices of one tet, shape (4, 3)."""
-        return self.vertices[self.tets[tet_id]]
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -57,6 +53,11 @@ class Topology:
     global lo->hi direction, -1 otherwise; ``tet_face_sign`` likewise records
     whether the local face triple is an even permutation of the sorted global
     triple.
+
+    ``face_edges[f]`` holds the edges (a,b), (b,c), (a,c) of the sorted face
+    (a,b,c).  Stokes convention: the boundary of face f runs a->b->c->a
+    (right-hand rule about its normal), so the flux of curl u through it is
+    u_ab + u_bc - u_ac in edge dofs.
     """
 
     edges: np.ndarray           # (ne, 2) int, lo < hi
@@ -65,7 +66,7 @@ class Topology:
     tet_edge_sign: np.ndarray   # (nt, 6) int (+-1)
     tet_faces: np.ndarray       # (nt, 4) int
     tet_face_sign: np.ndarray   # (nt, 4) int (+-1)
-    face_tets: np.ndarray       # (nf, 2) int, second entry -1 on boundary
+    face_edges: np.ndarray      # (nf, 3) int, edges (a,b), (b,c), (a,c)
     boundary_faces: np.ndarray  # (nbf,) int
     boundary_edges: np.ndarray  # (nbe,) int
 
@@ -76,29 +77,6 @@ class Topology:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
-
-
-@dataclass(frozen=True)
-class TetGeometry:
-    """Affine map data of one tet: x = v0 + J x_ref."""
-
-    origin: np.ndarray    # (3,)
-    jacobian: np.ndarray  # (3, 3), columns v1-v0, v2-v0, v3-v0
-    det: float            # det J = 6 * volume > 0
-    inv_transpose: np.ndarray  # (3, 3), J^{-T}
-
-    @property
-    def volume(self) -> float:
-        return self.det / 6.0
-
-    def to_physical(self, ref_points: np.ndarray) -> np.ndarray:
-        """Map reference coordinates (m, 3) to physical coordinates."""
-        return self.origin + np.asarray(ref_points) @ self.jacobian.T
-
-    def to_reference(self, points: np.ndarray) -> np.ndarray:
-        """Map physical coordinates (m, 3) back to the reference tet."""
-        rhs = np.asarray(points) - self.origin
-        return np.linalg.solve(self.jacobian, rhs.T).T
 
 
 def _canonicalize_tets(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -188,27 +166,6 @@ def mesh_size(mesh: Mesh) -> float:
     return float(2.0 * np.max(np.linalg.norm(u, axis=1)))
 
 
-def tet_geometry(mesh: Mesh, tet_id: int) -> TetGeometry:
-    """Affine reference-to-physical map data for one tet.
-
-    det J equals 6x the tet volume and is positive for canonical ordering;
-    degenerate tets are rejected.
-    """
-    if not 0 <= tet_id < mesh.num_tets:
-        raise MeshError(f"tet index {tet_id} out of range")
-    v = mesh.tet_vertices(tet_id)
-    J = (v[1:] - v[0]).T
-    det = float(np.linalg.det(J))
-    if det <= 0.0 or not np.isfinite(det):
-        raise MeshError(f"tet {tet_id} has nonpositive Jacobian determinant {det}")
-    return TetGeometry(
-        origin=v[0].copy(),
-        jacobian=J,
-        det=det,
-        inv_transpose=np.linalg.inv(J).T,
-    )
-
-
 def all_geometry(mesh: Mesh):
     """Batched geometry arrays: (origins, J, detJ, invJT, volumes)."""
     v = mesh.vertices[mesh.tets]
@@ -226,26 +183,32 @@ def build_topology(mesh: Mesh) -> Topology:
 
     Deterministic: global edge and face indices follow the lexicographic
     order of their sorted vertex tuples, so repeated calls on the same mesh
-    give identical numbering.
+    give identical numbering.  Edge (lo, hi) has the integer key lo*nv + hi,
+    which ascends with that order, so a binary search on the keys finds the
+    edge of any vertex pair; face (a, b, c) is keyed by its edge (a, b) and c.
     """
     tets = mesh.tets
     nt = mesh.num_tets
+    nv = mesh.num_vertices
 
-    loc_e = np.array(TET_EDGES)
-    pairs = tets[:, loc_e]                     # (nt, 6, 2)
-    lo = np.minimum(pairs[..., 0], pairs[..., 1])
-    hi = np.maximum(pairs[..., 0], pairs[..., 1])
-    edge_keys = np.stack([lo, hi], axis=-1).reshape(-1, 2)
-    edges, inv_e = np.unique(edge_keys, axis=0, return_inverse=True)
-    tet_edges = inv_e.reshape(nt, 6)
+    pairs = tets[:, np.array(TET_EDGES)]       # (nt, 6, 2)
     tet_edge_sign = np.where(pairs[..., 0] < pairs[..., 1], 1, -1).astype(np.int64)
+    pairs = np.sort(pairs, axis=-1)
+    edge_keys, inv_e = np.unique((pairs[..., 0] * nv + pairs[..., 1]).ravel(),
+                                 return_inverse=True)
+    edges = np.stack([edge_keys // nv, edge_keys % nv], axis=1)
+    tet_edges = inv_e.reshape(nt, 6)
 
-    loc_f = np.array(TET_FACES)
-    triples = tets[:, loc_f]                   # (nt, 4, 3)
-    sorted_triples = np.sort(triples, axis=-1)
-    face_keys = sorted_triples.reshape(-1, 3)
-    faces, inv_f = np.unique(face_keys, axis=0, return_inverse=True)
+    def edge_index(lo, hi):
+        return np.searchsorted(edge_keys, lo * nv + hi)
+
+    triples = tets[:, np.array(TET_FACES)]     # (nt, 4, 3)
+    a, b, c = np.moveaxis(np.sort(triples, axis=-1), -1, 0)
+    face_keys, inv_f = np.unique((edge_index(a, b) * nv + c).ravel(), return_inverse=True)
+    faces = np.column_stack([edges[face_keys // nv], face_keys % nv])
     tet_faces = inv_f.reshape(nt, 4)
+    a, b, c = faces.T
+    face_edges = np.stack([face_keys // nv, edge_index(b, c), edge_index(a, c)], axis=1)
     # Permutation parity of the local triple relative to its sorted order.
     t0, t1, t2 = triples[..., 0], triples[..., 1], triples[..., 2]
     even = (
@@ -261,19 +224,7 @@ def build_topology(mesh: Mesh) -> Topology:
         raise MeshError(
             f"non-manifold face {tuple(faces[bad])} shared by {counts[bad]} tets"
         )
-    face_tets = np.full((len(faces), 2), -1, dtype=np.int64)
-    for t in range(nt):
-        for f in tet_faces[t]:
-            face_tets[f, 0 if face_tets[f, 0] < 0 else 1] = t
     boundary_faces = np.flatnonzero(counts == 1)
-    # boundary edges: both endpoints on a boundary face that contains the edge
-    be = set()
-    for f in boundary_faces:
-        a, b, c = faces[f]
-        for pair in ((a, b), (a, c), (b, c)):
-            be.add(pair)
-    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    boundary_edges = np.array(sorted(edge_index[p] for p in be), dtype=np.int64)
 
     return Topology(
         edges=edges,
@@ -282,9 +233,9 @@ def build_topology(mesh: Mesh) -> Topology:
         tet_edge_sign=tet_edge_sign,
         tet_faces=tet_faces,
         tet_face_sign=tet_face_sign,
-        face_tets=face_tets,
+        face_edges=face_edges,
         boundary_faces=boundary_faces,
-        boundary_edges=boundary_edges,
+        boundary_edges=np.unique(face_edges[boundary_faces]),
     )
 
 

@@ -235,12 +235,9 @@ def error_norms(state: State, case: ManufacturedCase,
     """Weighted errors (||E_h - E||_eps0, ||H_h - H||_mu0) at state.t."""
     ctx = forms.ctx
     params = forms.params
-    if state.formulation == "lee-madsen":
-        E_h = ctx.field_at_quads(forms.dof_w, state.e)
-        H_h = ctx.field_at_quads(forms.dof_u, state.h)
-    else:
-        E_h = ctx.field_at_quads(forms.dof_u, state.e)
-        H_h = ctx.field_at_quads(forms.dof_v, state.h)
+    dof_e, dof_h = forms.spaces(state.formulation)
+    E_h = ctx.field_at_quads(dof_e, state.e)
+    H_h = ctx.field_at_quads(dof_h, state.h)
     err_e = params.eps0 * ctx.norm_sq(E_h - ctx.sample(case.E, state.t))
     err_h = params.mu0 * ctx.norm_sq(H_h - ctx.sample(case.H, state.t))
     return math.sqrt(err_e), math.sqrt(err_h)

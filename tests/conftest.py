@@ -3,9 +3,9 @@ import pytest
 from hypothesis import settings
 
 from kerrfem.assembly import build_forms
-from kerrfem.fem_spaces import SpaceKind, eval_edge_basis, eval_face_basis, push_forward
+from kerrfem.fem_spaces import SpaceKind, piola_map
 from kerrfem.material import MaterialParams
-from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, tet_geometry
+from kerrfem.mesh import all_geometry, build_topology, generate_structured_cube, make_mesh
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example time limit, so the suite stays
@@ -38,27 +38,38 @@ def reference_tet_mesh():
     return make_mesh(verts, np.array([[0, 1, 2, 3]]))
 
 
-def eval_on_tet(mesh, dofmap, coeffs, tet_id, points):
+def to_reference(geometry, tet_id, points):
+    """Reference coordinates (m, 3) of physical points in one tet, given the
+    arrays of :func:`all_geometry`."""
+    origins, J, *_ = geometry
+    return np.linalg.solve(J[tet_id], (np.atleast_2d(points) - origins[tet_id]).T).T
+
+
+def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     """Evaluate a discrete vector field on one tet at physical points."""
     points = np.atleast_2d(points)
     if dofmap.kind is SpaceKind.DISCONTINUOUS_VECTOR:
         const = coeffs[dofmap.cell_dofs[tet_id]]
         return np.broadcast_to(const, (len(points), 3)).copy()
-    geom = tet_geometry(mesh, tet_id)
-    ref = geom.to_reference(points)
+    geometry = all_geometry(mesh) if geometry is None else geometry
+    _, J, det, invJT, _ = geometry
+    one = slice(tet_id, tet_id + 1)
+    edge_vals, _, face_vals, _ = piola_map(J[one], det[one], invJT[one],
+                                           to_reference(geometry, tet_id, points))
     if dofmap.kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.NEDELEC_EDGE_BC):
-        vals, _ = eval_edge_basis(ref)
+        phys = edge_vals[0]
     elif dofmap.kind is SpaceKind.RAVIART_THOMAS_FACE:
-        vals, _ = eval_face_basis(ref)
+        phys = face_vals[0]
     else:
         raise ValueError(dofmap.kind)
-    phys = push_forward(dofmap.kind, geom, vals)
     local = coeffs[dofmap.cell_dofs[tet_id]] * dofmap.cell_signs[tet_id]
     return np.einsum("qid,i->qd", phys, local)
 
 
-def discrete_field_closure(mesh, dofmap, coeffs):
-    """Pointwise-evaluatable closure of a discrete field (brute-force locate)."""
+def _cellwise_closure(mesh, on_tet):
+    """Pointwise closure that locates each point by brute force and evaluates
+    ``on_tet(tet_id, points, geometry)`` there."""
+    geometry = all_geometry(mesh)
 
     def func(X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -67,39 +78,41 @@ def discrete_field_closure(mesh, dofmap, coeffs):
         for t in range(mesh.num_tets):
             if not remaining.any():
                 break
-            geom = tet_geometry(mesh, t)
-            ref = geom.to_reference(X)
+            ref = to_reference(geometry, t, X)
             inside = remaining & (ref.min(axis=1) >= -1e-12) & (
                 ref.sum(axis=1) <= 1.0 + 1e-12
             )
             if inside.any():
-                out[inside] = eval_on_tet(mesh, dofmap, coeffs, t, X[inside])
+                out[inside] = on_tet(t, X[inside], geometry)
                 remaining &= ~inside
         return out
 
     return func
+
+
+def discrete_field_closure(mesh, dofmap, coeffs):
+    """Pointwise-evaluatable closure of a discrete field (brute-force locate)."""
+    return _cellwise_closure(
+        mesh, lambda t, X, geometry: eval_on_tet(mesh, dofmap, coeffs, t, X, geometry)
+    )
 
 
 def piecewise_curl_closure(mesh, forms, coeffs):
     """Closure evaluating the (cellwise constant) curl of an edge-space field."""
     signed = forms.ctx.edge_curls * forms.dof_u.cell_signs[:, :, None]
     cell_curl = np.einsum("tid,ti->td", signed, coeffs[forms.dof_u.cell_dofs])
+    return _cellwise_closure(mesh, lambda t, X, geometry: cell_curl[t])
 
-    def func(X):
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        out = np.zeros_like(X)
-        remaining = np.ones(len(X), dtype=bool)
-        for t in range(mesh.num_tets):
-            if not remaining.any():
-                break
-            geom = tet_geometry(mesh, t)
-            ref = geom.to_reference(X)
-            inside = remaining & (ref.min(axis=1) >= -1e-12) & (
-                ref.sum(axis=1) <= 1.0 + 1e-12
-            )
-            if inside.any():
-                out[inside] = cell_curl[t]
-                remaining &= ~inside
-        return out
 
-    return func
+def energy_density(p, E, H):
+    """Pointwise electromagnetic energy density of the Kerr medium, the
+    oracle of ``total_energy``.
+
+    0.5*[eps0*(1+chi1)|E|^2 + 1.5*eps0*chi3*|E|^4 + mu0*|H|^2]; nonnegative,
+    and zero only for E = H = 0.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    H = np.asarray(H, dtype=np.float64)
+    e2 = np.sum(E * E, axis=-1)
+    h2 = np.sum(H * H, axis=-1)
+    return 0.5 * (p.eps_lin * e2 + 1.5 * p.eps0 * p.chi3 * e2 * e2 + p.mu0 * h2)

@@ -1,5 +1,11 @@
+import itertools
+import os
+import tempfile
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import discrete_field_closure, piecewise_curl_closure
 from kerrfem import assembly
@@ -18,8 +24,16 @@ from kerrfem.assembly import (
 )
 from kerrfem.dynamics import ZERO_SOURCES, initialize, step_midpoint
 from kerrfem.fem_spaces import SpaceKind, build_dof_map
-from kerrfem.material import MaterialParams
-from kerrfem.mesh import TET_EDGES, build_topology, generate_structured_cube, make_mesh
+from kerrfem.linalg import from_triplets
+from kerrfem.material import MaterialParams, eps_matrix
+from kerrfem.mesh import (
+    TET_EDGES,
+    build_topology,
+    generate_structured_cube,
+    make_mesh,
+    read_mesh,
+    write_mesh,
+)
 from kerrfem.quadrature import (
     monomial_integral_tet,
     segment_rule,
@@ -108,8 +122,9 @@ def test_masses_are_spd(ctx2):
 def test_nonlinear_mass_vacuum(ctx2):
     params = MaterialParams(eps0=2.0)
     m = assemble_nonlinear_mass(ctx2, params, np.zeros(3 * ctx2.num_tets))
+    blocks = np.linalg.inv(m.inv_blocks)  # the blocks |K| eps(E_K) it represents
     expect = 2.0 * ctx2.vol[:, None, None] * np.eye(3)
-    assert np.abs(m.blocks - expect).max() < 1e-15
+    assert np.abs(blocks - expect).max() < 1e-15
 
 
 def test_nonlinear_mass_single_tet_example():
@@ -118,7 +133,8 @@ def test_nonlinear_mass_single_tet_example():
     ctx = build_context(mesh, build_topology(mesh))
     params = MaterialParams(eps0=1.0, chi1=0.0, chi3=1.0)
     m = assemble_nonlinear_mass(ctx, params, np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(m.blocks[0], ctx.vol[0] * np.diag([4.0, 2.0, 2.0]))
+    blocks = np.linalg.inv(m.inv_blocks)
+    assert np.allclose(blocks[0], ctx.vol[0] * np.diag([4.0, 2.0, 2.0]))
 
 
 def test_nonlinear_mass_blockwise_inverse(ctx2):
@@ -126,11 +142,12 @@ def test_nonlinear_mass_blockwise_inverse(ctx2):
     params = MaterialParams(eps0=1.3, chi1=0.2, chi3=0.7)
     e = rng.normal(size=3 * ctx2.num_tets)
     m = assemble_nonlinear_mass(ctx2, params, e)
+    blocks = ctx2.vol[:, None, None] * eps_matrix(params, e.reshape(-1, 3))
     for t in (0, 5, 17):
-        num_inv = np.linalg.inv(m.blocks[t])
+        num_inv = np.linalg.inv(blocks[t])
         assert np.abs(m.inv_blocks[t] - num_inv).max() < 1e-13
     x = rng.normal(size=3 * ctx2.num_tets)
-    mx = np.einsum("tij,tj->ti", m.blocks, x.reshape(-1, 3)).ravel()
+    mx = np.einsum("tij,tj->ti", blocks, x.reshape(-1, 3)).ravel()
     assert np.abs(m.solve(mx) - x).max() < 1e-12
 
 
@@ -223,6 +240,51 @@ def test_discrete_curl_reproduces_curl(cube2):
     )
     H = forms.ctx.field_at_quads(forms.dof_v, hcoeff)
     assert np.abs(H - cell_curl[:, None, :]).max() < 1e-12
+
+
+def _jittered_permuted_mesh(n, seed):
+    """Kuhn cube with interior vertices moved by up to 10% of the spacing per
+    coordinate and vertex numbers permuted, read back from a mesh file."""
+    rng = np.random.default_rng(seed)
+    base = generate_structured_cube(n)
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
+    perm = rng.permutation(len(verts))
+    permuted = np.empty_like(verts)
+    permuted[perm] = verts
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        write_mesh(make_mesh(permuted, perm[base.tets]), path)
+        return read_mesh(path)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_de_rham_exactness_on_jittered_meshes(n, seed):
+    mesh = _jittered_permuted_mesh(n, seed)
+    topo = build_topology(mesh)
+    forms = build_forms(mesh, topo, MaterialParams())
+    curl = forms.discrete_curl
+    # curl grad = 0 exactly: the discrete curl is the signed face-edge incidence
+    assert abs(curl @ assemble_gradient(forms.ctx)).max() == 0.0
+    assert curl.nnz == 3 * topo.num_faces
+    assert np.all(np.abs(curl.data) == 1.0)
+    # div curl = 0 exactly: a cell's face divergences all have magnitude
+    # 6 / det J, so their signs make the cell-face incidence
+    nt = mesh.num_tets
+    div = from_triplets(np.repeat(np.arange(nt), 4), topo.tet_faces.ravel(),
+                        (topo.tet_face_sign * np.sign(forms.ctx.face_divs)).ravel(),
+                        shape=(nt, topo.num_faces))
+    assert abs(div @ curl).max() == 0.0
+    # C^T diag(1/|K|) C = A_cc, to roundoff
+    C = forms.coupling_lm
+    gram = C.T @ sp.diags(np.repeat(1.0 / forms.ctx.vol, 3)) @ C
+    assert abs(gram - forms.curl_curl).max() <= 1e-13 * abs(forms.curl_curl).max()
+    edge_id = {tuple(e): i for i, e in enumerate(topo.edges.tolist())}
+    brute = {edge_id[pair] for f in topo.boundary_faces
+             for pair in itertools.combinations(topo.faces[f].tolist(), 2)}
+    assert topo.boundary_edges.tolist() == sorted(brute)
 
 
 def test_l2_project_constants(ctx2):

@@ -1,0 +1,40 @@
+"""The names that the benchmark's traced runs patch or call must exist.
+
+``bench/tracing.py`` wraps kerrfem functions by (module, attribute); a rename
+in the package would otherwise surface only when the benchmark runs.  The
+module is loaded by path and only read.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from kerrfem import cli_io, dynamics, linalg, verification
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_traced_names_exist(tracing):
+    for module, attr, span in tracing.TOP_LEVEL + tracing.LAYERS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
+
+
+def test_patched_entry_points_exist():
+    for module, attr in ((linalg, "factorized"), (cli_io, "get_case"),
+                         (dynamics, "integrate"), (verification, "integrate"),
+                         (verification, "generate_structured_cube")):
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"

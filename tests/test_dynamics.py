@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kerrfem import dynamics
+from conftest import energy_density
+from kerrfem import dynamics, linalg
 from kerrfem.assembly import (
     assemble_flux_load,
-    assemble_nonlinear_mass,
     assemble_source,
     build_forms,
     l2_project,
@@ -27,7 +27,7 @@ from kerrfem.dynamics import (
     total_energy,
 )
 from kerrfem.fem_spaces import interpolate_edge_dofs
-from kerrfem.material import MaterialParams, d_of_e
+from kerrfem.material import MaterialParams, d_of_e, eps_matrix
 from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
 from kerrfem.verification import cavity_mode_case, kerr_manufactured_case
 
@@ -124,9 +124,10 @@ def test_rhs_energy_pairing_linear(cav_forms2, cavity):
     de, dh = rhs(st, kerr.sources, cav_forms2)
     je = assemble_source(cav_forms2.ctx, kerr.sources.j_e, cav_forms2.dof_w, time=st.t)
     jm = assemble_source(cav_forms2.ctx, kerr.sources.j_m, cav_forms2.dof_u, time=st.t)
-    meps = assemble_nonlinear_mass(cav_forms2.ctx, cav_forms2.params, st.e)
+    blocks = cav_forms2.ctx.vol[:, None, None] * eps_matrix(cav_forms2.params,
+                                                             st.e.reshape(-1, 3))
     mu0 = cav_forms2.params.mu0
-    meps_de = np.einsum("tij,tj->ti", meps.blocks, de.reshape(-1, 3)).ravel()
+    meps_de = np.einsum("tij,tj->ti", blocks, de.reshape(-1, 3)).ravel()
     lhs = st.e @ meps_de + mu0 * (st.h @ (cav_forms2.mass_u1 @ dh))
     rhs_val = -(je @ st.e) - (jm @ st.h)
     assert lhs == pytest.approx(rhs_val, rel=1e-11, abs=1e-11)
@@ -297,6 +298,23 @@ def test_rk4_linear_nedelec_assembles_no_nonlinear_mass(cav_forms2, cavity, monk
     assert len(calls) == 0
 
 
+def test_rk4_lee_madsen_uses_no_cg(cav_forms2, cavity, monkeypatch):
+    # both stage masses of lee-madsen RK4 are solved by cached factorizations
+    calls = []
+    original = linalg.cg_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cg_solve", counted)
+    kerr = kerr_manufactured_case(MaterialParams(chi3=1.0))
+    forms = build_forms(cav_forms2.ctx.mesh, cav_forms2.ctx.topo, kerr.params)
+    st = cavity_state(cavity, forms)
+    step_rk4(st, 0.01, kerr.sources, forms)
+    assert len(calls) == 0
+
+
 def test_rk4_polynomial_time_exactness(reference_tet_mesh):
     # On a single tet every edge is constrained, so the nedelec electric
     # field is frozen at zero and the magnetic equation reduces to
@@ -362,11 +380,32 @@ def test_total_energy_single_tet_volume_one():
 def test_total_energy_linear_limit(cav_forms2, cavity):
     st = cavity_state(cavity, cav_forms2)
     w = total_energy(st, cav_forms2)
-    meps = assemble_nonlinear_mass(cav_forms2.ctx, cav_forms2.params, st.e)
+    blocks = cav_forms2.ctx.vol[:, None, None] * eps_matrix(cav_forms2.params,
+                                                             st.e.reshape(-1, 3))
     mu0 = cav_forms2.params.mu0
-    meps_e = np.einsum("tij,tj->ti", meps.blocks, st.e.reshape(-1, 3)).ravel()
+    meps_e = np.einsum("tij,tj->ti", blocks, st.e.reshape(-1, 3)).ravel()
     quad = 0.5 * (st.e @ meps_e + mu0 * (st.h @ (cav_forms2.mass_u1 @ st.h)))
     assert w == pytest.approx(quad, rel=1e-13)
+
+
+def test_total_energy_matches_density_quadrature(cube2):
+    # total_energy equals the quadrature of the pointwise energy density
+    # (the oracle pins 0.5 (2 + 1.5 * 2 + 1) = 3 at |E| = |H| = 1)
+    mesh, topo = cube2
+    params = MaterialParams(eps0=1.3, mu0=0.8, chi1=0.3, chi3=0.7)
+    assert energy_density(MaterialParams(chi1=1.0, chi3=2.0),
+                          np.array([1.0, 0, 0]), np.array([0.0, 1, 0])) == pytest.approx(3.0)
+    forms = build_forms(mesh, topo, params)
+    ctx = forms.ctx
+    rng = np.random.default_rng(12)
+    for formulation in ("lee-madsen", "nedelec"):
+        dof_e, dof_h = forms.spaces(formulation)
+        e = rng.normal(size=dof_e.num_dofs)
+        h = rng.normal(size=dof_h.num_dofs)
+        density = energy_density(params, ctx.field_at_quads(dof_e, e),
+                                 ctx.field_at_quads(dof_h, h))
+        w = total_energy(State(formulation, e, h, 0.0), forms)
+        assert w == pytest.approx(ctx.integrate(density), rel=1e-13)
 
 
 def test_energy_law_residual_source_free(cav_forms2, cavity):

@@ -8,7 +8,6 @@ from kerrfem.material import (
     cm_matrix,
     d_of_e,
     e_of_d,
-    energy_density,
     eps_matrix,
 )
 
@@ -115,26 +114,6 @@ def test_constitutive_roundtrip_randomized():
     back = d_of_e(p, e_of_d(p, D))
     denom = np.maximum(np.linalg.norm(D, axis=1), 1e-300)
     assert np.max(np.linalg.norm(back - D, axis=1) / denom) <= 1e-12
-
-
-def test_energy_density_examples():
-    p = MaterialParams(eps0=1.0, mu0=1.0, chi1=1.0, chi3=2.0)
-    assert energy_density(p, np.zeros(3), np.zeros(3)) == 0.0
-    val = energy_density(p, np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
-    assert val == pytest.approx(3.0)
-    p_lin = MaterialParams(eps0=2.0, mu0=3.0, chi1=0.5)
-    E = np.array([1.0, 2.0, -1.0])
-    H = np.array([0.5, 0.0, 1.0])
-    expect = 0.5 * (2.0 * 1.5 * (E @ E) + 3.0 * (H @ H))
-    assert energy_density(p_lin, E, H) == pytest.approx(expect)
-
-
-def test_energy_density_nonnegative_random():
-    rng = np.random.default_rng(8)
-    p = MaterialParams(chi1=0.3, chi3=1.2)
-    E = rng.normal(size=(200, 3))
-    H = rng.normal(size=(200, 3))
-    assert np.all(energy_density(p, E, H) >= 0.0)
 
 
 def test_chain_rule_energy_identity():

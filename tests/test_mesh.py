@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import to_reference
 from kerrfem.mesh import (
     MeshError,
     all_geometry,
@@ -9,7 +10,6 @@ from kerrfem.mesh import (
     make_mesh,
     mesh_size,
     read_mesh,
-    tet_geometry,
     write_mesh,
 )
 
@@ -107,16 +107,16 @@ def test_duplicate_tets_rejected():
 
 
 def test_geometry_reference_tet(reference_tet_mesh):
-    geom = tet_geometry(reference_tet_mesh, 0)
-    assert np.allclose(geom.jacobian, np.eye(3))
-    assert geom.det == pytest.approx(1.0)
+    _, J, det, _, _ = all_geometry(reference_tet_mesh)
+    assert np.allclose(J[0], np.eye(3))
+    assert det[0] == pytest.approx(1.0)
 
 
 def test_geometry_scaling():
     verts = 2.0 * np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
-    geom = tet_geometry(mesh, 0)
-    assert geom.det == pytest.approx(8.0)
+    _, _, det, _, _ = all_geometry(mesh)
+    assert det[0] == pytest.approx(8.0)
 
 
 def test_geometry_random_inverse():
@@ -124,18 +124,19 @@ def test_geometry_random_inverse():
     for _ in range(5):
         verts = rng.normal(size=(4, 3))
         mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
-        geom = tet_geometry(mesh, 0)
-        prod = geom.jacobian @ geom.inv_transpose.T
+        _, J, _, invJT, _ = all_geometry(mesh)
+        prod = J[0] @ invJT[0].T
         assert np.abs(prod - np.eye(3)).max() < 1e-13
 
 
 def test_geometry_roundtrip_points():
     mesh = generate_structured_cube(2)
-    geom = tet_geometry(mesh, 17)
+    geometry = all_geometry(mesh)
+    origins, J, *_ = geometry
     rng = np.random.default_rng(1)
     ref = rng.dirichlet(np.ones(4), size=6)[:, :3]
-    phys = geom.to_physical(ref)
-    back = geom.to_reference(phys)
+    phys = origins[17] + ref @ J[17].T
+    back = to_reference(geometry, 17, phys)
     assert np.abs(back - ref).max() < 1e-13
 
 
@@ -143,11 +144,6 @@ def test_degenerate_tet_rejected():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
     with pytest.raises(MeshError, match="degenerate"):
         make_mesh(verts, np.array([[0, 1, 2, 3]]))
-
-
-def test_geometry_index_out_of_range(reference_tet_mesh):
-    with pytest.raises(MeshError):
-        tet_geometry(reference_tet_mesh, 5)
 
 
 def test_mesh_file_roundtrip(tmp_path):
