@@ -44,7 +44,6 @@ from .dynamics import (
     integrate,
     rhs,
     stability_bound_check,
-    step_midpoint,
     step_rk4,
     total_energy,
 )

@@ -74,7 +74,7 @@ class FemContext:
         return self.mesh.num_tets
 
     def basis_at_quads(self, kind: SpaceKind) -> np.ndarray:
-        if kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.NEDELEC_EDGE_BC):
+        if kind is SpaceKind.NEDELEC_EDGE:
             return self.edge_values
         if kind is SpaceKind.RAVIART_THOMAS_FACE:
             return self.face_values
@@ -89,14 +89,12 @@ class FemContext:
         local = coeffs[dofmap.cell_dofs] * dofmap.cell_signs
         return np.einsum("tqid,ti->tqd", self.basis_at_quads(dofmap.kind), local)
 
-    def sample(self, func, time=None) -> np.ndarray:
+    def sample(self, func) -> np.ndarray:
         """Values of a vector field at all quadrature points, (nt, nq, 3).
 
-        ``func`` maps (m, 3) points to (m, 3) values; pass ``time`` for
-        closures with signature (t, points).
+        ``func`` maps (m, 3) points to (m, 3) values.
         """
-        flat = self.phys_pts.reshape(-1, 3)
-        vals = func(flat) if time is None else func(time, flat)
+        vals = func(self.phys_pts.reshape(-1, 3))
         return np.asarray(vals, dtype=np.float64).reshape(self.phys_pts.shape)
 
     def integrate(self, density: np.ndarray) -> float:
@@ -108,9 +106,14 @@ class FemContext:
         """Squared L2 norm of a vector field given at the quadrature points."""
         return self.integrate(np.einsum("tqd,tqd->tq", vals, vals))
 
-    def cell_integrals(self, func, time=None) -> np.ndarray:
-        """Integrals of a (possibly time-dependent) vector field per tet, (nt, 3)."""
-        return np.einsum("tq,tqd->td", self.dx, self.sample(func, time))
+    def gram(self, funcs) -> np.ndarray:
+        """L2 Gram matrix (f_k, f_l) of vector fields given as callables."""
+        vals = np.stack([self.sample(f) for f in funcs])
+        return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
+
+    def cell_integrals(self, func) -> np.ndarray:
+        """Integrals of a vector field per tet, (nt, 3)."""
+        return np.einsum("tq,tqd->td", self.dx, self.sample(func))
 
 
 def build_context(mesh: Mesh, topo: Topology) -> FemContext:
@@ -277,26 +280,25 @@ def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> sp.csr_matrix:
     return from_triplets(rows, cols, vals, shape=(len(edges), nv - 1))
 
 
-def assemble_source(ctx: FemContext, target, dofmap: DofMap, time=None) -> np.ndarray:
+def assemble_source(ctx: FemContext, target, dofmap: DofMap) -> np.ndarray:
     """Load vector (target, phi_i) over the space of ``dofmap``, by quadrature.
 
-    ``target`` maps (m, 3) points to (m, 3) values; pass ``time`` for
-    closures with signature (t, points).
+    ``target`` maps (m, 3) points to (m, 3) values.
     """
     if dofmap.kind is SpaceKind.DISCONTINUOUS_VECTOR:
-        return ctx.cell_integrals(target, time=time).ravel()
-    vals = ctx.sample(target, time)
+        return ctx.cell_integrals(target).ravel()
+    vals = ctx.sample(target)
     local = _local_moments(ctx.dx, vals, ctx.basis_at_quads(dofmap.kind))
     return _scatter_vector(local, dofmap)
 
 
-def l2_project(ctx: FemContext, target, time=None) -> np.ndarray:
+def l2_project(ctx: FemContext, target) -> np.ndarray:
     """Cellwise-average projection onto the discontinuous vector space."""
-    return (ctx.cell_integrals(target, time=time) / ctx.vol[:, None]).ravel()
+    return (ctx.cell_integrals(target) / ctx.vol[:, None]).ravel()
 
 
-def curl_project(forms: AssembledForms, target, target_curl, time=None,
-                 pinned_vertex: int = 0, rel_tol: float = 1e-10) -> np.ndarray:
+def curl_project(forms: AssembledForms, target, target_curl, pinned_vertex: int = 0,
+                 rel_tol: float = 1e-10) -> np.ndarray:
     """Curl-matching projection onto the edge space.
 
     Solves, as one saddle system, (curl u_h, curl psi) = (curl v, curl psi)
@@ -308,9 +310,9 @@ def curl_project(forms: AssembledForms, target, target_curl, time=None,
     dofU = forms.dof_u
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
     G = forms.mass_u1 @ grad
-    cell_curl = ctx.cell_integrals(target_curl, time=time)  # (nt, 3)
+    cell_curl = ctx.cell_integrals(target_curl)  # (nt, 3)
     f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
-    g = grad.T @ assemble_source(ctx, target, dofU, time=time)
+    g = grad.T @ assemble_source(ctx, target, dofU)
     u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g, rel_tol=rel_tol)
     return u
 
@@ -319,12 +321,13 @@ def curl_project(forms: AssembledForms, target, target_curl, time=None,
 class AssembledForms:
     """All constant matrices of both semi-discrete formulations, the LU
     factorizations of those the time steppers solve with, and the load
-    vectors of separable sources (both made on first use, then kept)."""
+    vectors and Gram matrices of separable sources (all made on first use,
+    then kept)."""
 
     ctx: FemContext
     params: MaterialParams
-    dof_u: DofMap      # edge space (H field of lee-madsen, gradients)
-    dof_u0: DofMap     # edge space with boundary constraint (E of nedelec)
+    dof_u: DofMap      # edge space (H of lee-madsen, E of nedelec, gradients)
+    free_edges: np.ndarray  # sorted interior edges: the free E dofs of nedelec
     dof_v: DofMap      # face space (H of nedelec)
     dof_w: DofMap      # cellwise-constant vectors (E of lee-madsen)
     mass_u1: sp.csr_matrix   # edge Gram matrix
@@ -335,6 +338,8 @@ class AssembledForms:
     _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, space kind)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # L2 Gram matrices of the factors of one current, keyed by (g_1, ..., g_K)
+    source_grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def spaces(self, formulation: str) -> tuple[DofMap, DofMap]:
         """Dof maps (E, H) of a formulation: (W, U) for lee-madsen, (U, V)
@@ -363,7 +368,7 @@ class AssembledForms:
         if formulation == "lee-madsen":
             return params.mu0 * self.mass_u1 + dt * dt / (4.0 * params.eps_lin) * A
         M = params.eps_lin * self.mass_u1 if eps_mass is None else eps_mass
-        free = self.dof_u0.free
+        free = self.free_edges
         return (M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)]
 
     def reduced_solver(self, formulation: str, dt: float):
@@ -381,11 +386,11 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     Each operator is assembled once: the two Gram matrices, the lee-madsen
     coupling C and the discrete curl.  The nedelec coupling
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
-    discrete curl, restricted to the free edges.
+    discrete curl, restricted to the free (interior) edges.
     """
     ctx = build_context(mesh, topo)
     dof_u = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
-    dof_u0 = build_dof_map(SpaceKind.NEDELEC_EDGE_BC, topo)
+    free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
     dof_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
     dof_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
     mass_u1 = assemble_mass(ctx, dof_u)
@@ -395,12 +400,12 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
         ctx=ctx,
         params=params,
         dof_u=dof_u,
-        dof_u0=dof_u0,
+        free_edges=free_edges,
         dof_v=dof_v,
         dof_w=dof_w,
         mass_u1=mass_u1,
         mass_v1=mass_v1,
         coupling_lm=assemble_coupling(ctx, dof_u),
         discrete_curl=discrete_curl,
-        coupling_ned=(mass_v1 @ discrete_curl)[:, dof_u0.free],
+        coupling_ned=(mass_v1 @ discrete_curl)[:, free_edges],
     )

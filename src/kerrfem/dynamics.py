@@ -39,7 +39,7 @@ from .material import d_of_e, e_of_d
 
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
-MAX_SWEEPS = 50  # default cap on the midpoint sweeps of one step
+MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 
 
@@ -62,29 +62,22 @@ class State:
 
 @dataclass(frozen=True)
 class Sources:
-    """Time-dependent current densities; ``None`` entries mean zero.
+    """Time-dependent current densities in time-separable form.
 
-    A current may also declare the time-separable form J(t, x) =
-    sum_k a_k(t) g_k(x) as a tuple of ``(a, g)`` pairs, ``a(t) -> float`` and
-    ``g(points (m,3)) -> (m,3)``; its closure must still be given and equal
-    that sum.  The load vector of each g_k is then assembled once per mesh
-    and space, keyed by the callable g_k itself (so build the terms once, not
-    per step), and each step only combines them.
+    Each current J(t, x) = sum_k a_k(t) g_k(x) is a tuple of ``(a, g)``
+    pairs, ``a(t) -> float`` and ``g(points (m,3)) -> (m,3)``; an empty tuple
+    means zero.  The load vector of each g_k is assembled once per mesh and
+    space, and the L2 Gram matrix of a current's g_k once per mesh, keyed by
+    the callables themselves (so build the terms once, not per step); each
+    step and each monitor sample only combines them.
     """
 
-    j_e: object = None  # callable (t, points (m,3)) -> (m,3)
-    j_m: object = None
-    j_e_terms: tuple | None = None
-    j_m_terms: tuple | None = None
-
-    def __post_init__(self):
-        for name in ("j_e", "j_m"):
-            if getattr(self, f"{name}_terms") is not None and getattr(self, name) is None:
-                raise ValueError(f"{name}_terms given without the {name} closure")
+    j_e_terms: tuple = ()
+    j_m_terms: tuple = ()
 
     @property
     def is_zero(self) -> bool:
-        return self.j_e is None and self.j_m is None
+        return not self.j_e_terms and not self.j_m_terms
 
 
 ZERO_SOURCES = Sources()
@@ -154,7 +147,7 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
             h = curl_project(forms, H0, H0_curl)
         return State(formulation, e, h, t)
     e = interpolate_edge_dofs(E0, ctx.mesh, ctx.topo)
-    e[forms.dof_u0.constrained] = 0.0
+    e[ctx.topo.boundary_edges] = 0.0
     h = interpolate_face_dofs(H0, ctx.mesh, ctx.topo)
     return State(formulation, e, h, t)
 
@@ -172,17 +165,11 @@ def _term_load(forms: AssembledForms, g, dof) -> np.ndarray:
 def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
     """Source load vectors (j_e, j_m) against the formulation's test spaces."""
     loads = []
-    for j, terms, dof in zip((sources.j_e, sources.j_m),
-                             (sources.j_e_terms, sources.j_m_terms),
-                             forms.spaces(formulation)):
-        if terms is not None:
-            load = np.zeros(dof.num_dofs)
-            for a, g in terms:
-                load += a(t) * _term_load(forms, g, dof)
-        elif j is not None:
-            load = assemble_source(forms.ctx, j, dof, time=t)
-        else:
-            load = np.zeros(dof.num_dofs)
+    for terms, dof in zip((sources.j_e_terms, sources.j_m_terms),
+                          forms.spaces(formulation)):
+        load = np.zeros(dof.num_dofs)
+        for a, g in terms:
+            load += a(t) * _term_load(forms, g, dof)
         loads.append(load)
     return tuple(loads)
 
@@ -203,7 +190,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         de = meps.solve(forms.coupling_lm @ state.h - je)
         dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm.T @ state.e) - jm)
         return de, dh
-    free = forms.dof_u0.free
+    free = forms.free_edges
     rhs_e = (forms.coupling_ned.T @ state.h) - je[free]
     de = np.zeros_like(state.e)
     if params.chi3 == 0.0:
@@ -213,7 +200,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         meps = forms.reduced_matrix("nedelec", 0.0, eps_mass)
         de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
     dh = forms.discrete_curl @ state.e
-    if sources.j_m is not None:
+    if sources.j_m_terms:
         dh = dh + forms.solve_mass_v1(jm)
     return de, -dh / params.mu0
 
@@ -235,20 +222,21 @@ def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
     return False
 
 
-def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float, cap: int):
+def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float):
     """Sweeps ``(e1, h1) = sweep(e1, h1)`` for the end-of-step fields of one
     midpoint step, each one Newton update of the formulation's edge unknown
     with the other field recovered in closed form; they stop per
-    :func:`_picard_exit` on the largest change of either field."""
+    :func:`_picard_exit` on the largest change of either field, at the
+    latest after :data:`MAX_SWEEPS`."""
     e1, h1 = e0.copy(), h0.copy()
     prev = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cap):
+        for it in range(MAX_SWEEPS):
             e1_new, h1_new = sweep(e1, h1)
             delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
             scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
             e1, h1 = e1_new, h1_new
-            if _picard_exit(delta, prev, scale, tol, it, cap):
+            if _picard_exit(delta, prev, scale, tol, it, MAX_SWEEPS):
                 break
             prev = delta
     return e1, h1
@@ -285,10 +273,10 @@ def _nedelec_sweep(state: State, dt: float, sources: Sources,
     discrete curl of E1, so the ``h1`` argument is not read."""
     params = forms.params
     ctx = forms.ctx
-    free = forms.dof_u0.free
+    free = forms.free_edges
     KT = forms.coupling_ned.T
     e0, h0 = state.e, state.h
-    jm_term = forms.solve_mass_v1(jm) if sources.j_m is not None else 0.0
+    jm_term = forms.solve_mass_v1(jm) if sources.j_m_terms else 0.0
     d0 = assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
 
     def h_end(e1):
@@ -313,21 +301,14 @@ _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
 def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                   tol: float, cap: int):
-    """One midpoint step; returns the new state and the midpoint loads (je, jm)."""
+                   tol: float):
+    """One implicit-midpoint step on the flux form, second order in dt;
+    returns the new state and the midpoint loads (je, jm)."""
     _validate_formulation(state.formulation)
     je, jm = _loads(forms, state.formulation, sources, state.t + 0.5 * dt)
     sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, sources, forms, je, jm)
-    e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol, cap)
+    e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol)
     return State(state.formulation, e1, h1, state.t + dt), je, jm
-
-
-def step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                  nonlinear_tol: float = SOLVER_TOL, max_iter: int = MAX_SWEEPS) -> State:
-    """One implicit-midpoint step on the flux form; second order in dt."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    return _step_midpoint(state, dt, sources, forms, nonlinear_tol, max_iter)[0]
 
 
 def step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms,
@@ -400,16 +381,26 @@ def discrete_divergence(state: State, forms: AssembledForms) -> np.ndarray:
     return np.einsum("ti,ti->t", local, ctx.face_divs)
 
 
+def _term_gram(forms: AssembledForms, terms) -> np.ndarray:
+    """L2 Gram matrix (g_k, g_l) of the factors of separable terms, made on
+    first use and then kept on ``forms``."""
+    key = tuple(g for _, g in terms)
+    gram = forms.source_grams.get(key)
+    if gram is None:
+        gram = forms.source_grams[key] = forms.ctx.gram(key)
+    return gram
+
+
 def source_norm_sq(forms: AssembledForms, sources: Sources, t: float) -> float:
-    """||J_e||^2 weighted by 1/(eps0(1+chi1)) plus ||J_m||^2 weighted by 1/mu0."""
-    if sources.is_zero:
-        return 0.0
-    ctx = forms.ctx
+    """||J_e||^2 weighted by 1/(eps0(1+chi1)) plus ||J_m||^2 weighted by 1/mu0,
+    each sum_kl a_k(t) a_l(t) (g_k, g_l) from the cached Gram matrix."""
     params = forms.params
     total = 0.0
-    for j, weight in ((sources.j_e, params.eps_lin), (sources.j_m, params.mu0)):
-        if j is not None:
-            total += ctx.norm_sq(ctx.sample(j, t)) / weight
+    for terms, weight in ((sources.j_e_terms, params.eps_lin),
+                          (sources.j_m_terms, params.mu0)):
+        if terms:
+            amps = np.array([a(t) for a, _ in terms])
+            total += float(amps @ _term_gram(forms, terms) @ amps) / weight
     return total
 
 
@@ -441,8 +432,7 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if stepper == "midpoint":
-                    new, je, jm = _step_midpoint(current, dt, sources, forms,
-                                                 nonlinear_tol, MAX_SWEEPS)
+                    new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
                     je, jm = (

@@ -20,7 +20,6 @@ from .quadrature import segment_rule, triangle_rule
 
 class SpaceKind(Enum):
     NEDELEC_EDGE = "nedelec_edge"          # U_h, H(curl)-conforming
-    NEDELEC_EDGE_BC = "nedelec_edge_bc"    # U_h with zero tangential trace
     RAVIART_THOMAS_FACE = "raviart_thomas" # V_h, H(div)-conforming
     DISCONTINUOUS_VECTOR = "dg_vector"     # W_h, cellwise-constant vectors
 
@@ -109,25 +108,13 @@ class DofMap:
 
     ``cell_dofs[t, k]`` is the global index of local dof k on tet t and
     ``cell_signs[t, k]`` the orientation factor relating the local basis
-    function to the global one.  ``constrained`` lists dofs pinned to zero
-    (boundary edges of the H0(curl) space).
+    function to the global one.
     """
 
     kind: SpaceKind
     num_dofs: int
     cell_dofs: np.ndarray   # (nt, n_local) int
     cell_signs: np.ndarray  # (nt, n_local) float
-    constrained: np.ndarray  # sorted global indices
-
-    @property
-    def free(self) -> np.ndarray:
-        mask = np.ones(self.num_dofs, dtype=bool)
-        mask[self.constrained] = False
-        return np.flatnonzero(mask)
-
-    @property
-    def num_free(self) -> int:
-        return self.num_dofs - len(self.constrained)
 
 
 def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
@@ -137,15 +124,12 @@ def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
     discontinuous vectors -> three per tet.
     """
     nt = topo.tet_edges.shape[0]
-    none = np.empty(0, dtype=np.int64)
-    if kind is SpaceKind.NEDELEC_EDGE or kind is SpaceKind.NEDELEC_EDGE_BC:
-        constrained = topo.boundary_edges if kind is SpaceKind.NEDELEC_EDGE_BC else none
+    if kind is SpaceKind.NEDELEC_EDGE:
         return DofMap(
             kind=kind,
             num_dofs=topo.num_edges,
             cell_dofs=topo.tet_edges.copy(),
             cell_signs=topo.tet_edge_sign.astype(np.float64),
-            constrained=np.sort(constrained),
         )
     if kind is SpaceKind.RAVIART_THOMAS_FACE:
         return DofMap(
@@ -153,7 +137,6 @@ def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
             num_dofs=topo.num_faces,
             cell_dofs=topo.tet_faces.copy(),
             cell_signs=topo.tet_face_sign.astype(np.float64),
-            constrained=none,
         )
     if kind is SpaceKind.DISCONTINUOUS_VECTOR:
         cell_dofs = 3 * np.arange(nt, dtype=np.int64)[:, None] + np.arange(3)
@@ -162,17 +145,15 @@ def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
             num_dofs=3 * nt,
             cell_dofs=cell_dofs,
             cell_signs=np.ones((nt, 3)),
-            constrained=none,
         )
     raise ValueError(f"unknown space kind {kind}")
 
 
-def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology, time=None) -> np.ndarray:
+def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology) -> np.ndarray:
     """Edge dofs of a vector field: tangential line integrals lo -> hi.
 
-    ``func`` maps (m, 3) points to (m, 3) values (with a leading time
-    argument when ``time`` is given).  Gauss quadrature with 4 points per
-    edge, exact for the polynomial traces that occur here.
+    ``func`` maps (m, 3) points to (m, 3) values.  Gauss quadrature with 4
+    points per edge, exact for the polynomial traces that occur here.
     """
     rule = segment_rule(4)
     s = rule.points[:, 0]
@@ -180,13 +161,11 @@ def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology, time=None) -> np.nda
     p_hi = mesh.vertices[topo.edges[:, 1]]
     direction = p_hi - p_lo  # tangent times length
     pts = p_lo[:, None, :] + s[None, :, None] * direction[:, None, :]
-    flat = pts.reshape(-1, 3)
-    vals = func(flat) if time is None else func(time, flat)
-    vals = np.asarray(vals).reshape(len(p_lo), len(s), 3)
+    vals = np.asarray(func(pts.reshape(-1, 3))).reshape(len(p_lo), len(s), 3)
     return np.einsum("q,eqd,ed->e", rule.weights, vals, direction)
 
 
-def interpolate_face_dofs(func, mesh: Mesh, topo: Topology, time=None) -> np.ndarray:
+def interpolate_face_dofs(func, mesh: Mesh, topo: Topology) -> np.ndarray:
     """Face dofs of a vector field: fluxes through the sorted-triple normal."""
     rule = triangle_rule(5)
     u = rule.points[:, 0]
@@ -200,7 +179,5 @@ def interpolate_face_dofs(func, mesh: Mesh, topo: Topology, time=None) -> np.nda
         + u[None, :, None] * (q1 - q0)[:, None, :]
         + v[None, :, None] * (q2 - q0)[:, None, :]
     )
-    flat = pts.reshape(-1, 3)
-    vals = func(flat) if time is None else func(time, flat)
-    vals = np.asarray(vals).reshape(len(q0), len(u), 3)
+    vals = np.asarray(func(pts.reshape(-1, 3))).reshape(len(q0), len(u), 3)
     return np.einsum("q,fqd,fd->f", rule.weights, vals, normal2)

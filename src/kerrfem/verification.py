@@ -5,9 +5,9 @@ A manufactured case carries closures for the exact fields and their space
 and time derivatives; the current densities are *defined* as the strong-form
 residuals, so the chosen fields solve the forced system identically.  The
 Kerr case writes each current once, as its time-separable terms
-sum_k a_k(t) g_k(x), and builds the closure from them, so the time stepper
-can assemble each g_k's load once per mesh; the PDE-residual test checks
-those terms against the strong form.
+sum_k a_k(t) g_k(x), the only form :class:`~kerrfem.dynamics.Sources`
+takes, and builds the closure from them as the strong-form reference that
+the PDE-residual test checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledForms, build_forms, curl_project, l2_project
-from .dynamics import SOLVER_TOL, Sources, State, initialize, integrate
+from .dynamics import Sources, State, initialize, integrate
 from .material import MaterialParams
 from .mesh import build_topology, generate_structured_cube, mesh_size
 
@@ -31,9 +31,10 @@ class ManufacturedCase:
 
     All field closures map ``(t, points (m, 3))`` to ``(m, 3)`` arrays.  The
     electric field satisfies the perfect-conductor condition on the unit
-    cube by construction.  ``j_e``/``j_m`` are ``None`` for source-free
-    exact solutions; ``j_e_terms``/``j_m_terms`` give their time-separable
-    form when there is one (see :class:`~kerrfem.dynamics.Sources`).
+    cube by construction.  ``j_e_terms``/``j_m_terms`` are the currents'
+    time-separable terms (see :class:`~kerrfem.dynamics.Sources`), empty for
+    source-free exact solutions; ``j_e``/``j_m`` are their sums as closures
+    (``None`` when source-free), the strong-form reference.
     """
 
     name: str
@@ -47,13 +48,12 @@ class ManufacturedCase:
     curl_H: object
     j_e: object = None
     j_m: object = None
-    j_e_terms: tuple | None = None
-    j_m_terms: tuple | None = None
+    j_e_terms: tuple = ()
+    j_m_terms: tuple = ()
 
     @property
     def sources(self) -> Sources:
-        return Sources(j_e=self.j_e, j_m=self.j_m,
-                       j_e_terms=self.j_e_terms, j_m_terms=self.j_m_terms)
+        return Sources(self.j_e_terms, self.j_m_terms)
 
 
 def _sin_products(X):
@@ -238,8 +238,8 @@ def error_norms(state: State, case: ManufacturedCase,
     dof_e, dof_h = forms.spaces(state.formulation)
     E_h = ctx.field_at_quads(dof_e, state.e)
     H_h = ctx.field_at_quads(dof_h, state.h)
-    err_e = params.eps0 * ctx.norm_sq(E_h - ctx.sample(case.E, state.t))
-    err_h = params.mu0 * ctx.norm_sq(H_h - ctx.sample(case.H, state.t))
+    err_e = params.eps0 * ctx.norm_sq(E_h - ctx.sample(lambda X: case.E(state.t, X)))
+    err_h = params.mu0 * ctx.norm_sq(H_h - ctx.sample(lambda X: case.H(state.t, X)))
     return math.sqrt(err_e), math.sqrt(err_h)
 
 
@@ -302,15 +302,11 @@ def _make_table(levels, hs, errs_e, errs_h) -> EocTable:
 
 
 def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-madsen",
-                    dt_factor: float = 0.08, stepper: str = "midpoint",
-                    nonlinear_tol: float = SOLVER_TOL, collect_traces: bool = False):
+                    dt_factor: float = 0.08, stepper: str = "midpoint") -> EocTable:
     """Terminal-time error study under mesh halving with dt proportional to
-    h^2, so the midpoint's temporal error stays well below the spatial one.
-
-    Returns an EocTable (and the per-level EnergyTraces when requested).
-    """
+    h^2, so the midpoint's temporal error stays well below the spatial one."""
     levels = _check_doubling(levels)
-    hs, errs_e, errs_h, traces = [], [], [], []
+    hs, errs_e, errs_h = [], [], []
     T = case.t_final
     for n in levels:
         mesh = generate_structured_cube(int(n))
@@ -327,18 +323,13 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
             forms,
             H0_curl=lambda X: case.curl_H(0.0, X),
         )
-        state, trace = integrate(
-            state, dt, num_steps, case.sources, forms,
-            stepper=stepper, nonlinear_tol=nonlinear_tol,
-            collect=collect_traces,
-        )
+        state, _ = integrate(state, dt, num_steps, case.sources, forms,
+                             stepper=stepper, collect=False)
         ee, eh = error_norms(state, case, forms)
         hs.append(h)
         errs_e.append(ee)
         errs_h.append(eh)
-        traces.append(trace)
-    table = _make_table(levels, hs, errs_e, errs_h)
-    return (table, traces) if collect_traces else table
+    return _make_table(levels, hs, errs_e, errs_h)
 
 
 def projection_study(levels) -> EocTable:

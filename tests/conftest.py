@@ -56,7 +56,7 @@ def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     one = slice(tet_id, tet_id + 1)
     edge_vals, _, face_vals, _ = piola_map(J[one], det[one], invJT[one],
                                            to_reference(geometry, tet_id, points))
-    if dofmap.kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.NEDELEC_EDGE_BC):
+    if dofmap.kind is SpaceKind.NEDELEC_EDGE:
         phys = edge_vals[0]
     elif dofmap.kind is SpaceKind.RAVIART_THOMAS_FACE:
         phys = face_vals[0]

@@ -12,7 +12,6 @@ from conftest import piecewise_curl_closure
 from kerrfem.assembly import build_forms, l2_project
 from kerrfem.cli_io import cli_main
 from kerrfem.dynamics import (
-    Sources,
     ZERO_SOURCES,
     discrete_divergence,
     energy_law_residual,
@@ -198,7 +197,7 @@ def test_criterion_7_stability_bound_all_runs():
     # forced run from zero initial data (bound dominated by source work)
     zero = lambda X: np.zeros_like(np.atleast_2d(X))
     st0 = initialize(zero, zero, "lee-madsen", forms)
-    _, tr = integrate(st0, 5e-3, 100, Sources(j_e=case.j_e, j_m=case.j_m), forms)
+    _, tr = integrate(st0, 5e-3, 100, case.sources, forms)
     ratios, violated = stability_bound_check(tr)
     assert not violated
     worst = max(worst, float(np.nanmax(ratios[np.isfinite(ratios)])))

@@ -9,9 +9,12 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from kerrfem import cli_io, dynamics, linalg, verification
+from kerrfem.assembly import build_forms
+from kerrfem.mesh import build_topology, generate_structured_cube
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -38,3 +41,17 @@ def test_patched_entry_points_exist():
                          (dynamics, "integrate"), (verification, "integrate"),
                          (verification, "generate_structured_cube")):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_case_sources_march(tracing):
+    # traced kerr-eoc runs replace the case's current closures with timed
+    # wrappers; the case must stay replaceable and its sources must still march
+    case = tracing.Recorder()._traced_case(cli_io.get_case)("kerr-manufactured")
+    mesh = generate_structured_cube(2)
+    forms = build_forms(mesh, build_topology(mesh), case.params)
+    st = dynamics.initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X),
+                             "lee-madsen", forms, H0_curl=lambda X: case.curl_H(0.0, X))
+    new, _ = dynamics.integrate(st, 0.01, 1, case.sources, forms, collect=False)
+    assert not case.sources.is_zero
+    assert new.t == pytest.approx(0.01)
+    assert np.isfinite(new.e).all() and np.isfinite(new.h).all()

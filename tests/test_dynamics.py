@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from kerrfem.dynamics import (
     rhs,
     source_norm_sq,
     stability_bound_check,
-    step_midpoint,
     step_rk4,
     total_energy,
 )
@@ -41,6 +42,21 @@ def cavity():
 def cav_forms2(cube2, cavity):
     mesh, topo = cube2
     return build_forms(mesh, topo, cavity.params)
+
+
+def one_step(state, dt, sources, forms):
+    """The state after one midpoint step."""
+    return integrate(state, dt, 1, sources, forms, collect=False)[0]
+
+
+def sampled_source_norm_sq(forms, case, t):
+    """Oracle of :func:`source_norm_sq`: the weighted squared norms of the
+    case's current closures, sampled at the quadrature points at time t."""
+    ctx, params = forms.ctx, forms.params
+    total = 0.0
+    for j, weight in ((case.j_e, params.eps_lin), (case.j_m, params.mu0)):
+        total += ctx.norm_sq(ctx.sample(lambda X: j(t, X))) / weight
+    return total
 
 
 def cavity_state(case, forms, formulation="lee-madsen"):
@@ -76,7 +92,7 @@ def test_initialize_projection_errors_shrink(cavity):
         forms = build_forms(mesh, build_topology(mesh), cavity.params)
         st = cavity_state(cavity, forms)
         ctx = forms.ctx
-        d = ctx.field_at_quads(forms.dof_w, st.e) - ctx.sample(cavity.E, 0.0)
+        d = ctx.field_at_quads(forms.dof_w, st.e) - ctx.sample(lambda X: cavity.E(0.0, X))
         errs.append(np.sqrt(ctx.norm_sq(d)))
     assert errs[1] < 0.65 * errs[0]  # ~first-order decay
 
@@ -110,7 +126,7 @@ def test_rhs_matches_cavity_mode_derivatives(cavity):
         e = l2_project(ctx, lambda X: cavity.E(t0, X))
         h = interpolate_edge_dofs(lambda X: cavity.H(t0, X), mesh, ctx.topo)
         de, dh = rhs(State("lee-madsen", e, h, t0), ZERO_SOURCES, forms)
-        d = ctx.field_at_quads(forms.dof_w, de) - ctx.sample(cavity.dt_E, t0)
+        d = ctx.field_at_quads(forms.dof_w, de) - ctx.sample(lambda X: cavity.dt_E(t0, X))
         errs.append(np.sqrt(ctx.norm_sq(d)))
         _ = dh
     assert errs[1] < 0.7 * errs[0]
@@ -122,8 +138,8 @@ def test_rhs_energy_pairing_linear(cav_forms2, cavity):
     kerr = kerr_manufactured_case(MaterialParams(), t_final=1.0)  # linear sources
     st = State("lee-madsen", st.e, st.h, 0.4)
     de, dh = rhs(st, kerr.sources, cav_forms2)
-    je = assemble_source(cav_forms2.ctx, kerr.sources.j_e, cav_forms2.dof_w, time=st.t)
-    jm = assemble_source(cav_forms2.ctx, kerr.sources.j_m, cav_forms2.dof_u, time=st.t)
+    je = assemble_source(cav_forms2.ctx, lambda X: kerr.j_e(st.t, X), cav_forms2.dof_w)
+    jm = assemble_source(cav_forms2.ctx, lambda X: kerr.j_m(st.t, X), cav_forms2.dof_u)
     blocks = cav_forms2.ctx.vol[:, None, None] * eps_matrix(cav_forms2.params,
                                                              st.e.reshape(-1, 3))
     mu0 = cav_forms2.params.mu0
@@ -138,7 +154,7 @@ def test_midpoint_consistency_richardson(cav_forms2, cavity):
     de, dh = rhs(st, ZERO_SOURCES, cav_forms2)
     errs = []
     for dt in (0.02, 0.01):
-        new = step_midpoint(st, dt, ZERO_SOURCES, cav_forms2)
+        new = one_step(st, dt, ZERO_SOURCES, cav_forms2)
         euler_e = st.e + dt * de
         euler_h = st.h + dt * dh
         errs.append(
@@ -152,12 +168,6 @@ def test_midpoint_conserves_linear_energy(cav_forms2, cavity):
     _, trace = integrate(st, 1e-3, 1000, ZERO_SOURCES, cav_forms2)
     w = np.asarray(trace.energy)
     assert np.abs(w - w[0]).max() / w[0] <= 1e-10
-
-
-def test_midpoint_rejects_bad_dt(cav_forms2, cavity):
-    st = cavity_state(cavity, cav_forms2)
-    with pytest.raises(ValueError):
-        step_midpoint(st, -0.1, ZERO_SOURCES, cav_forms2)
 
 
 @pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan")])
@@ -175,18 +185,19 @@ def test_integrate_stops_at_non_finite_state(cav_forms2, cavity):
         integrate(st, 0.5, 800, ZERO_SOURCES, cav_forms2, stepper="rk4")
 
 
-def test_midpoint_signals_nonconvergence(cavity, cube2):
+def test_midpoint_signals_nonconvergence(cavity, cube2, monkeypatch):
     # a large step in a strongly Kerr medium: the frozen linear matrix of the
     # lee-madsen sweeps contracts too slowly to converge within the cap
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=100.0))
     st = cavity_state(cavity, forms)
     with pytest.raises(NonlinearSolveError, match="reduce dt"):
-        step_midpoint(st, 0.5, ZERO_SOURCES, forms)
+        one_step(st, 0.5, ZERO_SOURCES, forms)
     # one Newton sweep of a nedelec Kerr step is not yet converged
+    monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1)
     st = cavity_state(cavity, forms, formulation="nedelec")
-    with pytest.raises(NonlinearSolveError, match="reduce dt"):
-        step_midpoint(st, 0.05, ZERO_SOURCES, forms, max_iter=1)
+    with pytest.raises(NonlinearSolveError, match="after 1 sweeps; reduce dt"):
+        one_step(st, 0.05, ZERO_SOURCES, forms)
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
@@ -214,12 +225,12 @@ def test_midpoint_step_solves_flux_form_equations(cube2, formulation):
     )
     st = State(formulation, st.e, st.h, 0.3)
     dt = 0.1
-    new = step_midpoint(st, dt, case.sources, forms)
+    new = one_step(st, dt, case.sources, forms)
     em, hm = 0.5 * (st.e + new.e), 0.5 * (st.h + new.h)
     tm = st.t + 0.5 * dt
     if formulation == "lee-madsen":
-        je = assemble_source(ctx, case.j_e, forms.dof_w, time=tm)
-        jm = assemble_source(ctx, case.j_m, forms.dof_u, time=tm)
+        je = assemble_source(ctx, lambda X: case.j_e(tm, X), forms.dof_w)
+        jm = assemble_source(ctx, lambda X: case.j_m(tm, X), forms.dof_u)
         C = forms.coupling_lm
         vol_d = ctx.vol[:, None] * (d_of_e(params, new.e.reshape(-1, 3))
                                     - d_of_e(params, st.e.reshape(-1, 3)))
@@ -227,14 +238,14 @@ def test_midpoint_step_solves_flux_form_equations(cube2, formulation):
         magnetic = (params.mu0 * (forms.mass_u1 @ (new.h - st.h)),
                     -dt * (C.T @ em + jm))
     else:
-        free = forms.dof_u0.free
-        je = assemble_source(ctx, case.j_e, forms.dof_u, time=tm)
-        jm = assemble_source(ctx, case.j_m, forms.dof_v, time=tm)
+        free = forms.free_edges
+        je = assemble_source(ctx, lambda X: case.j_e(tm, X), forms.dof_u)
+        jm = assemble_source(ctx, lambda X: case.j_m(tm, X), forms.dof_v)
         flux = [assemble_flux_load(ctx, params, forms.dof_u, e)[free] for e in (st.e, new.e)]
         electric = (flux[1] - flux[0], dt * (forms.coupling_ned.T @ hm - je[free]))
         magnetic = (params.mu0 * (forms.mass_v1 @ (new.h - st.h)),
                     -dt * (forms.mass_v1 @ (forms.discrete_curl @ em) + jm))
-        assert np.all(new.e[forms.dof_u0.constrained] == 0.0)
+        assert np.all(new.e[topo.boundary_edges] == 0.0)
     for lhs, rhs_val in (electric, magnetic):
         scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs_val))
         assert np.linalg.norm(lhs - rhs_val) <= 1e-10 * scale
@@ -324,25 +335,22 @@ def test_rk4_polynomial_time_exactness(reference_tet_mesh):
     topo = build_topology(reference_tet_mesh)
     params = MaterialParams(mu0=2.0)
     forms = build_forms(reference_tet_mesh, topo, params)
-    assert forms.dof_u0.num_free == 0
+    assert len(forms.free_edges) == 0
     import scipy.sparse.linalg as spla
 
     g = np.array([1.0, 2.0, -1.0])
     p = np.polynomial.Polynomial([0.0, 1.0, -2.0, 0.5, 0.25])  # degree 4 in t
     dp = p.deriv()  # degree 3
 
-    def j_m(t, X):
-        X = np.atleast_2d(X)
-        return float(dp(t)) * np.broadcast_to(g, X.shape)
+    def g_field(X):
+        return np.broadcast_to(g, np.atleast_2d(X).shape)
 
-    g_load = assemble_source(
-        forms.ctx, lambda X: np.broadcast_to(g, np.atleast_2d(X).shape), forms.dof_v
-    )
+    g_load = assemble_source(forms.ctx, g_field, forms.dof_v)
     shape = spla.splu(forms.mass_v1.tocsc()).solve(g_load)
     st = State(
         "nedelec", np.zeros(forms.dof_u.num_dofs), np.zeros(forms.dof_v.num_dofs), 0.0
     )
-    sources = Sources(j_e=None, j_m=j_m)
+    sources = Sources(j_m_terms=((lambda t: float(dp(t)), g_field),))
     T = 0.8
     final = st
     for _ in range(4):
@@ -459,7 +467,7 @@ def test_stability_bound_zero_initial_forced(cube2):
     forms = build_forms(mesh, topo, params)
     zero = lambda X: np.zeros_like(np.atleast_2d(X))
     st = initialize(zero, zero, "lee-madsen", forms)
-    sources = Sources(j_e=case.j_e, j_m=None)  # electric forcing only
+    sources = Sources(j_e_terms=case.j_e_terms)  # electric forcing only
     _, trace = integrate(st, 5e-3, 100, sources, forms)
     ratios, violated = stability_bound_check(trace)
     assert not violated
@@ -469,13 +477,24 @@ def test_stability_bound_zero_initial_forced(cube2):
 def test_source_norm_scaling(cav_forms2):
     params = MaterialParams(chi3=1.0)
     case = kerr_manufactured_case(params, t_final=1.0)
-    double = Sources(
-        j_e=lambda t, X: 2.0 * np.asarray(case.j_e(t, X)), j_m=None
-    )
-    single = Sources(j_e=case.j_e, j_m=None)
+    double = Sources(j_e_terms=tuple((lambda t, a=a: 2.0 * a(t), g)
+                                     for a, g in case.j_e_terms))
+    single = Sources(j_e_terms=case.j_e_terms)
     a = source_norm_sq(cav_forms2, single, 0.3)
     b = source_norm_sq(cav_forms2, double, 0.3)
     assert b == pytest.approx(4.0 * a, rel=1e-12)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_source_norm_matches_sampled_closures(cube2, formulation):
+    # the cached-Gram monitor equals the norm of the sampled closures
+    mesh, topo = cube2
+    params = MaterialParams(eps0=1.2, mu0=0.8, chi1=0.3, chi3=1.0)
+    case = kerr_manufactured_case(params)
+    forms = build_forms(mesh, topo, params)
+    for t in (0.0, 0.3, 1.1, 2.5):
+        ref = sampled_source_norm_sq(forms, case, t)
+        assert source_norm_sq(forms, case.sources, t) == pytest.approx(ref, rel=1e-13)
 
 
 def test_divergence_free_preservation_nedelec(cube2, cavity):
@@ -507,7 +526,7 @@ def test_nedelec_kerr_midpoint_step(cube1):
     de, dh = rhs(st, case.sources, forms)
     errs = []
     for dt in (0.02, 0.01):
-        new = step_midpoint(st, dt, case.sources, forms)
+        new = one_step(st, dt, case.sources, forms)
         errs.append(
             np.linalg.norm(new.e - (st.e + dt * de))
             + np.linalg.norm(new.h - (st.h + dt * dh))
@@ -551,7 +570,7 @@ def test_separable_loads_match_closure_loads(cube2, formulation):
     for t in (0.0, 0.3, 1.7):
         loads = dynamics._loads(forms, formulation, case.sources, t)
         for load, j, dof in zip(loads, (case.j_e, case.j_m), spaces):
-            ref = assemble_source(forms.ctx, j, dof, time=t)
+            ref = assemble_source(forms.ctx, lambda X: j(t, X), dof)
             assert np.abs(load - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -574,9 +593,34 @@ def test_separable_sources_assemble_once_per_mesh(cube2, monkeypatch):
     assert len(calls) == 3
 
 
-def test_sources_terms_require_closure():
-    terms = ((np.sin, lambda X: np.ones_like(X)),)
-    with pytest.raises(ValueError, match="j_e"):
-        Sources(j_e_terms=terms)
-    with pytest.raises(ValueError, match="j_m"):
-        Sources(j_e=lambda t, X: np.sin(t) * np.ones_like(X), j_m_terms=terms)
+
+def test_forced_run_samples_each_factor_once_per_space_and_gram(cube2):
+    # 20 forced Kerr steps per formulation with every monitor collected: each
+    # g_k is sampled for its load in each space it is tested against and once
+    # for the Gram matrix of the source-norm monitor, never per step; the
+    # closures, built from the same counted factors, are never called
+    mesh, topo = cube2
+    case = kerr_manufactured_case(MaterialParams(chi1=0.3, chi3=1.0))
+    forms = build_forms(mesh, topo, case.params)
+    calls = {}
+
+    def counted(terms):
+        def wrap(k, g):
+            def g_counted(X):
+                calls[k] = calls.get(k, 0) + 1
+                return g(X)
+            return g_counted
+        return tuple((a, wrap(id(g), g)) for a, g in terms)
+
+    def closure(terms):
+        return lambda t, X: sum(a(t) * g(X) for a, g in terms)
+
+    j_e_terms, j_m_terms = counted(case.j_e_terms), counted(case.j_m_terms)
+    case = dataclasses.replace(case, j_e_terms=j_e_terms, j_m_terms=j_m_terms,
+                               j_e=closure(j_e_terms), j_m=closure(j_m_terms))
+    for spaces, formulation in enumerate(("lee-madsen", "nedelec"), start=1):
+        st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X),
+                        formulation, forms, H0_curl=lambda X: case.curl_H(0.0, X))
+        _, trace = integrate(st, 0.01, 20, case.sources, forms)
+        assert len(trace.source_sq) == 21
+        assert sorted(calls.values()) == [spaces + 1] * 3

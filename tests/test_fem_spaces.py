@@ -101,9 +101,7 @@ def test_dof_counts_unit_cube(cube1):
     assert dm_u.num_dofs == 19
     dm_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
     assert dm_w.num_dofs == 18
-    dm_u0 = build_dof_map(SpaceKind.NEDELEC_EDGE_BC, topo)
-    assert dm_u0.num_dofs == 19
-    assert len(dm_u0.constrained) == 18  # only the body diagonal is interior
+    assert len(topo.boundary_edges) == 18  # only the body diagonal is interior
     dm_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
     assert dm_v.num_dofs == 18
 
@@ -204,10 +202,10 @@ def test_hdiv_normal_conformity(cube2):
 
 def test_u0h_zero_tangential_boundary_trace(cube2):
     mesh, topo = cube2
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE_BC, topo)
+    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
     rng = np.random.default_rng(8)
     coeffs = rng.normal(size=dm.num_dofs)
-    coeffs[dm.constrained] = 0.0
+    coeffs[topo.boundary_edges] = 0.0
     for f in topo.boundary_faces:
         X, n = _face_samples(mesh, topo, f)
         (t1,) = _face_tets(topo, f)

@@ -268,7 +268,7 @@ def test_exact_discrete_solution_reproduced(cube2):
     rng = np.random.default_rng(8)
     h_coeffs = rng.normal(size=forms.dof_u.num_dofs)
     curl_closure = piecewise_curl_closure(mesh, forms, h_coeffs)
-    sources = Sources(j_e=lambda t, X: curl_closure(X), j_m=None)
+    sources = Sources(j_e_terms=((lambda t: 1.0, curl_closure),))
     st = State("lee-madsen", np.zeros(forms.dof_w.num_dofs), h_coeffs.copy(), 0.0)
     final, _ = integrate(st, 0.05, 10, sources, forms)
     assert np.abs(final.e).max() <= 1e-12
@@ -289,7 +289,7 @@ def test_initialize_nedelec_interpolates_cavity(cube2):
         lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "nedelec", forms
     )
     # boundary dofs exactly zero, interior dofs equal the edge integrals
-    assert np.abs(st.e[forms.dof_u0.constrained]).max() == 0.0
+    assert np.abs(st.e[topo.boundary_edges]).max() == 0.0
     dofs = interpolate_edge_dofs(lambda X: case.E(0.0, X), mesh, topo)
-    free = forms.dof_u0.free
+    free = forms.free_edges
     assert np.abs(st.e[free] - dofs[free]).max() < 1e-14
