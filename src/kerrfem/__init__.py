@@ -14,8 +14,6 @@ from .mesh import (
 )
 from .fem_spaces import (
     DofMap,
-    SpaceKind,
-    build_dof_map,
     eval_edge_basis,
     eval_face_basis,
     piola_map,

@@ -2,9 +2,9 @@
 
 This module owns every quadrature decision.  :func:`build_context` fixes the
 degree-:data:`QUAD_DEGREE` tet rule, maps it to each element, and stores the
-measure ``dx`` (weight times Jacobian determinant) and the physical basis
-values at the quadrature points once per mesh.  A :class:`FemContext` then
-samples fields there (:meth:`FemContext.sample`) and integrates densities
+measure ``dx`` (weight times Jacobian determinant) and the three discrete
+spaces, each with its physical basis, once per mesh.  A :class:`FemContext`
+then samples fields there (:meth:`FemContext.sample`) and integrates densities
 against ``dx`` (:meth:`FemContext.integrate`), so no other module handles
 quadrature weights.  The Gram matrices of the lowest-order spaces involve
 polynomial integrands of degree <= 2 and are therefore exact under this
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import DofMap, SpaceKind, build_dof_map, piola_map
+from .fem_spaces import DofMap, build_spaces
 from .linalg import from_triplets
 from .material import MaterialParams, cm_matrix
 from .mesh import Mesh, Topology, all_geometry
@@ -54,40 +54,27 @@ QUAD_DEGREE = 5
 
 @dataclass
 class FemContext:
-    """Geometry, quadrature measure, and cached physical basis values for one mesh."""
+    """Geometry, quadrature measure, and the three discrete spaces of one mesh."""
 
     mesh: Mesh
     topo: Topology
-    jac: np.ndarray       # (nt, 3, 3)
-    det: np.ndarray       # (nt,)
-    inv_jt: np.ndarray    # (nt, 3, 3)
     vol: np.ndarray       # (nt,)
     phys_pts: np.ndarray  # (nt, nq, 3)
     dx: np.ndarray        # (nt, nq) quadrature weight times det J
-    edge_values: np.ndarray   # (nt, nq, 6, 3) covariant-mapped Whitney values
     edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls
-    face_values: np.ndarray   # (nt, nq, 4, 3) contravariant-mapped RT values
     face_divs: np.ndarray     # (nt, 4)
+    dof_u: DofMap  # Whitney edges, H(curl)
+    dof_v: DofMap  # Raviart-Thomas faces, H(div)
+    dof_w: DofMap  # cellwise-constant vectors, L2
 
     @property
     def num_tets(self) -> int:
         return self.mesh.num_tets
 
-    def basis_at_quads(self, kind: SpaceKind) -> np.ndarray:
-        if kind is SpaceKind.NEDELEC_EDGE:
-            return self.edge_values
-        if kind is SpaceKind.RAVIART_THOMAS_FACE:
-            return self.face_values
-        raise ValueError(f"no cached vector basis for {kind}")
-
     def field_at_quads(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a discrete vector field at all quadrature points, (nt, nq, 3)."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if dofmap.kind is SpaceKind.DISCONTINUOUS_VECTOR:
-            const = coeffs.reshape(self.num_tets, 3)
-            return np.broadcast_to(const[:, None, :], self.phys_pts.shape)
-        local = coeffs[dofmap.cell_dofs] * dofmap.cell_signs
-        return np.einsum("tqid,ti->tqd", self.basis_at_quads(dofmap.kind), local)
+        local = np.asarray(coeffs, dtype=np.float64)[dofmap.cell_dofs] * dofmap.cell_signs
+        return np.einsum("tqid,ti->tqd", dofmap.values, local)
 
     def sample(self, func) -> np.ndarray:
         """Values of a vector field at all quadrature points, (nt, nq, 3).
@@ -111,28 +98,23 @@ class FemContext:
         vals = np.stack([self.sample(f) for f in funcs])
         return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
 
-    def cell_integrals(self, func) -> np.ndarray:
-        """Integrals of a vector field per tet, (nt, 3)."""
-        return np.einsum("tq,tqd->td", self.dx, self.sample(func))
-
 
 def build_context(mesh: Mesh, topo: Topology) -> FemContext:
     origins, J, det, invJT, vol = all_geometry(mesh)
     rule = tetrahedron_rule(QUAD_DEGREE)
-    edge_values, edge_curls, face_values, face_divs = piola_map(J, det, invJT, rule.points)
+    dof_u, dof_v, dof_w, edge_curls, face_divs = build_spaces(topo, J, det, invJT,
+                                                              rule.points)
     return FemContext(
         mesh=mesh,
         topo=topo,
-        jac=J,
-        det=det,
-        inv_jt=invJT,
         vol=vol,
         phys_pts=origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points),
         dx=det[:, None] * rule.weights[None, :],
-        edge_values=edge_values,
         edge_curls=edge_curls,
-        face_values=face_values,
         face_divs=face_divs,
+        dof_u=dof_u,
+        dof_v=dof_v,
+        dof_w=dof_w,
     )
 
 
@@ -169,7 +151,7 @@ def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> sp.csr_
 
 def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """Gram matrix (SPD) of the edge or face space of ``dofmap``."""
-    local = _local_gram(ctx.dx, ctx.basis_at_quads(dofmap.kind))
+    local = _local_gram(ctx.dx, dofmap.values)
     return _scatter_matrix(local, dofmap, dofmap.num_dofs)
 
 
@@ -212,7 +194,7 @@ def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
     """
     E = ctx.field_at_quads(dofmap, coeffs)           # (nt, nq, 3)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
-    phi = ctx.edge_values
+    phi = dofmap.values
     local = _local_gram(ctx.dx * es, phi)
     if params.chi3 > 0.0:
         ephi = np.einsum("tqd,tqid->tqi", E, phi)    # E . psi_i
@@ -226,7 +208,7 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams, dofmap: DofMap,
     E = ctx.field_at_quads(dofmap, coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     D = params.eps0 * es[..., None] * E
-    return _scatter_vector(_local_moments(ctx.dx, D, ctx.edge_values), dofmap)
+    return _scatter_vector(_local_moments(ctx.dx, D, dofmap.values), dofmap)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -285,16 +267,14 @@ def assemble_source(ctx: FemContext, target, dofmap: DofMap) -> np.ndarray:
 
     ``target`` maps (m, 3) points to (m, 3) values.
     """
-    if dofmap.kind is SpaceKind.DISCONTINUOUS_VECTOR:
-        return ctx.cell_integrals(target).ravel()
-    vals = ctx.sample(target)
-    local = _local_moments(ctx.dx, vals, ctx.basis_at_quads(dofmap.kind))
+    local = _local_moments(ctx.dx, ctx.sample(target), dofmap.values)
     return _scatter_vector(local, dofmap)
 
 
 def l2_project(ctx: FemContext, target) -> np.ndarray:
     """Cellwise-average projection onto the discontinuous vector space."""
-    return (ctx.cell_integrals(target) / ctx.vol[:, None]).ravel()
+    integrals = assemble_source(ctx, target, ctx.dof_w).reshape(-1, 3)
+    return (integrals / ctx.vol[:, None]).ravel()
 
 
 def curl_project(forms: AssembledForms, target, target_curl, pinned_vertex: int = 0,
@@ -310,7 +290,7 @@ def curl_project(forms: AssembledForms, target, target_curl, pinned_vertex: int 
     dofU = forms.dof_u
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
     G = forms.mass_u1 @ grad
-    cell_curl = ctx.cell_integrals(target_curl)  # (nt, 3)
+    cell_curl = assemble_source(ctx, target_curl, ctx.dof_w).reshape(-1, 3)
     f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
     g = grad.T @ assemble_source(ctx, target, dofU)
     u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g, rel_tol=rel_tol)
@@ -326,20 +306,32 @@ class AssembledForms:
 
     ctx: FemContext
     params: MaterialParams
-    dof_u: DofMap      # edge space (H of lee-madsen, E of nedelec, gradients)
     free_edges: np.ndarray  # sorted interior edges: the free E dofs of nedelec
-    dof_v: DofMap      # face space (H of nedelec)
-    dof_w: DofMap      # cellwise-constant vectors (E of lee-madsen)
     mass_u1: sp.csr_matrix   # edge Gram matrix
     mass_v1: sp.csr_matrix   # face Gram matrix
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
     coupling_ned: sp.csr_matrix    # faces x free edges
     _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    # load vectors of separable source factors, keyed by (g, space kind)
+    # load vectors of separable source factors, keyed by (g, dof map)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # L2 Gram matrices of the factors of one current, keyed by (g_1, ..., g_K)
     source_grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def dof_u(self) -> DofMap:
+        """Edge space: H of lee-madsen, E of nedelec, gradients."""
+        return self.ctx.dof_u
+
+    @property
+    def dof_v(self) -> DofMap:
+        """Face space: H of nedelec."""
+        return self.ctx.dof_v
+
+    @property
+    def dof_w(self) -> DofMap:
+        """Cellwise-constant vectors: E of lee-madsen."""
+        return self.ctx.dof_w
 
     def spaces(self, formulation: str) -> tuple[DofMap, DofMap]:
         """Dof maps (E, H) of a formulation: (W, U) for lee-madsen, (U, V)
@@ -389,23 +381,17 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     discrete curl, restricted to the free (interior) edges.
     """
     ctx = build_context(mesh, topo)
-    dof_u = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
     free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
-    dof_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
-    dof_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
-    mass_u1 = assemble_mass(ctx, dof_u)
-    mass_v1 = assemble_mass(ctx, dof_v)
+    mass_u1 = assemble_mass(ctx, ctx.dof_u)
+    mass_v1 = assemble_mass(ctx, ctx.dof_v)
     discrete_curl = assemble_discrete_curl(topo)
     return AssembledForms(
         ctx=ctx,
         params=params,
-        dof_u=dof_u,
         free_edges=free_edges,
-        dof_v=dof_v,
-        dof_w=dof_w,
         mass_u1=mass_u1,
         mass_v1=mass_v1,
-        coupling_lm=assemble_coupling(ctx, dof_u),
+        coupling_lm=assemble_coupling(ctx, ctx.dof_u),
         discrete_curl=discrete_curl,
         coupling_ned=(mass_v1 @ discrete_curl)[:, free_edges],
     )

@@ -31,7 +31,6 @@ from .dynamics import (
     integrate,
     stability_bound_check,
 )
-from .fem_spaces import SpaceKind, piola_map
 from .linalg import LinalgError
 from .material import MaterialError, MaterialParams
 from .mesh import (
@@ -213,16 +212,8 @@ def write_vtk(mesh: Mesh, cell_fields: dict, path, title: str = "kerrfem fields"
 
 def cell_sampled_fields(state: State, forms) -> dict:
     """E_h and H_h sampled per cell (centroid values) for VTK output."""
-    ctx = forms.ctx
-    centroid = np.full((1, 3), 0.25)
-    edge_vals, _, face_vals, _ = piola_map(ctx.jac, ctx.det, ctx.inv_jt, centroid)
-
     def at_centroid(dof, coeffs):
-        if dof.kind is SpaceKind.DISCONTINUOUS_VECTOR:
-            return coeffs.reshape(ctx.num_tets, 3)
-        phys = face_vals if dof.kind is SpaceKind.RAVIART_THOMAS_FACE else edge_vals
-        local = coeffs[dof.cell_dofs] * dof.cell_signs
-        return np.einsum("tid,ti->td", phys[:, 0], local)
+        return np.einsum("tid,ti->td", dof.centroid, coeffs[dof.cell_dofs] * dof.cell_signs)
 
     dof_e, dof_h = forms.spaces(state.formulation)
     return {"E_h": at_centroid(dof_e, state.e), "H_h": at_centroid(dof_h, state.h)}
@@ -322,8 +313,9 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig(mesh_n=4)
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name, None) is not None}
-    if "mesh_n" in overrides and cfg.mesh_file is not None:
-        overrides["mesh_file"] = None
+    if ("mesh_n" in overrides) != ("mesh_file" in overrides):
+        # one mesh flag replaces the other mesh source; both stay an error
+        overrides = {"mesh_n": None, "mesh_file": None, **overrides}
     return replace(cfg, **overrides).validate()
 
 

@@ -155,7 +155,7 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
 def _term_load(forms: AssembledForms, g, dof) -> np.ndarray:
     """Load vector of the time-independent factor ``g`` over ``dof``'s space,
     assembled on first use and then kept on ``forms``."""
-    key = (g, dof.kind)
+    key = (g, dof)
     load = forms.source_loads.get(key)
     if load is None:
         load = forms.source_loads[key] = assemble_source(forms.ctx, g, dof)
@@ -416,6 +416,7 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
 
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
+    ValueError for a nonpositive or NaN ``dt`` or a negative ``num_steps``, and
     FloatingPointError at the first step that leaves a non-finite state; a
     LinalgError or NonlinearSolveError raised inside a step is re-raised as
     the same type with the step number, its end time and dt prefixed.
@@ -424,6 +425,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if num_steps < 0:
+        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     trace = EnergyTrace() if collect else None
     if collect:
         trace.sample(state, forms, sources)

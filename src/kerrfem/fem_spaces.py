@@ -1,27 +1,22 @@
-"""Reference-element bases, Piola maps, and degree-of-freedom maps.
+"""Reference-element bases, the Piola map, and the discrete spaces.
 
 Three discrete spaces are provided at lowest order (k = 1): Whitney edge
 elements in H(curl), lowest-order Raviart-Thomas face elements in H(div),
-and piecewise-constant vectors in L2.  Degrees of freedom sit on mesh entities with a
-combinatorial global orientation (see :mod:`kerrfem.mesh`), so two tets
-sharing an entity always agree on the sign of its dof.
+and piecewise-constant vectors in L2.  Each is one :class:`DofMap` that
+carries its physical basis (the last is the identity).  Degrees of freedom
+sit on mesh entities with a combinatorial global orientation (see
+:mod:`kerrfem.mesh`), so two tets sharing an entity always agree on the sign
+of its dof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .mesh import Mesh, TET_EDGES, TET_FACES, Topology
 from .quadrature import segment_rule, triangle_rule
-
-
-class SpaceKind(Enum):
-    NEDELEC_EDGE = "nedelec_edge"          # U_h, H(curl)-conforming
-    RAVIART_THOMAS_FACE = "raviart_thomas" # V_h, H(div)-conforming
-    DISCONTINUOUS_VECTOR = "dg_vector"     # W_h, cellwise-constant vectors
 
 
 # Barycentric gradients on the reference tet (rows: lambda_0..lambda_3).
@@ -102,51 +97,50 @@ def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):
     )
 
 
-@dataclass(frozen=True)
+# Reference coordinates of the tet centroid, as a one-point set.
+CENTROID = np.full((1, 3), 0.25)
+
+
+@dataclass(frozen=True, eq=False)
 class DofMap:
-    """Cell-to-global dof connectivity of one space.
+    """One discrete space on a mesh: its cell-to-global dof connectivity and
+    its physical local basis.
 
     ``cell_dofs[t, k]`` is the global index of local dof k on tet t and
     ``cell_signs[t, k]`` the orientation factor relating the local basis
-    function to the global one.
+    function to the global one.  ``values`` and ``centroid`` are the physical
+    local basis functions at the quadrature points and at the centroid of
+    each tet.  Compared and hashed by identity.
     """
 
-    kind: SpaceKind
     num_dofs: int
-    cell_dofs: np.ndarray   # (nt, n_local) int
-    cell_signs: np.ndarray  # (nt, n_local) float
+    cell_dofs: np.ndarray   # (nt, nloc) int
+    cell_signs: np.ndarray  # (nt, nloc) float
+    values: np.ndarray      # (nt, nq, nloc, 3)
+    centroid: np.ndarray    # (nt, nloc, 3)
 
 
-def build_dof_map(kind: SpaceKind, topo: Topology) -> DofMap:
-    """Global dof layout for one space on a given topology.
+def build_spaces(topo: Topology, jac: np.ndarray, det: np.ndarray,
+                 inv_jt: np.ndarray, points: np.ndarray):
+    """The edge, face and cellwise-constant spaces (U, V, W) with their
+    physical bases at reference ``points`` (m, 3) and at the centroid, plus
+    the constant edge curls (nt, 6, 3) and face divergences (nt, 4).
 
-    Counts: edge space -> one dof per edge; face space -> one per face;
-    discontinuous vectors -> three per tet.
+    Counts: one dof per edge, one per face and three per tet; the
+    cellwise-constant basis is the identity, a broadcast view.
     """
-    nt = topo.tet_edges.shape[0]
-    if kind is SpaceKind.NEDELEC_EDGE:
-        return DofMap(
-            kind=kind,
-            num_dofs=topo.num_edges,
-            cell_dofs=topo.tet_edges.copy(),
-            cell_signs=topo.tet_edge_sign.astype(np.float64),
-        )
-    if kind is SpaceKind.RAVIART_THOMAS_FACE:
-        return DofMap(
-            kind=kind,
-            num_dofs=topo.num_faces,
-            cell_dofs=topo.tet_faces.copy(),
-            cell_signs=topo.tet_face_sign.astype(np.float64),
-        )
-    if kind is SpaceKind.DISCONTINUOUS_VECTOR:
-        cell_dofs = 3 * np.arange(nt, dtype=np.int64)[:, None] + np.arange(3)
-        return DofMap(
-            kind=kind,
-            num_dofs=3 * nt,
-            cell_dofs=cell_dofs,
-            cell_signs=np.ones((nt, 3)),
-        )
-    raise ValueError(f"unknown space kind {kind}")
+    edge_q, edge_curls, face_q, face_divs = piola_map(jac, det, inv_jt, points)
+    edge_c, _, face_c, _ = piola_map(jac, det, inv_jt, CENTROID)
+    nt, nq = face_q.shape[:2]
+    eye = np.eye(3)
+    dof_u = DofMap(topo.num_edges, topo.tet_edges,
+                   topo.tet_edge_sign.astype(np.float64), edge_q, edge_c[:, 0])
+    dof_v = DofMap(topo.num_faces, topo.tet_faces,
+                   topo.tet_face_sign.astype(np.float64), face_q, face_c[:, 0])
+    dof_w = DofMap(3 * nt, 3 * np.arange(nt, dtype=np.int64)[:, None] + np.arange(3),
+                   np.ones((nt, 3)), np.broadcast_to(eye, (nt, nq, 3, 3)),
+                   np.broadcast_to(eye, (nt, 3, 3)))
+    return dof_u, dof_v, dof_w, edge_curls, face_divs
 
 
 def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology) -> np.ndarray:

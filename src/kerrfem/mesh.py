@@ -105,6 +105,10 @@ def make_mesh(vertices, tets) -> Mesh:
         raise MeshError(f"vertices must have shape (nv, 3), got {vertices.shape}")
     if tets.ndim != 2 or tets.shape[1] != 4:
         raise MeshError(f"tets must have shape (nt, 4), got {tets.shape}")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise MeshError(f"vertex {bad} has a non-finite coordinate {vertices[bad].tolist()}")
     if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
         raise MeshError("tet vertex index out of range")
     if len({tuple(sorted(t)) for t in tets.tolist()}) != len(tets):

@@ -17,15 +17,10 @@ from scipy.special import roots_jacobi, roots_legendre
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (reference coordinates) and weights with a stated exactness."""
+    """Points (reference coordinates) and weights."""
 
     points: np.ndarray   # (nq, dim)
     weights: np.ndarray  # (nq,)
-    degree: int          # exact for all polynomials of total degree <= degree
-
-    @property
-    def num_points(self) -> int:
-        return self.points.shape[0]
 
 
 def _gauss_jacobi_01(q: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,9 +50,7 @@ def tetrahedron_rule(degree: int = 5) -> QuadratureRule:
             for a, wa in zip(x1, w1):
                 pts.append((a * (1.0 - b) * (1.0 - c), b * (1.0 - c), c))
                 wts.append(wa * wb * wc)
-    return QuadratureRule(
-        points=np.array(pts), weights=np.array(wts), degree=2 * q - 1
-    )
+    return QuadratureRule(points=np.array(pts), weights=np.array(wts))
 
 
 @lru_cache(maxsize=None)
@@ -72,22 +65,11 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
         for a, wa in zip(x1, w1):
             pts.append((a * (1.0 - b), b))
             wts.append(wa * wb)
-    return QuadratureRule(
-        points=np.array(pts), weights=np.array(wts), degree=2 * q - 1
-    )
+    return QuadratureRule(points=np.array(pts), weights=np.array(wts))
 
 
 @lru_cache(maxsize=None)
 def segment_rule(num_points: int = 4) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1]."""
     x, w = _gauss_jacobi_01(num_points, 0)
-    return QuadratureRule(
-        points=x.reshape(-1, 1), weights=w, degree=2 * num_points - 1
-    )
-
-
-def monomial_integral_tet(a: int, b: int, c: int) -> float:
-    """Exact integral of x^a y^b z^c over the reference tet."""
-    from math import factorial
-
-    return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
+    return QuadratureRule(points=x.reshape(-1, 1), weights=w)

@@ -305,6 +305,8 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
                     dt_factor: float = 0.08, stepper: str = "midpoint") -> EocTable:
     """Terminal-time error study under mesh halving with dt proportional to
     h^2, so the midpoint's temporal error stays well below the spatial one."""
+    if not (math.isfinite(dt_factor) and dt_factor > 0.0):
+        raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
     levels = _check_doubling(levels)
     hs, errs_e, errs_h = [], [], []
     T = case.t_final

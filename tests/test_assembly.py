@@ -1,6 +1,7 @@
 import itertools
 import os
 import tempfile
+from math import factorial
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from kerrfem.assembly import (
     l2_project,
 )
 from kerrfem.dynamics import ZERO_SOURCES, initialize, integrate
-from kerrfem.fem_spaces import SpaceKind, build_dof_map
 from kerrfem.linalg import from_triplets
 from kerrfem.material import MaterialParams, eps_matrix
 from kerrfem.mesh import (
@@ -34,13 +34,13 @@ from kerrfem.mesh import (
     read_mesh,
     write_mesh,
 )
-from kerrfem.quadrature import (
-    monomial_integral_tet,
-    segment_rule,
-    tetrahedron_rule,
-    triangle_rule,
-)
+from kerrfem.quadrature import segment_rule, tetrahedron_rule, triangle_rule
 from kerrfem.verification import cavity_mode_case
+
+
+def monomial_integral_tet(a: int, b: int, c: int) -> float:
+    """Exact integral of x^a y^b z^c over the reference tet."""
+    return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
 
 
 def test_tet_rule_monomial_exactness():
@@ -108,8 +108,7 @@ def test_build_forms_assembles_each_gram_once(cube2, monkeypatch):
 
 def test_masses_are_spd(ctx2):
     rng = np.random.default_rng(0)
-    for kind in (SpaceKind.NEDELEC_EDGE, SpaceKind.RAVIART_THOMAS_FACE):
-        dm = build_dof_map(kind, ctx2.topo)
+    for dm in (ctx2.dof_u, ctx2.dof_v):
         M = assemble_mass(ctx2, dm)
         D = M.toarray()
         assert np.abs(D - D.T).max() < 1e-14
@@ -153,7 +152,7 @@ def test_nonlinear_mass_blockwise_inverse(ctx2):
 def test_nonlinear_mass_curl_matches_block_structure(ctx2):
     # with chi3 = 0 the edge-space eps-mass is the scaled plain mass
     params = MaterialParams(eps0=2.0, chi1=0.5)
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, ctx2.topo)
+    dm = ctx2.dof_u
     rng = np.random.default_rng(2)
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
@@ -163,7 +162,7 @@ def test_nonlinear_mass_curl_matches_block_structure(ctx2):
 
 def test_nonlinear_mass_curl_is_spd_kerr(ctx2):
     params = MaterialParams(chi3=1.5)
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, ctx2.topo)
+    dm = ctx2.dof_u
     rng = np.random.default_rng(3)
     e = rng.normal(size=dm.num_dofs)
     M = assemble_nonlinear_mass_curl(ctx2, params, dm, e)
@@ -178,7 +177,7 @@ def test_coupling_reference_tet_entries():
     mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
     topo = build_topology(mesh)
     ctx = build_context(mesh, topo)
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
+    dm = ctx.dof_u
     C = assemble_coupling(ctx, dm).toarray()
     # entries are |K| times the constant curl components (signs are +1 here)
     for j in range(6):
@@ -218,7 +217,7 @@ def test_nedelec_coupling_matches_quadrature(cube1):
             for j in range(6):
                 gj, sj = dm_u.cell_dofs[t, j], dm_u.cell_signs[t, j]
                 val = np.einsum(
-                    "q,qd,d->", ctx.dx[t], ctx.face_values[t, :, i, :],
+                    "q,qd,d->", ctx.dx[t], dm_v.values[t, :, i, :],
                     ctx.edge_curls[t, j],
                 )
                 oracle[gi, gj] += si * sj * val
@@ -316,8 +315,7 @@ def test_l2_projection_rate():
             return out
 
         coeffs = l2_project(ctx, w)
-        dm = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, ctx.topo)
-        wh = ctx.field_at_quads(dm, coeffs)
+        wh = ctx.field_at_quads(ctx.dof_w, coeffs)
         errs.append(np.sqrt(ctx.norm_sq(wh - ctx.sample(w))))
     eoc = np.log2(errs[0] / errs[1])
     assert 0.8 <= eoc <= 1.3
@@ -376,7 +374,7 @@ def test_curl_project_gauge_invariance(forms2):
 
 
 def test_assemble_source_zero_and_constant(ctx2):
-    dm = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, ctx2.topo)
+    dm = ctx2.dof_w
     zero = assemble_source(ctx2, lambda X: np.zeros_like(np.atleast_2d(X)), dm)
     assert np.all(zero == 0.0)
     c = np.array([2.0, -1.0, 0.5])
@@ -407,7 +405,7 @@ def test_assemble_source_polynomial_exactness(reference_tet_mesh):
     # the closed-form monomial integrals
     topo = build_topology(reference_tet_mesh)
     ctx = build_context(reference_tet_mesh, topo)
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
+    dm = ctx.dof_u
     polys = (
         {(2, 1, 0): 1.0, (0, 0, 0): 0.5},   # x^2 y + 0.5
         {(0, 3, 0): -2.0, (1, 0, 1): 1.0},  # -2 y^3 + x z

@@ -1,8 +1,10 @@
-"""The names that the benchmark's traced runs patch or call must exist.
+"""The names that the benchmark's traced runs patch or call must exist, and
+its workloads must pass their gates.
 
-``bench/tracing.py`` wraps kerrfem functions by (module, attribute); a rename
-in the package would otherwise surface only when the benchmark runs.  The
-module is loaded by path and only read.
+``bench/tracing.py`` wraps kerrfem functions by (module, attribute), and
+``bench/workloads.py`` reads attributes of the assembled forms in its gates;
+a rename in the package would otherwise surface only when the benchmark
+runs.  Both modules are loaded by path and only read.
 """
 
 import importlib.util
@@ -16,12 +18,12 @@ from kerrfem import cli_io, dynamics, linalg, verification
 from kerrfem.assembly import build_forms
 from kerrfem.mesh import build_topology, generate_structured_cube
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -29,6 +31,23 @@ def tracing():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load_bench_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["kerr-eoc", "cavity-long", "nedelec-kerr"])
+def test_toy_workloads_pass_their_gates(workloads, name, tmp_path):
+    out = workloads.run(workloads.WORKLOADS[name], lambda n: workloads.seeded_cube(n, 1),
+                        str(tmp_path), toy=True)
+    assert np.isfinite(out["err_final"])
 
 
 def test_traced_names_exist(tracing):

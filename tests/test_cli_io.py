@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import eval_on_tet
 from kerrfem.assembly import build_forms
 from kerrfem.cli_io import (
     ConfigError,
@@ -172,6 +173,13 @@ def test_cell_sampled_fields_shapes(cube2):
         fields = cell_sampled_fields(st, forms)
         assert fields["E_h"].shape == (mesh.num_tets, 3)
         assert fields["H_h"].shape == (mesh.num_tets, 3)
+        # centroid values agree with the independent per-tet evaluation
+        centroids = mesh.vertices[mesh.tets].mean(axis=1)
+        for name, dof, coeffs in zip(("E_h", "H_h"), forms.spaces(formulation),
+                                     (st.e, st.h)):
+            oracle = [eval_on_tet(mesh, dof, coeffs, t, centroids[t])[0]
+                      for t in range(mesh.num_tets)]
+            assert np.abs(fields[name] - np.array(oracle)).max() < 1e-12
 
 
 def test_energy_csv_format(tmp_path, cube2):
@@ -359,6 +367,34 @@ def test_flags_override_config(tmp_path):
                         "time.dt = 0.01\n", encoding="utf-8")
     cfg = _config_from_args(parser.parse_args(["--config", str(cfg_file), "--n", "2"]))
     assert (cfg.mesh_n, cfg.mesh_file) == (2, None)
+    # a mesh flag replaces the other mesh source, with or without a config
+    cfg_file.write_text("mesh.n = 3\ncase = cavity\n", encoding="utf-8")
+    cfg = _config_from_args(parser.parse_args(["--config", str(cfg_file),
+                                               "--mesh-file", "m.txt"]))
+    assert (cfg.mesh_n, cfg.mesh_file) == (None, "m.txt")
+    cfg = _config_from_args(parser.parse_args(["--mesh-file", "m.txt"]))
+    assert (cfg.mesh_n, cfg.mesh_file) == (None, "m.txt")
+    with pytest.raises(ConfigError, match="mutually exclusive"):
+        _config_from_args(parser.parse_args(["--n", "2", "--mesh-file", "m.txt"]))
+
+
+def test_cli_run_mesh_file_without_config(tmp_path, capsys):
+    mesh_file = tmp_path / "m.txt"
+    assert cli_main(["mesh", "--n", "2", "--out", str(mesh_file)]) == 0
+    assert cli_main(["run", "--mesh-file", str(mesh_file), "--t-end", "0.02",
+                     "--dt", "0.01"]) == 0
+    assert "completed cavity run to t = 0.02" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("factor", ["0", "-1", "inf", "nan"])
+def test_cli_converge_rejects_bad_dt_factor(tmp_path, capsys, factor):
+    out = tmp_path / "eoc.csv"
+    assert cli_main(["converge", "--levels", "2,4", "--dt-factor", factor,
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "dt_factor must be finite and > 0" in err
+    assert not out.exists()
 
 
 def test_runconfig_validate_misc():

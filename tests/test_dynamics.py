@@ -176,6 +176,8 @@ def test_integrate_rejects_bad_dt(cav_forms2, cavity, dt):
     for stepper in ("midpoint", "rk4"):
         with pytest.raises(ValueError, match="dt must be > 0"):
             integrate(st, dt, 3, ZERO_SOURCES, cav_forms2, stepper=stepper)
+    with pytest.raises(ValueError, match="num_steps must be >= 0"):
+        integrate(st, 0.01, -3, ZERO_SOURCES, cav_forms2)
 
 
 def test_integrate_stops_at_non_finite_state(cav_forms2, cavity):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import eval_on_tet
+from kerrfem.assembly import build_context
 from kerrfem.fem_spaces import (
-    SpaceKind,
-    build_dof_map,
     eval_edge_basis,
     eval_face_basis,
     interpolate_edge_dofs,
@@ -97,13 +96,11 @@ def test_constant_field_face_expansion():
 
 def test_dof_counts_unit_cube(cube1):
     mesh, topo = cube1
-    dm_u = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
-    assert dm_u.num_dofs == 19
-    dm_w = build_dof_map(SpaceKind.DISCONTINUOUS_VECTOR, topo)
-    assert dm_w.num_dofs == 18
+    ctx = build_context(mesh, topo)
+    assert ctx.dof_u.num_dofs == 19
+    assert ctx.dof_w.num_dofs == 18
     assert len(topo.boundary_edges) == 18  # only the body diagonal is interior
-    dm_v = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
-    assert dm_v.num_dofs == 18
+    assert ctx.dof_v.num_dofs == 18
 
 
 def test_push_forward_identity(reference_tet_mesh):
@@ -169,9 +166,9 @@ def _face_tets(topo, f):
     return np.flatnonzero((topo.tet_faces == f).any(axis=1))
 
 
-def test_hcurl_tangential_conformity(cube2):
+def test_hcurl_tangential_conformity(cube2, forms2):
     mesh, topo = cube2
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
+    dm = forms2.dof_u
     rng = np.random.default_rng(6)
     coeffs = rng.normal(size=dm.num_dofs)
     for f in range(topo.num_faces):
@@ -185,9 +182,9 @@ def test_hcurl_tangential_conformity(cube2):
         assert np.abs(tang).max() < 1e-10
 
 
-def test_hdiv_normal_conformity(cube2):
+def test_hdiv_normal_conformity(cube2, forms2):
     mesh, topo = cube2
-    dm = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
+    dm = forms2.dof_v
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=dm.num_dofs)
     for f in range(topo.num_faces):
@@ -200,9 +197,9 @@ def test_hdiv_normal_conformity(cube2):
         assert np.abs(d @ n).max() < 1e-10
 
 
-def test_u0h_zero_tangential_boundary_trace(cube2):
+def test_u0h_zero_tangential_boundary_trace(cube2, forms2):
     mesh, topo = cube2
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
+    dm = forms2.dof_u
     rng = np.random.default_rng(8)
     coeffs = rng.normal(size=dm.num_dofs)
     coeffs[topo.boundary_edges] = 0.0
@@ -213,7 +210,7 @@ def test_u0h_zero_tangential_boundary_trace(cube2):
         assert np.abs(np.cross(n, v)).max() <= 1e-12
 
 
-def test_interpolation_reproduces_in_space_fields(cube2):
+def test_interpolation_reproduces_in_space_fields(cube2, forms2):
     # Whitney interpolation reproduces a + c x X; face-flux interpolation
     # reproduces a + b X (the respective local shape spaces).
     mesh, topo = cube2
@@ -228,9 +225,9 @@ def test_interpolation_reproduces_in_space_fields(cube2):
         X = np.atleast_2d(X)
         return a + 0.8 * X
 
-    dm = build_dof_map(SpaceKind.NEDELEC_EDGE, topo)
+    dm = forms2.dof_u
     edofs = interpolate_edge_dofs(whitney_type, mesh, topo)
-    dmv = build_dof_map(SpaceKind.RAVIART_THOMAS_FACE, topo)
+    dmv = forms2.dof_v
     fdofs = interpolate_face_dofs(rt_type, mesh, topo)
     for t in (0, 7, 23):
         X = mesh.vertices[mesh.tets[t]].mean(axis=0, keepdims=True)

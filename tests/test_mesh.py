@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,11 @@ def test_mesh_file_comments_and_errors(tmp_path):
     short.write_text("tetmesh 1\n2 1\n0 0 0\n", encoding="utf-8")
     with pytest.raises(MeshError, match="tokens"):
         read_mesh(short)
+    for value in ("nan", "inf"):
+        nonfinite = tmp_path / f"{value}.txt"
+        nonfinite.write_text(f"tetmesh 1\n4 1\n0 0 0\n1 0 0\n0 {value} 0\n0 0 1\n"
+                             "0 1 2 3\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MeshError, match="vertex 2 has a non-finite coordinate"):
+                read_mesh(nonfinite)
