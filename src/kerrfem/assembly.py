@@ -74,7 +74,7 @@ class FemContext:
     def field_at_quads(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate a discrete vector field at all quadrature points, (nt, nq, 3)."""
         local = np.asarray(coeffs, dtype=np.float64)[dofmap.cell_dofs] * dofmap.cell_signs
-        return np.einsum("tqid,ti->tqd", dofmap.values, local)
+        return np.matmul(local[:, None, :], dofmap.values).reshape(len(local), -1, 3)
 
     def sample(self, func) -> np.ndarray:
         """Values of a vector field at all quadrature points, (nt, nq, 3).
@@ -118,15 +118,28 @@ def build_context(mesh: Mesh, topo: Topology) -> FemContext:
     )
 
 
+# Tets per block of the Gram kernel, which bounds its weighted temporary.
+_GRAM_BLOCK = 512
+
+
 def _local_gram(measure: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Per-tet matrices of the integral of phi_i . phi_j against a weighted
-    measure (nt, nq); (nt, nloc, nloc)."""
-    return np.einsum("tq,tqid,tqjd->tij", measure, phi, phi)
+    measure (nt, nq); ``phi`` is (nt, nloc, k nq) with k components per point,
+    and the result (nt, nloc, nloc)."""
+    nt, nloc, width = phi.shape
+    weights = np.repeat(measure, width // measure.shape[1], axis=1)  # (nt, k nq)
+    out = np.empty((nt, nloc, nloc))
+    for start in range(0, nt, _GRAM_BLOCK):
+        b = slice(start, start + _GRAM_BLOCK)
+        np.matmul(phi[b] * weights[b, None, :], phi[b].transpose(0, 2, 1), out=out[b])
+    return out
 
 
 def _local_moments(measure: np.ndarray, vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Per-tet integrals of vals . phi_i against a measure (nt, nq); (nt, nloc)."""
-    return np.einsum("tq,tqd,tqid->ti", measure, vals, phi)
+    """Per-tet integrals of vals (nt, nq, 3) . phi_i against a measure (nt, nq);
+    (nt, nloc)."""
+    weighted = (measure[:, :, None] * vals).reshape(len(measure), -1, 1)
+    return np.matmul(phi, weighted)[:, :, 0]
 
 
 def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
@@ -197,8 +210,9 @@ def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
     phi = dofmap.values
     local = _local_gram(ctx.dx * es, phi)
     if params.chi3 > 0.0:
-        ephi = np.einsum("tqd,tqid->tqi", E, phi)    # E . psi_i
-        local += 2.0 * params.chi3 * np.einsum("tq,tqi,tqj->tij", ctx.dx, ephi, ephi)
+        prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
+        ephi = prod[..., 0::3] + prod[..., 1::3] + prod[..., 2::3]  # E . psi_i
+        local += 2.0 * params.chi3 * _local_gram(ctx.dx, ephi)
     return _scatter_matrix(params.eps0 * local, dofmap, dofmap.num_dofs)
 
 

@@ -12,6 +12,7 @@ anywhere in the CLI.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -89,10 +90,9 @@ class RunConfig:
             raise ConfigError(f"case must be one of {CASES}")
         if self.stepper not in STEPPERS:
             raise ConfigError(f"time.stepper must be one of {STEPPERS}")
-        if not self.t_end > 0.0:
-            raise ConfigError(f"time.t_end must be > 0, got {self.t_end}")
-        if not self.dt > 0.0:
-            raise ConfigError(f"time.dt must be > 0, got {self.dt}")
+        for name, value in (("time.t_end", self.t_end), ("time.dt", self.dt)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         for name, tol in (("tol.cg", self.cg_tol), ("tol.nonlinear", self.nonlinear_tol)):
             if not 0.0 < tol < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {tol}")

@@ -84,17 +84,31 @@ def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):
     (J^{-T} u) with curls scaled by J/det J; H(div) values transform
     contravariantly (J u / det J) with divergences scaled by 1/det J, so
     tangential edge dofs and normal face fluxes are invariant.  Returns
-    ``(edge_values, edge_curls, face_values, face_divs)`` shaped (nt, m, 6, 3),
-    (nt, 6, 3), (nt, m, 4, 3) and (nt, 4).
+    ``(edge_values, edge_curls, face_values, face_divs)`` shaped (nt, 6, 3 m),
+    (nt, 6, 3), (nt, 4, 3 m) and (nt, 4); the values are laid out as
+    ``values[t, i, 3 q + d]``, component d of basis function i at point q.
     """
     ref_edge_vals, ref_edge_curls = eval_edge_basis(points)
     ref_face_vals, ref_face_divs = eval_face_basis(points)
     return (
-        np.einsum("tab,qib->tqia", inv_jt, ref_edge_vals),
+        _mapped_values(inv_jt, ref_edge_vals),
         np.einsum("tab,ib->tia", jac, ref_edge_curls) / det[:, None, None],
-        np.einsum("tab,qib->tqia", jac, ref_face_vals) / det[:, None, None, None],
+        _mapped_values(jac, ref_face_vals, det),
         ref_face_divs[None, :] / det[:, None],
     )
+
+
+def _mapped_values(A: np.ndarray, ref: np.ndarray, det=None) -> np.ndarray:
+    """A u (divided by det) for each reference basis function u, (m, nloc, 3),
+    on every tet, written into one (nt, nloc, 3 m) array a function at a time
+    so that no reordered copy is made."""
+    nt, (m, nloc, _) = A.shape[0], ref.shape
+    out = np.empty((nt, nloc, m, 3))
+    for k in range(nloc):
+        np.einsum("tab,qb->tqa", A, ref[:, k], out=out[:, k])
+        if det is not None:
+            out[:, k] /= det[:, None, None]
+    return out.reshape(nt, nloc, 3 * m)
 
 
 # Reference coordinates of the tet centroid, as a one-point set.
@@ -110,13 +124,15 @@ class DofMap:
     ``cell_signs[t, k]`` the orientation factor relating the local basis
     function to the global one.  ``values`` and ``centroid`` are the physical
     local basis functions at the quadrature points and at the centroid of
-    each tet.  Compared and hashed by identity.
+    each tet; ``values[t, i, 3 q + d]`` is component d of local function i
+    at quadrature point q, the layout the quadrature kernels contract over.
+    Compared and hashed by identity.
     """
 
     num_dofs: int
     cell_dofs: np.ndarray   # (nt, nloc) int
     cell_signs: np.ndarray  # (nt, nloc) float
-    values: np.ndarray      # (nt, nq, nloc, 3)
+    values: np.ndarray      # (nt, nloc, 3 nq)
     centroid: np.ndarray    # (nt, nloc, 3)
 
 
@@ -131,14 +147,14 @@ def build_spaces(topo: Topology, jac: np.ndarray, det: np.ndarray,
     """
     edge_q, edge_curls, face_q, face_divs = piola_map(jac, det, inv_jt, points)
     edge_c, _, face_c, _ = piola_map(jac, det, inv_jt, CENTROID)
-    nt, nq = face_q.shape[:2]
+    nt, nq = len(det), len(points)
     eye = np.eye(3)
     dof_u = DofMap(topo.num_edges, topo.tet_edges,
-                   topo.tet_edge_sign.astype(np.float64), edge_q, edge_c[:, 0])
+                   topo.tet_edge_sign.astype(np.float64), edge_q, edge_c)
     dof_v = DofMap(topo.num_faces, topo.tet_faces,
-                   topo.tet_face_sign.astype(np.float64), face_q, face_c[:, 0])
+                   topo.tet_face_sign.astype(np.float64), face_q, face_c)
     dof_w = DofMap(3 * nt, 3 * np.arange(nt, dtype=np.int64)[:, None] + np.arange(3),
-                   np.ones((nt, 3)), np.broadcast_to(eye, (nt, nq, 3, 3)),
+                   np.ones((nt, 3)), np.broadcast_to(np.tile(eye, nq), (nt, 3, 3 * nq)),
                    np.broadcast_to(eye, (nt, 3, 3)))
     return dof_u, dof_v, dof_w, edge_curls, face_divs
 

@@ -307,9 +307,11 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
     h^2, so the midpoint's temporal error stays well below the spatial one."""
     if not (math.isfinite(dt_factor) and dt_factor > 0.0):
         raise ValueError(f"dt_factor must be finite and > 0, got {dt_factor}")
+    T = case.t_final
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"t_final must be finite and > 0, got {T}")
     levels = _check_doubling(levels)
     hs, errs_e, errs_h = [], [], []
-    T = case.t_final
     for n in levels:
         mesh = generate_structured_cube(int(n))
         topo = build_topology(mesh)

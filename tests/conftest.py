@@ -62,9 +62,9 @@ def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     one = slice(tet_id, tet_id + 1)
     edge_vals, _, face_vals, _ = piola_map(J[one], det[one], invJT[one],
                                            to_reference(geometry, tet_id, points))
-    phys = {"edge": edge_vals, "face": face_vals}[space][0]
     local = coeffs[dofmap.cell_dofs[tet_id]] * dofmap.cell_signs[tet_id]
-    return np.einsum("qid,i->qd", phys, local)
+    phys = {"edge": edge_vals, "face": face_vals}[space][0].reshape(len(local), -1, 3)
+    return np.einsum("iqd,i->qd", phys, local)
 
 
 def _cellwise_closure(mesh, on_tet):

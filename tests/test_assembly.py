@@ -8,11 +8,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import discrete_field_closure, piecewise_curl_closure
+from conftest import discrete_field_closure, eval_on_tet, piecewise_curl_closure
 from kerrfem import assembly
 from kerrfem.assembly import (
     assemble_coupling,
     assemble_curl_curl,
+    assemble_flux_load,
     assemble_gradient,
     assemble_mass,
     assemble_nonlinear_mass,
@@ -28,6 +29,7 @@ from kerrfem.linalg import from_triplets
 from kerrfem.material import MaterialParams, eps_matrix
 from kerrfem.mesh import (
     TET_EDGES,
+    all_geometry,
     build_topology,
     generate_structured_cube,
     make_mesh,
@@ -217,7 +219,7 @@ def test_nedelec_coupling_matches_quadrature(cube1):
             for j in range(6):
                 gj, sj = dm_u.cell_dofs[t, j], dm_u.cell_signs[t, j]
                 val = np.einsum(
-                    "q,qd,d->", ctx.dx[t], dm_v.values[t, :, i, :],
+                    "q,qd,d->", ctx.dx[t], dm_v.values[t, i].reshape(-1, 3),
                     ctx.edge_curls[t, j],
                 )
                 oracle[gi, gj] += si * sj * val
@@ -283,6 +285,64 @@ def test_de_rham_exactness_on_jittered_meshes(n, seed):
     brute = {edge_id[pair] for f in topo.boundary_faces
              for pair in itertools.combinations(topo.faces[f].tolist(), 2)}
     assert topo.boundary_edges.tolist() == sorted(brute)
+
+
+def _kerr_edge_oracle(mesh, forms, params, e):
+    """Kerr Jacobian (dense) and flux load on the edge space, tet by tet, with
+    the field and each global basis function evaluated by ``eval_on_tet``."""
+    ctx, dm = forms.ctx, forms.dof_u
+    geometry = all_geometry(mesh)
+    unit = np.eye(dm.num_dofs)
+    jac = np.zeros((dm.num_dofs, dm.num_dofs))
+    load = np.zeros(dm.num_dofs)
+    for t in range(mesh.num_tets):
+        X, w, dofs = ctx.phys_pts[t], ctx.dx[t], dm.cell_dofs[t]
+        E = eval_on_tet(mesh, dm, e, t, X, geometry)                       # (nq, 3)
+        psi = np.array([eval_on_tet(mesh, dm, unit[g], t, X, geometry) for g in dofs])
+        es = 1.0 + params.chi1 + params.chi3 * np.einsum("qd,qd->q", E, E)
+        e_psi = np.einsum("qd,iqd->iq", E, psi)
+        jac[np.ix_(dofs, dofs)] += params.eps0 * (
+            np.einsum("q,iqd,jqd->ij", w * es, psi, psi)
+            + 2.0 * params.chi3 * np.einsum("q,iq,jq->ij", w, e_psi, e_psi))
+        load[dofs] += params.eps0 * np.einsum("q,iq->i", w * es, e_psi)
+    return jac, load
+
+
+@pytest.mark.parametrize("chi3", [0.0, 1.0, 1e3])
+def test_kerr_jacobian_and_flux_load_match_oracle(chi3):
+    mesh = _jittered_permuted_mesh(2, 12)
+    params = MaterialParams(eps0=1.3, chi1=0.4, chi3=chi3)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    ctx, dm = forms.ctx, forms.dof_u
+    rng = np.random.default_rng(13)
+    e = rng.normal(size=dm.num_dofs)
+    jac = assemble_nonlinear_mass_curl(ctx, params, dm, e).toarray()
+    load = assemble_flux_load(ctx, params, dm, e)
+    jac_ref, load_ref = _kerr_edge_oracle(mesh, forms, params, e)
+    assert np.abs(jac - jac_ref).max() <= 1e-13 * np.abs(jac_ref).max()
+    assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
+    # the Jacobian is the derivative of the flux load, along a unit direction
+    v = rng.normal(size=dm.num_dofs)
+    v /= np.linalg.norm(v)
+    step = 1e-4
+    fd = (assemble_flux_load(ctx, params, dm, e + step * v)
+          - assemble_flux_load(ctx, params, dm, e - step * v)) / (2.0 * step)
+    jv = jac @ v
+    assert np.abs(jv - fd).max() <= 1e-8 * np.abs(jv).max()
+
+
+def test_basis_layout(forms2):
+    ctx = forms2.ctx
+    nt, nq = ctx.dx.shape
+    for dm, nloc in ((ctx.dof_u, 6), (ctx.dof_v, 4)):
+        assert dm.values.shape == (nt, nloc, 3 * nq)
+        assert dm.values.flags.c_contiguous
+    # the cellwise-constant basis is one broadcast identity, taking no memory
+    assert ctx.dof_w.values.shape == (nt, 3, 3 * nq)
+    assert ctx.dof_w.values.strides[0] == 0
+    c = np.random.default_rng(14).normal(size=ctx.dof_w.num_dofs)
+    vals = ctx.field_at_quads(ctx.dof_w, c)
+    assert np.array_equal(vals, np.broadcast_to(c.reshape(nt, 1, 3), (nt, nq, 3)))
 
 
 def test_l2_project_constants(ctx2):

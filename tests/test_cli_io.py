@@ -397,6 +397,26 @@ def test_cli_converge_rejects_bad_dt_factor(tmp_path, capsys, factor):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("command,flag,name", [
+    ("run", "--t-end", "time.t_end"),
+    ("run", "--dt", "time.dt"),
+    ("converge", "--t-end", "t_final"),
+])
+def test_cli_rejects_bad_time_inputs(tmp_path, capsys, command, flag, name, value):
+    out = tmp_path / "out.csv"
+    if command == "run":
+        argv = ["run", "--n", "2", "--t-end", "0.5", "--dt", "0.1",
+                "--energy-csv", str(out)]
+    else:
+        argv = ["converge", "--levels", "1,2", "--out", str(out)]
+    assert cli_main(argv + [f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"{name} must be finite and > 0" in err
+    assert not out.exists()
+
+
 def test_runconfig_validate_misc():
     with pytest.raises(ConfigError, match="mutually exclusive"):
         RunConfig(mesh_n=2, mesh_file="m.txt").validate()

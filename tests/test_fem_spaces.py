@@ -109,9 +109,9 @@ def test_push_forward_identity(reference_tet_mesh):
     vals, curls = eval_edge_basis(pts)
     fvals, fdivs = eval_face_basis(pts)
     pv, pc, qv, qd = piola_map(J, det, invJT, pts)
-    assert np.allclose(pv[0], vals)
+    assert np.allclose(pv[0].reshape(6, 1, 3), vals.transpose(1, 0, 2))
     assert np.allclose(pc[0], curls)
-    assert np.allclose(qv[0], fvals)
+    assert np.allclose(qv[0].reshape(4, 1, 3), fvals.transpose(1, 0, 2))
     assert np.allclose(qd[0], fdivs)
 
 
@@ -136,7 +136,7 @@ def test_mapped_edge_dof_invariance():
         ref_pts = ra + rule.points[:, 0:1] * (rb - ra)
         phys = piola_map(*geometry, ref_pts)[0][0]
         pa, pb = to_physical(ra), to_physical(rb)
-        dof = np.einsum("q,qd,d->", rule.weights, phys[:, k, :], pb - pa)
+        dof = np.einsum("q,qd,d->", rule.weights, phys[k].reshape(-1, 3), pb - pa)
         assert dof == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,7 +149,7 @@ def test_mapped_face_flux_invariance():
         phys = piola_map(*geometry, ref_pts)[2][0]
         pa, pb, pc = (to_physical(p) for p in (ra, rb, rc))
         n2 = np.cross(pb - pa, pc - pa)
-        flux = np.einsum("q,qd,d->", rule.weights, phys[:, k, :], n2)
+        flux = np.einsum("q,qd,d->", rule.weights, phys[k].reshape(-1, 3), n2)
         assert flux == pytest.approx(1.0, abs=1e-12)
 
 
