@@ -38,8 +38,10 @@ __all__ = [
     "build_context",
     "build_forms",
     "assemble_mass",
+    "assemble_curl_curl",
     "assemble_nonlinear_mass",
     "assemble_nonlinear_mass_curl",
+    "assemble_flux_load",
     "assemble_coupling",
     "assemble_discrete_curl",
     "assemble_gradient",

@@ -25,7 +25,6 @@ from .dynamics import (
     STEPPERS,
     NonlinearSolveError,
     State,
-    ZERO_SOURCES,
     discrete_divergence,
     energy_law_residual,
     initialize,
@@ -50,6 +49,14 @@ CASES = ("cavity", "kerr-manufactured", "custom-zero-source")
 
 class ConfigError(Exception):
     pass
+
+
+def _check_case_material(case: str, params: MaterialParams) -> None:
+    if case == "cavity" and params != MaterialParams():
+        raise ConfigError(
+            "case 'cavity' is an exact solution only for eps0 = mu0 = 1 and "
+            "chi1 = chi3 = 0; use 'custom-zero-source' for other materials"
+        )
 
 
 @dataclass(frozen=True)
@@ -99,16 +106,10 @@ class RunConfig:
         if self.vtk_every < 0:
             raise ConfigError(f"output.vtk_every must be >= 0, got {self.vtk_every}")
         try:
-            self.material()
+            params = self.material()
         except MaterialError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.case == "cavity" and (
-            self.eps0 != 1.0 or self.mu0 != 1.0 or self.chi1 != 0.0 or self.chi3 != 0.0
-        ):
-            raise ConfigError(
-                "case 'cavity' is an exact solution only for eps0 = mu0 = 1 and "
-                "chi1 = chi3 = 0; use 'custom-zero-source' for other materials"
-            )
+        _check_case_material(self.case, params)
         return self
 
 
@@ -243,12 +244,10 @@ def _setup_run(cfg: RunConfig):
     mesh = _load_mesh(cfg)
     topo = build_topology(mesh)
     forms = build_forms(mesh, topo, params)
-    if cfg.case == "kerr-manufactured":
-        case = get_case("kerr-manufactured", params=params, t_final=cfg.t_end)
-        sources = case.sources
-    else:  # cavity and custom-zero-source: cavity-shaped initial data, J = 0
-        case = get_case("cavity", t_final=cfg.t_end)
-        sources = ZERO_SOURCES
+    # custom-zero-source: cavity-shaped initial data, J = 0, any material
+    name = "cavity" if cfg.case == "custom-zero-source" else cfg.case
+    case = get_case(name, params=params, t_final=cfg.t_end)
+    sources = case.sources
     state = initialize(
         lambda X: case.E(0.0, X),
         lambda X: case.H(0.0, X),
@@ -371,10 +370,8 @@ def _cmd_converge(args) -> int:
     levels = [int(s) for s in args.levels.split(",")]
     params = MaterialParams(eps0=args.eps0, mu0=args.mu0,
                             chi1=args.chi1, chi3=args.chi3)
-    if args.case == "cavity":
-        case = get_case("cavity", t_final=args.t_end)
-    else:
-        case = get_case("kerr-manufactured", params=params, t_final=args.t_end)
+    _check_case_material(args.case, params)
+    case = get_case(args.case, params=params, t_final=args.t_end)
     table = run_convergence(
         case, levels, formulation=args.formulation,
         dt_factor=args.dt_factor, stepper=args.stepper,

@@ -111,7 +111,7 @@ def make_mesh(vertices, tets) -> Mesh:
         raise MeshError(f"vertex {bad} has a non-finite coordinate {vertices[bad].tolist()}")
     if tets.size and (tets.min() < 0 or tets.max() >= len(vertices)):
         raise MeshError("tet vertex index out of range")
-    if len({tuple(sorted(t)) for t in tets.tolist()}) != len(tets):
+    if len(np.unique(np.sort(tets, axis=1), axis=0)) != len(tets):
         raise MeshError("duplicate tets")
     tets = _canonicalize_tets(vertices, tets)
     return Mesh(vertices=vertices, tets=tets)
@@ -129,29 +129,16 @@ def generate_structured_cube(n: int) -> Mesh:
     m = n + 1
     g = np.arange(m) / n
     # vertex (i, j, k) -> index i + m*j + m*m*k
-    X, Y, Z = np.meshgrid(g, g, g, indexing="ij")
-    vertices = np.empty((m**3, 3))
-    I, J, K = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-    flat = (I + m * J + m * m * K).ravel()
-    vertices[flat] = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
-
-    def vid(c) -> int:
-        return int(c[0] + m * c[1] + m * m * c[2])
-
-    # Six monotone paths 0 -> e_p -> e_p + e_q -> (1,1,1)
-    paths = [(p, q) for p in range(3) for q in range(3) if q != p]
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                corner = np.array([i, j, k])
-                for p, q in paths:
-                    step1 = corner.copy()
-                    step1[p] += 1
-                    step2 = step1.copy()
-                    step2[q] += 1
-                    tets.append([vid(corner), vid(step1), vid(step2), vid(corner + 1)])
-    return make_mesh(vertices, np.asarray(tets, dtype=np.int64))
+    Z, Y, X = np.meshgrid(g, g, g, indexing="ij")
+    vertices = np.stack([X, Y, Z], axis=-1).reshape(-1, 3)
+    # Six monotone paths 0 -> e_p -> e_p + e_q -> (1,1,1), one tet each
+    e = np.eye(3, dtype=np.int64)
+    paths = np.array([(0 * e[p], e[p], e[p] + e[q], e.sum(axis=0))
+                      for p in range(3) for q in range(3) if q != p])
+    corners = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), axis=-1)
+    lattice = corners.reshape(-1, 1, 1, 3) + paths  # (n**3, 6, 4, 3), i-major
+    tets = lattice @ np.array([1, m, m * m])
+    return make_mesh(vertices, tets.reshape(-1, 4))
 
 
 def mesh_size(mesh: Mesh) -> float:

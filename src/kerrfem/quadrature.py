@@ -36,40 +36,34 @@ def _points_per_axis(degree: int) -> int:
     return max(1, (degree + 2) // 2)  # 2q - 1 >= degree
 
 
+def _conical_rule(dim: int, q: int) -> QuadratureRule:
+    """Conical product of q-point Gauss-Jacobi lines on the reference simplex
+    of dimension dim: coordinate k carries the weight (1 - x)^k, and each new
+    coordinate c scales the earlier ones by 1 - c."""
+    pts, wts = _gauss_jacobi_01(q, 0)
+    pts = pts[:, None]
+    for alpha in range(1, dim):
+        c, wc = _gauss_jacobi_01(q, alpha)
+        scaled = pts[None] * (1.0 - c)[:, None, None]
+        last = np.broadcast_to(c[:, None, None], (q, len(pts), 1))
+        pts = np.concatenate([scaled, last], axis=2).reshape(-1, alpha + 1)
+        wts = (wts[None] * wc[:, None]).ravel()
+    return QuadratureRule(points=pts, weights=wts)
+
+
 @lru_cache(maxsize=None)
 def tetrahedron_rule(degree: int = 5) -> QuadratureRule:
     """Conical product rule on the reference tet {x, y, z >= 0, x+y+z <= 1}."""
-    q = _points_per_axis(degree)
-    x1, w1 = _gauss_jacobi_01(q, 0)
-    x2, w2 = _gauss_jacobi_01(q, 1)
-    x3, w3 = _gauss_jacobi_01(q, 2)
-    pts = []
-    wts = []
-    for c, wc in zip(x3, w3):
-        for b, wb in zip(x2, w2):
-            for a, wa in zip(x1, w1):
-                pts.append((a * (1.0 - b) * (1.0 - c), b * (1.0 - c), c))
-                wts.append(wa * wb * wc)
-    return QuadratureRule(points=np.array(pts), weights=np.array(wts))
+    return _conical_rule(3, _points_per_axis(degree))
 
 
 @lru_cache(maxsize=None)
 def triangle_rule(degree: int = 5) -> QuadratureRule:
     """Conical product rule on the reference triangle {u, v >= 0, u+v <= 1}."""
-    q = _points_per_axis(degree)
-    x1, w1 = _gauss_jacobi_01(q, 0)
-    x2, w2 = _gauss_jacobi_01(q, 1)
-    pts = []
-    wts = []
-    for b, wb in zip(x2, w2):
-        for a, wa in zip(x1, w1):
-            pts.append((a * (1.0 - b), b))
-            wts.append(wa * wb)
-    return QuadratureRule(points=np.array(pts), weights=np.array(wts))
+    return _conical_rule(2, _points_per_axis(degree))
 
 
 @lru_cache(maxsize=None)
 def segment_rule(num_points: int = 4) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1]."""
-    x, w = _gauss_jacobi_01(num_points, 0)
-    return QuadratureRule(points=x.reshape(-1, 1), weights=w)
+    return _conical_rule(1, num_points)

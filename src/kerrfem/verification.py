@@ -1,13 +1,12 @@
 """Manufactured solutions, exact reference solutions, error norms, and
 convergence-order studies.
 
-A manufactured case carries closures for the exact fields and their space
-and time derivatives; the current densities are *defined* as the strong-form
-residuals, so the chosen fields solve the forced system identically.  The
-Kerr case writes each current once, as its time-separable terms
-sum_k a_k(t) g_k(x), the only form :class:`~kerrfem.dynamics.Sources`
-takes, and builds the closure from them as the strong-form reference that
-the PDE-residual test checks.
+Every exact field here is time-separable, F(t, x) = sum_k a_k(t) g_k(x),
+the form :class:`~kerrfem.dynamics.Sources` takes: a manufactured case is
+built from ``(a, g)`` terms alone, and each of its closures is the sum of
+its terms.  The current densities are *defined* as the strong-form
+residuals, so the chosen fields solve the forced system identically; their
+spatial shapes reuse the field shapes.
 """
 
 from __future__ import annotations
@@ -56,19 +55,72 @@ class ManufacturedCase:
         return Sources(self.j_e_terms, self.j_m_terms)
 
 
-def _sin_products(X):
-    sx, sy, sz = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1]), np.sin(PI * X[:, 2])
-    return sx, sy, sz
+def _sines(X):
+    return np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1]), np.sin(PI * X[:, 2])
+
+
+def _cosines(X):
+    return np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1]), np.cos(PI * X[:, 2])
 
 
 def _sum_of_terms(terms):
     """Closure (t, points) -> sum_k a_k(t) g_k(points) of separable terms."""
 
-    def j(t, X):
+    def f(t, X):
         X = np.atleast_2d(X)
         return sum(a(t) * g(X) for a, g in terms)
 
-    return j
+    return f
+
+
+def _separable_case(name, params, t_final, fields, j_e_terms=(), j_m_terms=()):
+    """A ManufacturedCase whose every closure sums its ``(a, g)`` terms;
+    ``fields`` maps E, H, dt_E, dt_H, curl_E and curl_H to their terms."""
+    return ManufacturedCase(
+        name=name,
+        params=params,
+        t_final=t_final,
+        j_e=_sum_of_terms(j_e_terms) if j_e_terms else None,
+        j_m=_sum_of_terms(j_m_terms) if j_m_terms else None,
+        j_e_terms=j_e_terms,
+        j_m_terms=j_m_terms,
+        **{key: _sum_of_terms(terms) for key, terms in fields.items()},
+    )
+
+
+# Kerr case shapes: E, H and their curls.
+def _kerr_e(X):
+    sx, sy, sz = _sines(X)
+    return np.stack([sy * sz, sx * sz, sx * sy], axis=-1)
+
+
+def _kerr_h(X):
+    sx, sy, sz = _sines(X)
+    return np.stack([sy, sz, sx], axis=-1)
+
+
+def _kerr_curl_e(X):
+    sx, sy, sz = _sines(X)
+    cx, cy, cz = _cosines(X)
+    return PI * np.stack([sx * (cy - cz), sy * (cz - cx), sz * (cx - cy)], axis=-1)
+
+
+def _kerr_curl_h(X):
+    cx, cy, cz = _cosines(X)
+    return -PI * np.stack([cz, cx, cy], axis=-1)
+
+
+# Cavity shapes: curl S_E = -pi S_H and curl S_H = -2 pi S_E.
+def _cavity_e(X):
+    sx, sy, _ = _sines(X)
+    zero = np.zeros(len(X))
+    return np.stack([zero, zero, sx * sy], axis=-1)
+
+
+def _cavity_h(X):
+    sx, sy, _ = _sines(X)
+    cx, cy, _ = _cosines(X)
+    return np.stack([-sx * cy, cx * sy, np.zeros(len(X))], axis=-1)
 
 
 def kerr_manufactured_case(params: MaterialParams, t_final: float = 1.0) -> ManufacturedCase:
@@ -78,76 +130,34 @@ def kerr_manufactured_case(params: MaterialParams, t_final: float = 1.0) -> Manu
     vanishes tangentially on all six faces; H(t, x) = sin(t)
     (sin pi y, sin pi z, sin pi x) starts at zero, so projection-based
     initial data is exact.  The currents absorb both equations' residuals;
-    with S the shape of E they separate in time as
+    with S_E, S_H the shapes of E and H they separate in time as
 
-        j_e = sin t (curl H(pi/2) + eps0 (1+chi1) S)
-              + sin t cos^2 t 3 eps0 chi3 |S|^2 S,
-        j_m = cos t (-mu0 H_shape - curl E(0)).
+        j_e = sin t (curl S_H + eps0 (1+chi1) S_E)
+              + sin t cos^2 t 3 eps0 chi3 |S_E|^2 S_E,
+        j_m = cos t (-mu0 S_H - curl S_E).
     """
 
-    def E_shape(X):
-        sx, sy, sz = _sin_products(X)
-        return np.stack([sy * sz, sx * sz, sx * sy], axis=-1)
-
-    def H_shape(X):
-        sx, sy, sz = _sin_products(X)
-        return np.stack([sy, sz, sx], axis=-1)
-
-    def E(t, X):
-        return math.cos(t) * E_shape(np.atleast_2d(X))
-
-    def H(t, X):
-        return math.sin(t) * H_shape(np.atleast_2d(X))
-
-    def dt_E(t, X):
-        return -math.sin(t) * E_shape(np.atleast_2d(X))
-
-    def dt_H(t, X):
-        return math.cos(t) * H_shape(np.atleast_2d(X))
-
-    def curl_E(t, X):
-        X = np.atleast_2d(X)
-        sx, sy, sz = _sin_products(X)
-        cx, cy, cz = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1]), np.cos(PI * X[:, 2])
-        return (
-            math.cos(t)
-            * PI
-            * np.stack([sx * (cy - cz), sy * (cz - cx), sz * (cx - cy)], axis=-1)
-        )
-
-    def curl_H(t, X):
-        X = np.atleast_2d(X)
-        cx, cy, cz = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1]), np.cos(PI * X[:, 2])
-        return -PI * math.sin(t) * np.stack([cz, cx, cy], axis=-1)
-
     def j_e_linear(X):
-        return curl_H(0.5 * PI, X) + params.eps_lin * E_shape(X)
+        return _kerr_curl_h(X) + params.eps_lin * _kerr_e(X)
 
     def j_e_kerr(X):
-        S = E_shape(X)
+        S = _kerr_e(X)
         return 3.0 * params.eps0 * params.chi3 * np.sum(S * S, axis=-1)[:, None] * S
 
     def j_m_shape(X):
-        return -params.mu0 * H_shape(X) - curl_E(0.0, X)
+        return -params.mu0 * _kerr_h(X) - _kerr_curl_e(X)
 
-    j_e_terms = ((math.sin, j_e_linear),
-                 (lambda t: math.sin(t) * math.cos(t) ** 2, j_e_kerr))
-    j_m_terms = ((math.cos, j_m_shape),)
-
-    return ManufacturedCase(
-        name="kerr-manufactured",
-        params=params,
-        t_final=t_final,
-        E=E,
-        H=H,
-        dt_E=dt_E,
-        dt_H=dt_H,
-        curl_E=curl_E,
-        curl_H=curl_H,
-        j_e=_sum_of_terms(j_e_terms),
-        j_m=_sum_of_terms(j_m_terms),
-        j_e_terms=j_e_terms,
-        j_m_terms=j_m_terms,
+    return _separable_case(
+        "kerr-manufactured", params, t_final,
+        dict(E=((math.cos, _kerr_e),),
+             H=((math.sin, _kerr_h),),
+             dt_E=((lambda t: -math.sin(t), _kerr_e),),
+             dt_H=((math.cos, _kerr_h),),
+             curl_E=((math.cos, _kerr_curl_e),),
+             curl_H=((math.sin, _kerr_curl_h),)),
+        j_e_terms=((math.sin, j_e_linear),
+                   (lambda t: math.sin(t) * math.cos(t) ** 2, j_e_kerr)),
+        j_m_terms=((math.cos, j_m_shape),),
     )
 
 
@@ -159,74 +169,28 @@ def cavity_mode_case(t_final: float = 1.0) -> ManufacturedCase:
     and satisfies the divergence-free and zero-normal-trace conditions, and
     the total energy is constant (= 1/8) in time.
     """
-    params = MaterialParams()
     omega = math.sqrt(2.0) * PI
-
-    def E(t, X):
-        X = np.atleast_2d(X)
-        sx, sy, _ = _sin_products(X)
-        out = np.zeros_like(X)
-        out[:, 2] = sx * sy * math.cos(omega * t)
-        return out
-
-    def H(t, X):
-        X = np.atleast_2d(X)
-        sx, sy = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1])
-        cx, cy = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1])
-        amp = (PI / omega) * math.sin(omega * t)
-        return amp * np.stack([-sx * cy, cx * sy, np.zeros(len(X))], axis=-1)
-
-    def dt_E(t, X):
-        X = np.atleast_2d(X)
-        sx, sy, _ = _sin_products(X)
-        out = np.zeros_like(X)
-        out[:, 2] = -omega * sx * sy * math.sin(omega * t)
-        return out
-
-    def dt_H(t, X):
-        X = np.atleast_2d(X)
-        sx, sy = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1])
-        cx, cy = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1])
-        amp = PI * math.cos(omega * t)
-        return amp * np.stack([-sx * cy, cx * sy, np.zeros(len(X))], axis=-1)
-
-    def curl_E(t, X):
-        X = np.atleast_2d(X)
-        sx, sy = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1])
-        cx, cy = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1])
-        amp = PI * math.cos(omega * t)
-        return amp * np.stack([sx * cy, -cx * sy, np.zeros(len(X))], axis=-1)
-
-    def curl_H(t, X):
-        X = np.atleast_2d(X)
-        sx, sy, _ = _sin_products(X)
-        out = np.zeros_like(X)
-        out[:, 2] = -omega * math.sin(omega * t) * sx * sy
-        return out
-
-    return ManufacturedCase(
-        name="cavity",
-        params=params,
-        t_final=t_final,
-        E=E,
-        H=H,
-        dt_E=dt_E,
-        dt_H=dt_H,
-        curl_E=curl_E,
-        curl_H=curl_H,
+    return _separable_case(
+        "cavity", MaterialParams(), t_final,
+        dict(E=((lambda t: math.cos(omega * t), _cavity_e),),
+             H=((lambda t: (PI / omega) * math.sin(omega * t), _cavity_h),),
+             dt_E=((lambda t: -omega * math.sin(omega * t), _cavity_e),),
+             dt_H=((lambda t: PI * math.cos(omega * t), _cavity_h),),
+             curl_E=((lambda t: -PI * math.cos(omega * t), _cavity_h),),
+             curl_H=((lambda t: -omega * math.sin(omega * t), _cavity_e),)),
     )
 
 
 def get_case(name: str, params: MaterialParams | None = None,
              t_final: float | None = None) -> ManufacturedCase:
+    """The named case; the cavity is a vacuum solution and ignores params."""
+    t_final = 1.0 if t_final is None else t_final
     if name == "cavity":
-        return cavity_mode_case(t_final=t_final if t_final is not None else 1.0)
+        return cavity_mode_case(t_final)
     if name == "kerr-manufactured":
         if params is None:
             params = MaterialParams(chi3=1.0)
-        return kerr_manufactured_case(
-            params, t_final=t_final if t_final is not None else 1.0
-        )
+        return kerr_manufactured_case(params, t_final)
     raise ValueError(f"unknown case {name!r}")
 
 
@@ -341,7 +305,7 @@ def projection_study(levels) -> EocTable:
 
     Column errE holds the cellwise-average projection error of
     sin(pi x) e_1; column errH the curl-matching projection error of the
-    divergence-free, tangential-boundary field
+    cavity's divergence-free, tangential-boundary H shape
     (-sin pi x cos pi y, cos pi x sin pi y, 0).  Both decay like h.
     """
     levels = _check_doubling(levels)
@@ -352,19 +316,6 @@ def projection_study(levels) -> EocTable:
         out[:, 0] = np.sin(PI * X[:, 0])
         return out
 
-    def v_field(X):
-        X = np.atleast_2d(X)
-        sx, sy = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1])
-        cx, cy = np.cos(PI * X[:, 0]), np.cos(PI * X[:, 1])
-        return np.stack([-sx * cy, cx * sy, np.zeros(len(X))], axis=-1)
-
-    def v_curl(X):
-        X = np.atleast_2d(X)
-        sx, sy = np.sin(PI * X[:, 0]), np.sin(PI * X[:, 1])
-        out = np.zeros_like(X)
-        out[:, 2] = -2.0 * PI * sx * sy
-        return out
-
     hs, errs_w, errs_v = [], [], []
     for n in levels:
         mesh = generate_structured_cube(int(n))
@@ -373,8 +324,9 @@ def projection_study(levels) -> EocTable:
         ctx = forms.ctx
         w_h = ctx.field_at_quads(forms.dof_w, l2_project(ctx, w_field))
         err_w = math.sqrt(ctx.norm_sq(w_h - ctx.sample(w_field)))
-        v_h = ctx.field_at_quads(forms.dof_u, curl_project(forms, v_field, v_curl))
-        err_v = math.sqrt(ctx.norm_sq(v_h - ctx.sample(v_field)))
+        v_h = ctx.field_at_quads(forms.dof_u, curl_project(
+            forms, _cavity_h, lambda X: -2.0 * PI * _cavity_e(X)))
+        err_v = math.sqrt(ctx.norm_sq(v_h - ctx.sample(_cavity_h)))
         hs.append(mesh_size(mesh))
         errs_w.append(err_w)
         errs_v.append(err_v)

@@ -45,6 +45,13 @@ def monomial_integral_tet(a: int, b: int, c: int) -> float:
     return factorial(a) * factorial(b) * factorial(c) / factorial(a + b + c + 3)
 
 
+def test_all_lists_every_public_function_and_class():
+    public = {name for name, obj in vars(assembly).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == assembly.__name__}
+    assert public <= set(assembly.__all__)
+
+
 def test_tet_rule_monomial_exactness():
     rule = tetrahedron_rule(5)
     assert rule.weights.sum() == pytest.approx(1.0 / 6.0, abs=1e-15)

@@ -221,12 +221,21 @@ def test_cli_converge_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_converge_kerr_matches_reference_csv(tmp_path, capsys):
-    # the Kerr EOC study's CSV is byte-identical to the committed reference
-    out = tmp_path / "eoc.csv"
-    assert cli_main(["converge", "--case", "kerr-manufactured", "--chi3", "1",
-                     "--levels", "2,4", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "converge_kerr_chi3_1_levels_2_4.csv").read_bytes()
+@pytest.mark.parametrize("argv,reference", [
+    (["converge", "--case", "kerr-manufactured", "--chi3", "1", "--levels", "2,4"],
+     "converge_kerr_chi3_1_levels_2_4.csv"),
+    (["converge", "--case", "cavity", "--levels", "2,4"],
+     "converge_cavity_levels_2_4.csv"),
+    (["converge", "--case", "cavity", "--formulation", "nedelec", "--levels", "2,4"],
+     "converge_cavity_nedelec_levels_2_4.csv"),
+    (["project", "--levels", "2,4"], "project_levels_2_4.csv"),
+    (["mesh", "--n", "3"], "cube3.tetmesh"),
+], ids=["kerr", "cavity", "cavity-nedelec", "project", "mesh"])
+def test_cli_output_matches_reference_file(tmp_path, capsys, argv, reference):
+    # each deterministic output is byte-identical to the committed reference
+    out = tmp_path / reference
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / reference).read_bytes()
     capsys.readouterr()
 
 
@@ -394,6 +403,19 @@ def test_cli_converge_rejects_bad_dt_factor(tmp_path, capsys, factor):
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "dt_factor must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--eps0", "2"), ("--mu0", "2"), ("--chi1", "1"), ("--chi3", "1"),
+])
+def test_cli_converge_cavity_requires_vacuum(tmp_path, capsys, flag, value):
+    out = tmp_path / "eoc.csv"
+    assert cli_main(["converge", "--case", "cavity", "--levels", "1,2",
+                     flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "case 'cavity' is an exact solution only for eps0 = mu0 = 1" in err
     assert not out.exists()
 
 
