@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from . import linalg
 from .fem_spaces import DofMap, build_spaces
 from .linalg import from_triplets
-from .material import MaterialParams, cm_matrix
+from .material import MaterialParams
 from .mesh import Mesh, Topology, all_geometry
 from .quadrature import tetrahedron_rule
 
@@ -34,12 +34,10 @@ __all__ = [
     "QUAD_DEGREE",
     "FemContext",
     "AssembledForms",
-    "BlockDiagMass",
     "build_context",
     "build_forms",
     "assemble_mass",
     "assemble_curl_curl",
-    "assemble_nonlinear_mass",
     "assemble_nonlinear_mass_curl",
     "assemble_flux_load",
     "assemble_coupling",
@@ -176,37 +174,14 @@ def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     return _scatter_matrix(local, dofmap, dofmap.num_dofs)
 
 
-@dataclass(frozen=True)
-class BlockDiagMass:
-    """3x3-per-tet block-diagonal matrix |K| eps(E_K), held by its closed-form
-    inverse."""
-
-    inv_blocks: np.ndarray  # (nt, 3, 3)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        nt = self.inv_blocks.shape[0]
-        return np.einsum("tij,tj->ti", self.inv_blocks, b.reshape(nt, 3)).ravel()
-
-
-def assemble_nonlinear_mass(ctx: FemContext, params: MaterialParams,
-                            e_coeffs: np.ndarray) -> BlockDiagMass:
-    """Field-dependent mass of the cellwise-constant space.
-
-    With E_h constant per tet the integral of eps(E_h) collapses to
-    |K| eps(E_h|_K); each block is SPD and inverted in closed form.
-    """
-    E = np.asarray(e_coeffs, dtype=np.float64).reshape(ctx.num_tets, 3)
-    inv_blocks = cm_matrix(params, E) / (params.eps0 * ctx.vol[:, None, None])
-    return BlockDiagMass(inv_blocks=inv_blocks)
-
-
 def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
-                                 dofmap: DofMap, coeffs: np.ndarray) -> sp.csr_matrix:
+                                 coeffs: np.ndarray) -> sp.csr_matrix:
     """Field-dependent mass on the edge space: integral of eps(E_h) psi_i . psi_j.
 
     E_h is piecewise linear here, so the degree-4 integrand is evaluated by
     quadrature (exact under the degree-:data:`QUAD_DEGREE` rule).
     """
+    dofmap = ctx.dof_u
     E = ctx.field_at_quads(dofmap, coeffs)           # (nt, nq, 3)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     phi = dofmap.values
@@ -218,9 +193,10 @@ def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
     return _scatter_matrix(params.eps0 * local, dofmap, dofmap.num_dofs)
 
 
-def assemble_flux_load(ctx: FemContext, params: MaterialParams, dofmap: DofMap,
+def assemble_flux_load(ctx: FemContext, params: MaterialParams,
                        coeffs: np.ndarray) -> np.ndarray:
-    """Load vector of the electric flux: entries integral of D(E_h) . psi_i."""
+    """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i."""
+    dofmap = ctx.dof_u
     E = ctx.field_at_quads(dofmap, coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     D = params.eps0 * es[..., None] * E
@@ -293,8 +269,8 @@ def l2_project(ctx: FemContext, target) -> np.ndarray:
     return (integrals / ctx.vol[:, None]).ravel()
 
 
-def curl_project(forms: AssembledForms, target, target_curl, pinned_vertex: int = 0,
-                 rel_tol: float = 1e-10) -> np.ndarray:
+def curl_project(forms: AssembledForms, target, target_curl,
+                 pinned_vertex: int = 0) -> np.ndarray:
     """Curl-matching projection onto the edge space.
 
     Solves, as one saddle system, (curl u_h, curl psi) = (curl v, curl psi)
@@ -309,7 +285,7 @@ def curl_project(forms: AssembledForms, target, target_curl, pinned_vertex: int 
     cell_curl = assemble_source(ctx, target_curl, ctx.dof_w).reshape(-1, 3)
     f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
     g = grad.T @ assemble_source(ctx, target, dofU)
-    u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g, rel_tol=rel_tol)
+    u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g)
     return u
 
 

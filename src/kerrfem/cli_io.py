@@ -100,6 +100,9 @@ class RunConfig:
         for name, value in (("time.t_end", self.t_end), ("time.dt", self.dt)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ConfigError(f"time.t_end / time.dt overflows the step count "
+                              f"(t_end = {self.t_end}, dt = {self.dt})")
         for name, tol in (("tol.cg", self.cg_tol), ("tol.nonlinear", self.nonlinear_tol)):
             if not 0.0 < tol < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {tol}")
@@ -154,29 +157,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: bad value {value!r} for {key}: {exc}"
             ) from exc
-    try:
-        return RunConfig(**values).validate()
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form: known keys in sorted order, defaults included."""
-    lines = []
-    for key in sorted(_KEY_TABLE):
-        field_name, _ = _KEY_TABLE[key]
-        value = getattr(cfg, field_name)
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return RunConfig(**values).validate()
 
 
 def _fmt(x: float) -> str:
     return f"{x:.8e}"
 
 
-def write_vtk(mesh: Mesh, cell_fields: dict, path, title: str = "kerrfem fields") -> None:
+def write_vtk(mesh: Mesh, cell_fields: dict, path) -> None:
     """Legacy ASCII VTK unstructured grid with per-cell vector data."""
     for name, data in cell_fields.items():
         data = np.asarray(data)
@@ -186,7 +174,7 @@ def write_vtk(mesh: Mesh, cell_fields: dict, path, title: str = "kerrfem fields"
             )
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "kerrfem fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_vertices} double",

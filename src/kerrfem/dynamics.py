@@ -28,14 +28,13 @@ from . import linalg
 from .assembly import (
     AssembledForms,
     assemble_flux_load,
-    assemble_nonlinear_mass,
     assemble_nonlinear_mass_curl,
     assemble_source,
     curl_project,
     l2_project,
 )
 from .fem_spaces import interpolate_edge_dofs, interpolate_face_dofs
-from .material import d_of_e, e_of_d
+from .material import cm_matrix, d_of_e, e_of_d
 
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
@@ -125,8 +124,8 @@ def _validate_formulation(formulation: str) -> None:
 
 
 def initialize(E0, H0, formulation: str, forms: AssembledForms,
-               H0_curl=None, t: float = 0.0) -> State:
-    """Discrete initial data.
+               H0_curl=None) -> State:
+    """Discrete initial data at t = 0.
 
     lee-madsen: E -> cellwise averages, H -> curl-matching projection (pass
     ``H0_curl`` whenever it is known; it defaults to zero, which is exact for
@@ -145,11 +144,11 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
                 raise ValueError("H0_curl is required for nonzero H0 initial data")
         else:
             h = curl_project(forms, H0, H0_curl)
-        return State(formulation, e, h, t)
+        return State(formulation, e, h, 0.0)
     e = interpolate_edge_dofs(E0, ctx.mesh, ctx.topo)
     e[ctx.topo.boundary_edges] = 0.0
     h = interpolate_face_dofs(H0, ctx.mesh, ctx.topo)
-    return State(formulation, e, h, t)
+    return State(formulation, e, h, 0.0)
 
 
 def _term_load(forms: AssembledForms, g, dof) -> np.ndarray:
@@ -178,16 +177,19 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         cg_tol: float = SOLVER_TOL):
     """Time derivatives (de/dt, dh/dt) of the semi-discrete system.
 
-    The constant masses are solved with their cached LU factorizations (mu0
-    M_u is the lee-madsen reduced matrix at dt = 0); only the nedelec Kerr
-    mass, new at every stage, is solved by CG to ``cg_tol``.
+    The lee-madsen E mass |K| eps(E_K) is block diagonal and inverted per
+    tet in closed form.  The constant masses are solved with their cached LU
+    factorizations (mu0 M_u is the lee-madsen reduced matrix at dt = 0); only
+    the nedelec Kerr mass, new at every stage, is solved by CG to ``cg_tol``.
     """
     _validate_formulation(state.formulation)
     params = forms.params
     je, jm = _loads(forms, state.formulation, sources, state.t)
     if state.formulation == "lee-madsen":
-        meps = assemble_nonlinear_mass(forms.ctx, params, state.e)
-        de = meps.solve(forms.coupling_lm @ state.h - je)
+        E = state.e.reshape(-1, 3)
+        inv_blocks = cm_matrix(params, E) / (params.eps0 * forms.ctx.vol[:, None, None])
+        b = (forms.coupling_lm @ state.h - je).reshape(-1, 3)
+        de = np.einsum("tij,tj->ti", inv_blocks, b).ravel()
         dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm.T @ state.e) - jm)
         return de, dh
     free = forms.free_edges
@@ -196,7 +198,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     if params.chi3 == 0.0:
         de[free] = forms.reduced_solver("nedelec", 0.0)(rhs_e)
     else:
-        eps_mass = assemble_nonlinear_mass_curl(forms.ctx, params, forms.dof_u, state.e)
+        eps_mass = assemble_nonlinear_mass_curl(forms.ctx, params, state.e)
         meps = forms.reduced_matrix("nedelec", 0.0, eps_mass)
         de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
     dh = forms.discrete_curl @ state.e
@@ -206,18 +208,19 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
 
 
 def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
-                 iteration: int, cap: int) -> bool:
+                 iteration: int) -> bool:
     """Whether the sweeps stop: the update is at roundoff, or within ``tol``
-    and no longer shrinking (``prev_delta`` is inf at first) or at the cap."""
+    and no longer shrinking (``prev_delta`` is inf at first) or at the
+    :data:`MAX_SWEEPS` cap."""
     if not np.isfinite(delta):
         raise NonlinearSolveError("midpoint iteration diverged (non-finite update); reduce dt")
-    last = iteration == cap - 1
+    last = iteration == MAX_SWEEPS - 1
     if delta <= 1e-15 * scale or (delta <= tol * scale and (last or delta >= prev_delta)):
         return True
     if last:
         raise NonlinearSolveError(
             f"midpoint iteration stalled at relative update {delta / scale:.3e} "
-            f"after {cap} sweeps; reduce dt"
+            f"after {MAX_SWEEPS} sweeps; reduce dt"
         )
     return False
 
@@ -236,14 +239,14 @@ def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float):
             delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
             scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
             e1, h1 = e1_new, h1_new
-            if _picard_exit(delta, prev, scale, tol, it, MAX_SWEEPS):
+            if _picard_exit(delta, prev, scale, tol, it):
                 break
             prev = delta
     return e1, h1
 
 
-def _lee_madsen_sweep(state: State, dt: float, sources: Sources,
-                      forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
+                      je: np.ndarray, jm: np.ndarray):
     """Sweep of the lee-madsen step: H by a simplified Newton update on
     G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 + j_m) with the linear
     reduced matrix, an upper bound of the Kerr Jacobian (so the update
@@ -265,8 +268,8 @@ def _lee_madsen_sweep(state: State, dt: float, sources: Sources,
     return sweep
 
 
-def _nedelec_sweep(state: State, dt: float, sources: Sources,
-                   forms: AssembledForms, je: np.ndarray, jm: np.ndarray):
+def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
+                   je: np.ndarray, jm: np.ndarray):
     """Sweep of the nedelec step: a Newton update of E on the free edges for
     R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with Jacobian
     :meth:`AssembledForms.reduced_matrix` at E1; H1 follows exactly from the
@@ -276,19 +279,19 @@ def _nedelec_sweep(state: State, dt: float, sources: Sources,
     free = forms.free_edges
     KT = forms.coupling_ned.T
     e0, h0 = state.e, state.h
-    jm_term = forms.solve_mass_v1(jm) if sources.j_m_terms else 0.0
-    d0 = assemble_flux_load(ctx, params, forms.dof_u, e0)[free]
+    jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
+    d0 = assemble_flux_load(ctx, params, e0)[free]
 
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
     def sweep(e1, h1):
-        residual = (assemble_flux_load(ctx, params, forms.dof_u, e1)[free] - d0
+        residual = (assemble_flux_load(ctx, params, e1)[free] - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
         if params.chi3 == 0.0:
             solve = forms.reduced_solver("nedelec", dt)
         else:
-            eps_mass = assemble_nonlinear_mass_curl(ctx, params, forms.dof_u, e1)
+            eps_mass = assemble_nonlinear_mass_curl(ctx, params, e1)
             solve = linalg.factorized(forms.reduced_matrix("nedelec", dt, eps_mass))
         e1 = e1.copy()
         e1[free] -= solve(residual)
@@ -301,14 +304,12 @@ _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
 def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                   tol: float):
-    """One implicit-midpoint step on the flux form, second order in dt;
-    returns the new state and the midpoint loads (je, jm)."""
-    _validate_formulation(state.formulation)
+                   tol: float) -> State:
+    """One implicit-midpoint step on the flux form, second order in dt."""
     je, jm = _loads(forms, state.formulation, sources, state.t + 0.5 * dt)
-    sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, sources, forms, je, jm)
+    sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm)
     e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol)
-    return State(state.formulation, e1, h1, state.t + dt), je, jm
+    return State(state.formulation, e1, h1, state.t + dt)
 
 
 def step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms,
@@ -416,11 +417,13 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
 
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
-    ValueError for a nonpositive or NaN ``dt`` or a negative ``num_steps``, and
+    ValueError for an unknown formulation or stepper, a nonpositive or NaN
+    ``dt`` or a negative ``num_steps``, and
     FloatingPointError at the first step that leaves a non-finite state; a
     LinalgError or NonlinearSolveError raised inside a step is re-raised as
     the same type with the step number, its end time and dt prefixed.
     """
+    _validate_formulation(state.formulation)
     if stepper not in STEPPERS:
         raise ValueError(f"stepper must be one of {STEPPERS}, got {stepper!r}")
     if not dt > 0.0:
@@ -435,13 +438,9 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if stepper == "midpoint":
-                    new, je, jm = _step_midpoint(current, dt, sources, forms, nonlinear_tol)
+                    new = _step_midpoint(current, dt, sources, forms, nonlinear_tol)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
-                    je, jm = (
-                        _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
-                        if collect and not sources.is_zero else (None, None)
-                    )
             except (linalg.LinalgError, NonlinearSolveError) as exc:
                 message = str(exc)
                 if not message.endswith("reduce dt"):
@@ -456,6 +455,7 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 if sources.is_zero:
                     power = 0.0
                 else:
+                    je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                     e_mid = 0.5 * (current.e + new.e)
                     h_mid = 0.5 * (current.h + new.h)
                     power = float(je @ e_mid + jm @ h_mid)

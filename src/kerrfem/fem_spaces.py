@@ -40,9 +40,8 @@ def eval_edge_basis(points) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(values, curls)`` with values shaped (m, 6, 3) and the constant
     curls (6, 3); basis k lives on local edge TET_EDGES[k] = (a, b) and is
     lambda_a grad lambda_b - lambda_b grad lambda_a with curl
-    2 grad lambda_a x grad lambda_b.  A single point gives (6, 3) values.
+    2 grad lambda_a x grad lambda_b.
     """
-    single = np.asarray(points).ndim == 1
     lam = barycentric(points)
     values = np.empty((lam.shape[0], 6, 3))
     curls = np.empty((6, 3))
@@ -51,7 +50,7 @@ def eval_edge_basis(points) -> tuple[np.ndarray, np.ndarray]:
             lam[:, a, None] * LAMBDA_GRADS[b] - lam[:, b, None] * LAMBDA_GRADS[a]
         )
         curls[k] = 2.0 * np.cross(LAMBDA_GRADS[a], LAMBDA_GRADS[b])
-    return (values[0], curls) if single else (values, curls)
+    return values, curls
 
 
 def eval_face_basis(points) -> tuple[np.ndarray, np.ndarray]:
@@ -61,7 +60,6 @@ def eval_face_basis(points) -> tuple[np.ndarray, np.ndarray]:
     (4,).  Basis k is dual to the flux through local face TET_FACES[k],
     measured along the right-hand-rule normal of the (ascending) face triple.
     """
-    single = np.asarray(points).ndim == 1
     lam = barycentric(points)
     values = np.empty((lam.shape[0], 4, 3))
     divs = np.empty(4)
@@ -73,7 +71,7 @@ def eval_face_basis(points) -> tuple[np.ndarray, np.ndarray]:
             lam[:, a, None] * gbc + lam[:, b, None] * gca + lam[:, c, None] * gab
         )
         divs[k] = 6.0 * float(LAMBDA_GRADS[a] @ gbc)
-    return (values[0], divs) if single else (values, divs)
+    return values, divs
 
 
 def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):

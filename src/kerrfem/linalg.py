@@ -43,7 +43,7 @@ def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
 
 
-def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float = 1e-11,
+def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float,
              max_iter: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 

@@ -97,8 +97,11 @@ def d_of_e(p: MaterialParams, E) -> np.ndarray:
     return p.eps0 * eps_scalar(p, E)[..., None] * E
 
 
-def field_magnitude_from_flux(p: MaterialParams, r, tol: float = 1e-14,
-                              max_iter: int = 100) -> np.ndarray:
+FLUX_INVERSION_TOL = 1e-14  # relative Newton step at which the inversion stops
+FLUX_INVERSION_MAX_ITER = 100
+
+
+def field_magnitude_from_flux(p: MaterialParams, r) -> np.ndarray:
     """Solve eps0*chi3*s^3 + eps0*(1+chi1)*s = r for s >= 0, elementwise.
 
     The cubic is strictly increasing and convex for s > 0, so Newton started
@@ -115,14 +118,16 @@ def field_magnitude_from_flux(p: MaterialParams, r, tol: float = 1e-14,
         return r / b
     upper = np.minimum(r / b, np.cbrt(r / a))
     s = upper.copy()
-    for _ in range(max_iter):
+    for _ in range(FLUX_INVERSION_MAX_ITER):
         f = a * s**3 + b * s - r
         step = f / (3.0 * a * s * s + b)
         s_new = np.clip(s - step, 0.0, upper)
-        if np.all(np.abs(s_new - s) <= tol * np.maximum(s_new, 1e-300)):
+        if np.all(np.abs(s_new - s) <= FLUX_INVERSION_TOL * np.maximum(s_new, 1e-300)):
             return s_new
         s = s_new
-    raise MaterialError("flux inversion did not converge in 100 Newton steps")
+    raise MaterialError(
+        f"flux inversion did not converge in {FLUX_INVERSION_MAX_ITER} Newton steps"
+    )
 
 
 def e_of_d(p: MaterialParams, D) -> np.ndarray:

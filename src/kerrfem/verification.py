@@ -278,10 +278,12 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
     hs, errs_e, errs_h = [], [], []
     for n in levels:
         mesh = generate_structured_cube(int(n))
-        topo = build_topology(mesh)
-        forms = build_forms(mesh, topo, case.params)
         h = mesh_size(mesh)
         dt_target = dt_factor * h * h
+        if not (dt_target > 0.0 and math.isfinite(T / dt_target)):
+            raise ValueError(f"t_final / (dt_factor h^2) overflows the step count at level "
+                             f"{n} (t_final = {T}, dt_factor = {dt_factor}, h = {h:.6g})")
+        forms = build_forms(mesh, build_topology(mesh), case.params)
         num_steps = max(1, math.ceil(T / dt_target))
         dt = T / num_steps
         state = initialize(

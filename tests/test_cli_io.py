@@ -16,7 +16,6 @@ from kerrfem.cli_io import (
     cell_sampled_fields,
     cli_main,
     parse_config,
-    serialize_config,
     write_energy_csv,
     write_vtk,
 )
@@ -87,37 +86,6 @@ def test_parse_rejects_nonpositive_times():
 def test_parse_cavity_requires_vacuum():
     with pytest.raises(ConfigError, match="custom-zero-source"):
         parse_config(MINIMAL + "material.chi3 = 1\n")
-
-
-def test_serialize_roundtrip_normalizes():
-    cfg = parse_config(MINIMAL)
-    text = serialize_config(cfg)
-    again = parse_config(text)
-    assert again == cfg
-    assert serialize_config(again) == text
-    # deterministic key order
-    keys = [line.split(" = ")[0] for line in text.strip().splitlines()]
-    assert keys == sorted(keys)
-
-
-def test_serialize_golden():
-    cfg = parse_config(MINIMAL)
-    assert serialize_config(cfg) == (
-        "case = cavity\n"
-        "formulation = lee-madsen\n"
-        "material.chi1 = 0.0\n"
-        "material.chi3 = 0.0\n"
-        "material.eps0 = 1.0\n"
-        "material.mu0 = 1.0\n"
-        "mesh.n = 4\n"
-        "output.vtk_every = 0\n"
-        "output.vtk_prefix = fields\n"
-        "time.dt = 0.01\n"
-        "time.stepper = midpoint\n"
-        "time.t_end = 1.0\n"
-        "tol.cg = 1e-11\n"
-        "tol.nonlinear = 1e-11\n"
-    )
 
 
 def test_write_vtk_io_failure_reports_path(tmp_path):
@@ -436,6 +404,24 @@ def test_cli_rejects_bad_time_inputs(tmp_path, capsys, command, flag, name, valu
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert f"{name} must be finite and > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["run", "--n", "1", "--t-end", "1e300", "--dt", "1e-10"],
+     ["t_end = 1e+300", "dt = 1e-10"]),
+    (["energy", "--n", "1", "--t-end", "1e300", "--dt", "1e-10"],
+     ["t_end = 1e+300", "dt = 1e-10"]),
+    (["converge", "--levels", "1,2", "--dt-factor", "1e-320"],
+     ["t_final = 1.0", "dt_factor = 1e-320"]),
+], ids=["run", "energy", "converge"])
+def test_cli_rejects_overflowing_step_count(tmp_path, capsys, argv, names):
+    out = tmp_path / "out.csv"
+    flag = "--energy-csv" if argv[0] != "converge" else "--out"
+    assert cli_main(argv + [flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "overflows the step count" in err
+    assert all(name in err for name in names)
     assert not out.exists()
 
 

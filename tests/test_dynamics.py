@@ -132,21 +132,24 @@ def test_rhs_matches_cavity_mode_derivatives(cavity):
     assert errs[1] < 0.7 * errs[0]
 
 
-def test_rhs_energy_pairing_linear(cav_forms2, cavity):
-    # e' M_eps de + h' M_U dh = -(j_e . e) - (j_m . h) for chi3 = 0
-    st = cavity_state(cavity, cav_forms2)
-    kerr = kerr_manufactured_case(MaterialParams(), t_final=1.0)  # linear sources
-    st = State("lee-madsen", st.e, st.h, 0.4)
-    de, dh = rhs(st, kerr.sources, cav_forms2)
-    je = assemble_source(cav_forms2.ctx, lambda X: kerr.j_e(st.t, X), cav_forms2.dof_w)
-    jm = assemble_source(cav_forms2.ctx, lambda X: kerr.j_m(st.t, X), cav_forms2.dof_u)
-    blocks = cav_forms2.ctx.vol[:, None, None] * eps_matrix(cav_forms2.params,
-                                                             st.e.reshape(-1, 3))
-    mu0 = cav_forms2.params.mu0
-    meps_de = np.einsum("tij,tj->ti", blocks, de.reshape(-1, 3)).ravel()
-    lhs = st.e @ meps_de + mu0 * (st.h @ (cav_forms2.mass_u1 @ dh))
-    rhs_val = -(je @ st.e) - (jm @ st.h)
-    assert lhs == pytest.approx(rhs_val, rel=1e-11, abs=1e-11)
+def test_rhs_energy_pairing_linear(cube2, cav_forms2, cavity):
+    # e' |K| eps(e) de + mu0 h' M_U dh = -(j_e . e) - (j_m . h), in the linear
+    # medium and in a Kerr one, with the currents manufactured for that medium;
+    # the Kerr case checks rhs's closed-form block inverse of |K| eps(E_K)
+    kerr_forms = build_forms(*cube2, MaterialParams(eps0=1.3, chi1=0.2, chi3=0.7))
+    for forms in (cav_forms2, kerr_forms):
+        st = cavity_state(cavity, forms)
+        kerr = kerr_manufactured_case(forms.params, t_final=1.0)
+        st = State("lee-madsen", st.e, st.h, 0.4)
+        de, dh = rhs(st, kerr.sources, forms)
+        je = assemble_source(forms.ctx, lambda X: kerr.j_e(st.t, X), forms.dof_w)
+        jm = assemble_source(forms.ctx, lambda X: kerr.j_m(st.t, X), forms.dof_u)
+        blocks = forms.ctx.vol[:, None, None] * eps_matrix(forms.params,
+                                                           st.e.reshape(-1, 3))
+        meps_de = np.einsum("tij,tj->ti", blocks, de.reshape(-1, 3)).ravel()
+        lhs = st.e @ meps_de + forms.params.mu0 * (st.h @ (forms.mass_u1 @ dh))
+        rhs_val = -(je @ st.e) - (jm @ st.h)
+        assert lhs == pytest.approx(rhs_val, rel=1e-11, abs=1e-11)
 
 
 def test_midpoint_consistency_richardson(cav_forms2, cavity):
@@ -243,7 +246,7 @@ def test_midpoint_step_solves_flux_form_equations(cube2, formulation):
         free = forms.free_edges
         je = assemble_source(ctx, lambda X: case.j_e(tm, X), forms.dof_u)
         jm = assemble_source(ctx, lambda X: case.j_m(tm, X), forms.dof_v)
-        flux = [assemble_flux_load(ctx, params, forms.dof_u, e)[free] for e in (st.e, new.e)]
+        flux = [assemble_flux_load(ctx, params, e)[free] for e in (st.e, new.e)]
         electric = (flux[1] - flux[0], dt * (forms.coupling_ned.T @ hm - je[free]))
         magnetic = (params.mu0 * (forms.mass_v1 @ (new.h - st.h)),
                     -dt * (forms.mass_v1 @ (forms.discrete_curl @ em) + jm))

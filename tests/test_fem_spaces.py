@@ -29,8 +29,8 @@ def reference_edge_dofs(values_at):
 
 
 def test_edge_basis_barycenter_value():
-    vals, curls = eval_edge_basis(np.array([0.25, 0.25, 0.25]))
-    assert np.allclose(vals[0], [0.5, 0.25, 0.25])
+    vals, curls = eval_edge_basis(np.array([[0.25, 0.25, 0.25]]))
+    assert np.allclose(vals[0, 0], [0.5, 0.25, 0.25])
     assert np.allclose(curls[0], [0.0, -2.0, 2.0])
 
 
