@@ -303,10 +303,10 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
-def _step_midpoint(state: State, dt: float, sources: Sources, forms: AssembledForms,
-                   tol: float) -> State:
-    """One implicit-midpoint step on the flux form, second order in dt."""
-    je, jm = _loads(forms, state.formulation, sources, state.t + 0.5 * dt)
+def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
+                   jm: np.ndarray, tol: float) -> State:
+    """One implicit-midpoint step on the flux form, second order in dt, with
+    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2."""
     sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm)
     e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol)
     return State(state.formulation, e1, h1, state.t + dt)
@@ -433,12 +433,16 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     trace = EnergyTrace() if collect else None
     if collect:
         trace.sample(state, forms, sources)
+    # midpoint loads: read by the midpoint step and by the power column
+    need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
     current = state
     for step in range(1, num_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
+                if need_loads:
+                    je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
-                    new = _step_midpoint(current, dt, sources, forms, nonlinear_tol)
+                    new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
             except (linalg.LinalgError, NonlinearSolveError) as exc:
@@ -455,7 +459,6 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 if sources.is_zero:
                     power = 0.0
                 else:
-                    je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                     e_mid = 0.5 * (current.e + new.e)
                     h_mid = 0.5 * (current.h + new.h)
                     power = float(je @ e_mid + jm @ h_mid)

@@ -2,11 +2,13 @@ import argparse
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import eval_on_tet
+from kerrfem import linalg
 from kerrfem.assembly import build_forms
 from kerrfem.cli_io import (
     ConfigError,
@@ -423,6 +425,19 @@ def test_cli_rejects_overflowing_step_count(tmp_path, capsys, argv, names):
     assert err.count("error:") == 1 and "overflows the step count" in err
     assert all(name in err for name in names)
     assert not out.exists()
+
+
+def test_cli_reports_failed_factorization(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linalg, "spla", SimpleNamespace(splu=singular))
+    argv = ["run", "--case", "custom-zero-source", "--formulation", "nedelec",
+            "--n", "2", "--t-end", "0.02", "--dt", "0.01"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: step 1 (t = 0.01, dt = 0.01): ")
+    assert "exactly singular" in err
 
 
 def test_runconfig_validate_misc():

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from kerrfem.assembly import assemble_nonlinear_mass_curl, build_forms
 from kerrfem.linalg import (
     CgBreakdownError,
     CgNonConvergenceError,
     LinalgError,
     SaddleSolveError,
     cg_solve,
+    factorized,
     from_triplets,
     solve_saddle,
 )
+from kerrfem.material import MaterialParams
+from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
 
 
 def dense_random_spd(rng, n):
@@ -95,12 +100,16 @@ def test_cg_breakdown_on_indefinite():
 
 
 def test_cg_nonconvergence_signal():
+    # condition number 1e12 with a geometric spectrum that the Jacobi
+    # preconditioner does not touch: the 10 n iteration cap runs out
     rng = np.random.default_rng(3)
-    D = dense_random_spd(rng, 30)
+    Q, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+    D = (Q * np.logspace(0.0, 12.0, 30)) @ Q.T
+    D = 0.5 * (D + D.T)
     rows, cols = np.nonzero(D)
     A = from_triplets(rows, cols, D[rows, cols], shape=(30, 30))
     with pytest.raises(CgNonConvergenceError):
-        cg_solve(A, rng.normal(size=30), 1e-14, max_iter=2)
+        cg_solve(A, rng.normal(size=30), 1e-14)
 
 
 def test_cg_rejects_bad_tolerance():
@@ -145,3 +154,45 @@ def test_transpose():
     A = from_triplets([0, 1], [1, 0], [2.0, 3.0], shape=(2, 3))
     assert A.T.shape == (3, 2)
     assert np.allclose(A.T.toarray(), A.toarray().T)
+
+
+def _jittered_forms(n, params):
+    """Forms on the Kuhn cube with interior vertices moved by up to 10% of
+    the spacing per coordinate."""
+    base = generate_structured_cube(n)
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    rng = np.random.default_rng(5)
+    verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
+    mesh = make_mesh(verts, base.tets)
+    return build_forms(mesh, build_topology(mesh), params)
+
+
+def test_factorized_solves_time_loop_matrices():
+    params = MaterialParams(eps0=1.3, chi1=0.4, chi3=2.0)
+    forms = _jittered_forms(3, params)
+    dt = 0.3 * mesh_size(forms.ctx.mesh)
+    rng = np.random.default_rng(6)
+    e = rng.normal(size=forms.dof_u.num_dofs)
+    jacobian = forms.reduced_matrix(
+        "nedelec", dt, assemble_nonlinear_mass_curl(forms.ctx, params, e))
+    for A in (forms.reduced_matrix("lee-madsen", dt), forms.reduced_matrix("nedelec", dt),
+              forms.mass_v1, jacobian):
+        b = rng.normal(size=A.shape[0])
+        x = factorized(A)(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_factorized_orders_symmetrically_with_less_fill():
+    forms = _jittered_forms(4, MaterialParams())
+    A = forms.reduced_matrix("lee-madsen", 0.3 * mesh_size(forms.ctx.mesh))
+    lu = factorized(A).__self__
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    default = spla.splu(A.tocsc())
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+
+def test_factorized_singular_raises():
+    A = from_triplets([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], shape=(2, 2))
+    with pytest.raises(LinalgError, match="singular"):
+        factorized(A)
