@@ -15,6 +15,9 @@ linear subsystem and is second-order accurate; classical RK4 serves as an
 independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material: exact when linear.
+The nedelec Kerr Jacobian is lagged (a chord method): it is evaluated and
+factorized at the start of the step and re-evaluated at the current iterate
+only after an update that shrank by less than :data:`REFRESH_RATIO`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .material import cm_matrix, d_of_e, e_of_d
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
 MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
+REFRESH_RATIO = 0.25  # a sweep contracting less than this refreshes a lagged Jacobian
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 
 
@@ -226,21 +230,25 @@ def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
 
 
 def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float):
-    """Sweeps ``(e1, h1) = sweep(e1, h1)`` for the end-of-step fields of one
-    midpoint step, each one Newton update of the formulation's edge unknown
-    with the other field recovered in closed form; they stop per
+    """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` for the end-of-step fields
+    of one midpoint step, each one Newton update of the formulation's edge
+    unknown with the other field recovered in closed form; they stop per
     :func:`_picard_exit` on the largest change of either field, at the
-    latest after :data:`MAX_SWEEPS`."""
+    latest after :data:`MAX_SWEEPS`.  ``refresh`` tells a sweep with a
+    lagged Jacobian to re-evaluate it at the current iterate: it is set
+    after an update larger than :data:`REFRESH_RATIO` times the one before."""
     e1, h1 = e0.copy(), h0.copy()
     prev = math.inf
+    refresh = False
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(MAX_SWEEPS):
-            e1_new, h1_new = sweep(e1, h1)
+            e1_new, h1_new = sweep(e1, h1, refresh)
             delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
             scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
             e1, h1 = e1_new, h1_new
             if _picard_exit(delta, prev, scale, tol, it):
                 break
+            refresh = delta > REFRESH_RATIO * prev
             prev = delta
     return e1, h1
 
@@ -250,7 +258,8 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     """Sweep of the lee-madsen step: H by a simplified Newton update on
     G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 + j_m) with the linear
     reduced matrix, an upper bound of the Kerr Jacobian (so the update
-    contracts); then E1 by cellwise constitutive inversion."""
+    contracts; the ``refresh`` flag has nothing to re-evaluate); then E1 by
+    cellwise constitutive inversion."""
     params = forms.params
     vol = forms.ctx.vol[:, None]
     solve = forms.reduced_solver("lee-madsen", dt)
@@ -259,7 +268,7 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     e0, h0 = state.e, state.h
     d0 = d_of_e(params, e0.reshape(-1, 3))
 
-    def sweep(e1, h1):
+    def sweep(e1, h1, refresh):
         h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
                         + dt * (CT @ (0.5 * (e0 + e1)) + jm))
         d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
@@ -270,10 +279,13 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
                    je: np.ndarray, jm: np.ndarray):
-    """Sweep of the nedelec step: a Newton update of E on the free edges for
-    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with Jacobian
-    :meth:`AssembledForms.reduced_matrix` at E1; H1 follows exactly from the
-    discrete curl of E1, so the ``h1`` argument is not read."""
+    """Sweep of the nedelec step: a chord update of E on the free edges for
+    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with the Jacobian
+    :meth:`AssembledForms.reduced_matrix` evaluated and factorized at E0 when
+    the step starts and again at the current E1 only when ``refresh`` is set
+    (see :func:`_midpoint_sweeps`); linear media use the cached solver.  H1
+    follows exactly from the discrete curl of E1, so the ``h1`` argument is
+    not read."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -282,17 +294,23 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
 
+    def jacobian_solver(e):
+        if params.chi3 == 0.0:
+            return forms.reduced_solver("nedelec", dt)
+        eps_mass = assemble_nonlinear_mass_curl(ctx, params, e)
+        return linalg.factorized(forms.reduced_matrix("nedelec", dt, eps_mass))
+
+    solve = jacobian_solver(e0)
+
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
-    def sweep(e1, h1):
+    def sweep(e1, h1, refresh):
+        nonlocal solve
         residual = (assemble_flux_load(ctx, params, e1)[free] - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
-        if params.chi3 == 0.0:
-            solve = forms.reduced_solver("nedelec", dt)
-        else:
-            eps_mass = assemble_nonlinear_mass_curl(ctx, params, e1)
-            solve = linalg.factorized(forms.reduced_matrix("nedelec", dt, eps_mass))
+        if refresh:
+            solve = jacobian_solver(e1)
         e1 = e1.copy()
         e1[free] -= solve(residual)
         return e1, h_end(e1)

@@ -46,10 +46,13 @@ def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
 def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    Returns x with ||Ax - b|| <= rel_tol * ||b||.  Raises CgBreakdownError on
-    negative curvature (non-SPD operator), CgNonConvergenceError when the
-    iteration cap of 10 n is exhausted, and LinalgError at the
-    first non-finite right-hand side, inner product or residual.
+    Returns x with ||Ax - b|| <= rel_tol * ||b||, checked on the true
+    residual once the recursively updated one meets the tolerance.  Raises
+    CgBreakdownError on negative curvature (non-SPD operator),
+    CgNonConvergenceError when the iteration cap of 10 n is exhausted or the
+    true residual misses a tolerance that the recursive one met (a rel_tol
+    below roundoff), and LinalgError at the first non-finite right-hand
+    side, inner product or residual.
     """
     if not (0.0 < rel_tol < 1.0):
         raise LinalgError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -80,8 +83,16 @@ def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
             alpha = rz / pAp
             x += alpha * p
             r -= alpha * Ap
-            if _finite(np.linalg.norm(r), "residual") <= rel_tol * bnorm:
-                return x
+            rnorm = _finite(np.linalg.norm(r), "residual")
+            if rnorm <= rel_tol * bnorm:
+                true_res = np.linalg.norm(b - A @ x)
+                if true_res <= rel_tol * bnorm:
+                    return x
+                raise CgNonConvergenceError(
+                    f"recursive residual {rnorm / bnorm:.3e} of ||b|| met "
+                    f"rel_tol {rel_tol:.1e}, but the true residual is "
+                    f"{true_res / bnorm:.3e} of ||b||"
+                )
             z = inv_diag * r
             rz_new = _finite(float(r @ z), "r^T z")
             p = z + (rz_new / rz) * p

@@ -194,13 +194,16 @@ def test_cli_converge_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("argv,reference", [
     (["converge", "--case", "kerr-manufactured", "--chi3", "1", "--levels", "2,4"],
      "converge_kerr_chi3_1_levels_2_4.csv"),
+    (["converge", "--case", "kerr-manufactured", "--chi3", "1", "--formulation", "nedelec",
+      "--levels", "2,4"],
+     "converge_kerr_nedelec_chi3_1_levels_2_4.csv"),
     (["converge", "--case", "cavity", "--levels", "2,4"],
      "converge_cavity_levels_2_4.csv"),
     (["converge", "--case", "cavity", "--formulation", "nedelec", "--levels", "2,4"],
      "converge_cavity_nedelec_levels_2_4.csv"),
     (["project", "--levels", "2,4"], "project_levels_2_4.csv"),
     (["mesh", "--n", "3"], "cube3.tetmesh"),
-], ids=["kerr", "cavity", "cavity-nedelec", "project", "mesh"])
+], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     out = tmp_path / reference

@@ -205,6 +205,40 @@ def test_midpoint_signals_nonconvergence(cavity, cube2, monkeypatch):
         one_step(st, 0.05, ZERO_SOURCES, forms)
 
 
+def test_nedelec_kerr_factorizes_one_jacobian_per_step(cube2, cavity, monkeypatch):
+    # the Jacobian evaluated at the start of each step serves all its sweeps
+    mesh, topo = cube2
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    calls = {"factorized": 0, "assemble_nonlinear_mass_curl": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "factorized")
+    counted(dynamics, "assemble_nonlinear_mass_curl")
+    st = cavity_state(cavity, forms, formulation="nedelec")
+    integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
+    assert calls == {"factorized": 5, "assemble_nonlinear_mass_curl": 5}
+
+
+@pytest.mark.parametrize("dt_over_h", [0.5, 1.0, 2.0, 5.0])
+def test_nedelec_kerr_converges_at_large_dt(cavity, dt_over_h):
+    # the README's measured limit: nedelec Kerr midpoint steps converge up to
+    # dt = 5 h, which needs the Jacobian refreshed when the sweeps slow down
+    mesh = generate_structured_cube(4)
+    forms = build_forms(mesh, build_topology(mesh), MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms, formulation="nedelec")
+    end, _ = integrate(st, dt_over_h * mesh_size(mesh), 3, ZERO_SOURCES, forms,
+                       collect=False)
+    assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
+
+
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
 def test_midpoint_linear_large_dt_conserves_energy(cube2, cavity, formulation):
     # the reduced edge solve is exact for chi3 = 0, so dt = h/2 converges

@@ -112,6 +112,19 @@ def test_cg_nonconvergence_signal():
         cg_solve(A, rng.normal(size=30), 1e-14)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cg_signals_tolerance_below_roundoff(seed):
+    # the recursively updated residual falls below 1e-20 of ||b||, while the
+    # true residual stalls at roundoff (~5e-16): that is no convergence
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(30, 30))
+    D = M @ M.T + 30.0 * np.eye(30)
+    rows, cols = np.nonzero(D)
+    A = from_triplets(rows, cols, D[rows, cols], shape=(30, 30))
+    with pytest.raises(CgNonConvergenceError, match="true residual"):
+        cg_solve(A, rng.normal(size=30), 1e-20)
+
+
 def test_cg_rejects_bad_tolerance():
     A = from_triplets([0], [0], [1.0], shape=(1, 1))
     with pytest.raises(LinalgError):
