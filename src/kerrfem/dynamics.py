@@ -14,10 +14,11 @@ exact constitutive inversion) preserves the quadratic invariants of the
 linear subsystem and is second-order accurate; classical RK4 serves as an
 independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
-nedelec) with the matrix M + (dt^2/4) A_cc / material: exact when linear.
-The nedelec Kerr Jacobian is lagged (a chord method): it is evaluated and
-factorized at the start of the step and re-evaluated at the current iterate
-only after an update that shrank by less than :data:`REFRESH_RATIO`.
+nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
+affine, so its one sweep is exact.  The nedelec Kerr Jacobian is lagged (a
+chord method): it is evaluated and factorized at the start of the step and
+re-evaluated at the current iterate only after an update that shrank by
+less than :data:`REFRESH_RATIO`.
 """
 
 from __future__ import annotations
@@ -211,42 +212,48 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     return de, -dh / params.mu0
 
 
-def _picard_exit(delta: float, prev_delta: float, scale: float, tol: float,
-                 iteration: int) -> bool:
-    """Whether the sweeps stop: the update is at roundoff, or within ``tol``
-    and no longer shrinking (``prev_delta`` is inf at first) or at the
-    :data:`MAX_SWEEPS` cap."""
+def _picard_exit(delta: float, prev_delta: float, tol: float, iteration: int) -> bool:
+    """Whether the sweeps stop after an update of relative size ``delta``:
+    it is at roundoff, or within ``tol`` and no longer shrinking
+    (``prev_delta`` is inf at first) or at the :data:`MAX_SWEEPS` cap."""
     if not np.isfinite(delta):
         raise NonlinearSolveError("midpoint iteration diverged (non-finite update); reduce dt")
     last = iteration == MAX_SWEEPS - 1
-    if delta <= 1e-15 * scale or (delta <= tol * scale and (last or delta >= prev_delta)):
+    if delta <= 1e-15 or (delta <= tol and (last or delta >= prev_delta)):
         return True
     if last:
         raise NonlinearSolveError(
-            f"midpoint iteration stalled at relative update {delta / scale:.3e} "
+            f"midpoint iteration stalled at relative update {delta:.3e} "
             f"after {MAX_SWEEPS} sweeps; reduce dt"
         )
     return False
 
 
-def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float):
-    """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` for the end-of-step fields
-    of one midpoint step, each one Newton update of the formulation's edge
-    unknown with the other field recovered in closed form; they stop per
-    :func:`_picard_exit` on the largest change of either field, at the
-    latest after :data:`MAX_SWEEPS`.  ``refresh`` tells a sweep with a
-    lagged Jacobian to re-evaluate it at the current iterate: it is set
-    after an update larger than :data:`REFRESH_RATIO` times the one before."""
-    e1, h1 = e0.copy(), h0.copy()
+def _relative_update(new: np.ndarray, old: np.ndarray, floor: float) -> float:
+    """||new - old|| over max(||new||, floor), or absolute if both are zero."""
+    return np.linalg.norm(new - old) / (max(np.linalg.norm(new), floor) or 1.0)
+
+
+def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: bool):
+    """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` from the start iterate to
+    the end-of-step fields, each one Newton update of the formulation's edge
+    unknown with the other field recovered in closed form.  A linear step is
+    affine and its first sweep exact, so it takes one; otherwise they stop
+    per :func:`_picard_exit` on the larger update of the two fields, each
+    relative to its own norm floored at its norm at the step start.
+    ``refresh`` tells a sweep with a lagged Jacobian to re-evaluate it at
+    the current iterate: it is set after an update larger than
+    :data:`REFRESH_RATIO` times the one before."""
+    e_floor, h_floor = np.linalg.norm(e1), np.linalg.norm(h1)
     prev = math.inf
     refresh = False
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(MAX_SWEEPS):
             e1_new, h1_new = sweep(e1, h1, refresh)
-            delta = max(np.linalg.norm(e1_new - e1), np.linalg.norm(h1_new - h1))
-            scale = max(np.linalg.norm(e1_new), np.linalg.norm(h1_new), 1.0)
+            delta = max(_relative_update(e1_new, e1, e_floor),
+                        _relative_update(h1_new, h1, h_floor))
             e1, h1 = e1_new, h1_new
-            if _picard_exit(delta, prev, scale, tol, it):
+            if _picard_exit(delta, prev, tol, it) or linear:
                 break
             refresh = delta > REFRESH_RATIO * prev
             prev = delta
@@ -255,11 +262,12 @@ def _midpoint_sweeps(e0: np.ndarray, h0: np.ndarray, sweep, tol: float):
 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
                       je: np.ndarray, jm: np.ndarray):
-    """Sweep of the lee-madsen step: H by a simplified Newton update on
-    G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 + j_m) with the linear
-    reduced matrix, an upper bound of the Kerr Jacobian (so the update
-    contracts; the ``refresh`` flag has nothing to re-evaluate); then E1 by
-    cellwise constitutive inversion."""
+    """Sweep of the lee-madsen step and its start iterate (E(H0), H0): H by a
+    simplified Newton update on G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 +
+    E1)/2 + j_m) with the linear reduced matrix, an upper bound of the Kerr
+    Jacobian (so the update contracts; ``refresh`` has nothing to
+    re-evaluate), then E1 = E(H1) by cellwise constitutive inversion, which
+    the next sweep's residual reads."""
     params = forms.params
     vol = forms.ctx.vol[:, None]
     solve = forms.reduced_solver("lee-madsen", dt)
@@ -268,13 +276,16 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     e0, h0 = state.e, state.h
     d0 = d_of_e(params, e0.reshape(-1, 3))
 
+    def e_end(h1):
+        d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
+        return e_of_d(params, d1).ravel()
+
     def sweep(e1, h1, refresh):
         h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
                         + dt * (CT @ (0.5 * (e0 + e1)) + jm))
-        d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
-        return e_of_d(params, d1).ravel(), h1
+        return e_end(h1), h1
 
-    return sweep
+    return sweep, e_end(h0)
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
@@ -285,7 +296,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     the step starts and again at the current E1 only when ``refresh`` is set
     (see :func:`_midpoint_sweeps`); linear media use the cached solver.  H1
     follows exactly from the discrete curl of E1, so the ``h1`` argument is
-    not read."""
+    not read.  The start iterate is E0 itself."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -315,7 +326,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         e1[free] -= solve(residual)
         return e1, h_end(e1)
 
-    return sweep
+    return sweep, e0
 
 
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
@@ -325,8 +336,8 @@ def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarra
                    jm: np.ndarray, tol: float) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
     the source loads ``je``, ``jm`` at the step's midpoint t + dt/2."""
-    sweep = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm)
-    e1, h1 = _midpoint_sweeps(state.e, state.h, sweep, tol)
+    sweep, e_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm)
+    e1, h1 = _midpoint_sweeps(e_start, state.h, sweep, tol, forms.params.chi3 == 0.0)
     return State(state.formulation, e1, h1, state.t + dt)
 
 

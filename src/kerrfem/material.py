@@ -5,7 +5,8 @@ is D = eps0*(1 + chi1 + chi3*|E|^2)*E, and its field derivative is the
 symmetric matrix eps(E) = eps0*[(1 + chi1 + chi3*|E|^2) I + 2*chi3*E E^T],
 which is uniformly positive definite whenever chi1, chi3 >= 0.  The inverse
 of eps(E)/eps0 is available in closed form (a rank-one Sherman-Morrison
-update), so no 3x3 factorizations are ever needed.
+update), so no 3x3 factorizations are ever needed; D(E) too is inverted
+in closed form (Cardano).
 
 All functions accept a single 3-vector or an (..., 3) batch.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 
 class MaterialError(Exception):
-    """Invalid material parameters or failed constitutive inversion."""
+    """Invalid material parameters."""
 
 
 @dataclass(frozen=True)
@@ -97,48 +98,35 @@ def d_of_e(p: MaterialParams, E) -> np.ndarray:
     return p.eps0 * eps_scalar(p, E)[..., None] * E
 
 
-FLUX_INVERSION_TOL = 1e-14  # relative Newton step at which the inversion stops
-FLUX_INVERSION_MAX_ITER = 100
-
-
 def field_magnitude_from_flux(p: MaterialParams, r) -> np.ndarray:
-    """Solve eps0*chi3*s^3 + eps0*(1+chi1)*s = r for s >= 0, elementwise.
+    """Solve a s^3 + b s = r for s >= 0, elementwise, with a = eps0*chi3 > 0
+    and b = eps0*(1+chi1) (:func:`e_of_d` handles chi3 = 0).
 
-    The cubic is strictly increasing and convex for s > 0, so Newton started
-    from an upper bound of the root decreases monotonically onto it.  Both
-    r/(eps0*(1+chi1)) (the linear term alone) and cbrt(r/(eps0*chi3)) (the
-    cubic term alone) bound the root from above; the smaller one is used as
-    the start, which keeps s**3 finite for large |D|, and iterates are
-    clamped to [0, start] as a safeguard.
+    The cubic is strictly increasing, so its one real root has the
+    hyperbolic Cardano form s = 2k sinh(asinh(r / (2 a k^3)) / 3) with
+    k = sqrt(b / 3a) (Nickalls, Math. Gazette 77, 1993): s = 2k sinh(t)
+    turns the cubic into sinh(3t) = r / (2 a k^3).  One Newton step polishes
+    its roundoff, with s^3 formed as s (a s^2) so that it cannot overflow.
     """
     r = np.asarray(r, dtype=np.float64)
     a = p.eps0 * p.chi3
     b = p.eps_lin
-    if a == 0.0:
-        return r / b
-    upper = np.minimum(r / b, np.cbrt(r / a))
-    s = upper.copy()
-    for _ in range(FLUX_INVERSION_MAX_ITER):
-        f = a * s**3 + b * s - r
-        step = f / (3.0 * a * s * s + b)
-        s_new = np.clip(s - step, 0.0, upper)
-        if np.all(np.abs(s_new - s) <= FLUX_INVERSION_TOL * np.maximum(s_new, 1e-300)):
-            return s_new
-        s = s_new
-    raise MaterialError(
-        f"flux inversion did not converge in {FLUX_INVERSION_MAX_ITER} Newton steps"
-    )
+    k = np.sqrt(b / (3.0 * a))
+    s = 2.0 * k * np.sinh(np.arcsinh(r / (2.0 * a * k**3)) / 3.0)
+    as2 = a * s * s
+    return s - (s * (as2 + b) - r) / (3.0 * as2 + b)
 
 
 def e_of_d(p: MaterialParams, D) -> np.ndarray:
     """Exact inverse of :func:`d_of_e`: the unique E with D(E) = D.
 
-    |E| solves a monotone scalar cubic in |D|, and E keeps D's direction.
+    |E| solves a monotone scalar cubic in |D|, and E keeps D's direction
+    (D = 0 maps to E = 0 exactly); a linear medium just divides by eps_lin.
     """
     D = np.asarray(D, dtype=np.float64)
-    r = np.linalg.norm(D, axis=-1)
+    if p.chi3 == 0.0:
+        return D / p.eps_lin
+    r = np.sqrt(np.einsum("...i,...i->...", D, D))
     s = field_magnitude_from_flux(p, r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(r > 0.0, s / np.where(r > 0.0, r, 1.0), 0.0)
+    scale = np.divide(s, r, out=np.zeros_like(r), where=r > 0.0)
     return scale[..., None] * D
-

@@ -38,6 +38,16 @@ def reference_tet_mesh():
     return make_mesh(verts, np.array([[0, 1, 2, 3]]))
 
 
+def jittered_cube(n, rng):
+    """Kuhn cube with interior vertices moved by up to 10% of the spacing per
+    coordinate, drawn from ``rng``; returns (vertices, tets)."""
+    base = generate_structured_cube(n)
+    verts = base.vertices.copy()
+    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
+    verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
+    return verts, base.tets
+
+
 def to_reference(geometry, tet_id, points):
     """Reference coordinates (m, 3) of physical points in one tet, given the
     arrays of :func:`all_geometry`."""

@@ -8,7 +8,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import discrete_field_closure, eval_on_tet, piecewise_curl_closure
+from conftest import (
+    discrete_field_closure,
+    eval_on_tet,
+    jittered_cube,
+    piecewise_curl_closure,
+)
 from kerrfem import assembly
 from kerrfem.assembly import (
     assemble_coupling,
@@ -217,19 +222,16 @@ def test_discrete_curl_reproduces_curl(cube2):
 
 
 def _jittered_permuted_mesh(n, seed):
-    """Kuhn cube with interior vertices moved by up to 10% of the spacing per
-    coordinate and vertex numbers permuted, read back from a mesh file."""
+    """A jittered Kuhn cube with its vertex numbers permuted, read back from a
+    mesh file."""
     rng = np.random.default_rng(seed)
-    base = generate_structured_cube(n)
-    verts = base.vertices.copy()
-    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
-    verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
+    verts, tets = jittered_cube(n, rng)
     perm = rng.permutation(len(verts))
     permuted = np.empty_like(verts)
     permuted[perm] = verts
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mesh.txt")
-        write_mesh(make_mesh(permuted, perm[base.tets]), path)
+        write_mesh(make_mesh(permuted, perm[tets]), path)
         return read_mesh(path)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import energy_density
+from conftest import energy_density, jittered_cube
 from kerrfem import dynamics, linalg
 from kerrfem.assembly import (
     assemble_flux_load,
@@ -36,6 +36,12 @@ from kerrfem.verification import cavity_mode_case, kerr_manufactured_case
 @pytest.fixture(scope="module")
 def cavity():
     return cavity_mode_case()
+
+
+@pytest.fixture(scope="module")
+def cube4():
+    mesh = generate_structured_cube(4)
+    return mesh, build_topology(mesh)
 
 
 @pytest.fixture(scope="module")
@@ -239,15 +245,74 @@ def test_nedelec_kerr_converges_at_large_dt(cavity, dt_over_h):
     assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
 
 
+def test_lee_madsen_kerr_converges_at_dt_h(cube4, cavity):
+    # the README's measured limit: lee-madsen Kerr sweeps, which form each H
+    # residual with E(H1), take three cavity steps at dt = h on n = 4
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms)
+    end, _ = integrate(st, mesh_size(mesh), 3, ZERO_SOURCES, forms, collect=False)
+    assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
+
+
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
-def test_midpoint_linear_large_dt_conserves_energy(cube2, cavity, formulation):
-    # the reduced edge solve is exact for chi3 = 0, so dt = h/2 converges
+def test_midpoint_linear_step_takes_one_sweep(cube2, cavity, formulation, monkeypatch):
+    # a linear step is affine and its first sweep solves it exactly, so each
+    # step makes one back-solve with the reduced matrix
+    solves = []
+    factorized = linalg.factorized
+
+    def counted(A):
+        solve = factorized(A)
+
+        def counted_solve(b):
+            solves.append(b)
+            return solve(b)
+
+        return counted_solve
+
+    monkeypatch.setattr(linalg, "factorized", counted)
     mesh, topo = cube2
     forms = build_forms(mesh, topo, cavity.params)
     st = cavity_state(cavity, forms, formulation=formulation)
-    _, trace = integrate(st, 0.5 * mesh_size(mesh), 20, ZERO_SOURCES, forms)
+    solves.clear()
+    integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
+    assert len(solves) == 5
+
+
+@pytest.mark.parametrize("chi3", [0.0, 1.0])
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_midpoint_amplitude_symmetry(cube4, cavity, formulation, chi3):
+    # E -> a E with chi3 -> chi3 / a^2 maps a solution to a times itself; the
+    # sweeps measure each field's update relative to that field, so the end
+    # states scale with a down to tiny amplitudes
+    mesh, topo = cube4
+    dt = 0.3 * mesh_size(mesh)
+    forms = build_forms(mesh, topo, MaterialParams(chi3=chi3))
+    st = cavity_state(cavity, forms, formulation=formulation)
+    ref, _ = integrate(st, dt, 5, ZERO_SOURCES, forms, collect=False)
+    for a in (1e-4, 1e-8):
+        scaled = build_forms(mesh, topo, MaterialParams(chi3=chi3 / a**2))
+        start = State(formulation, a * st.e, a * st.h, 0.0)
+        end, _ = integrate(start, dt, 5, ZERO_SOURCES, scaled, collect=False)
+        for got, want in ((end.e, ref.e), (end.h, ref.h)):
+            assert np.linalg.norm(got / a - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_midpoint_linear_large_dt_conserves_energy(cavity, formulation):
+    # SI-scale linear medium on a jittered mesh at dt = 5 h / c: the one sweep
+    # of each step solves it exactly, so the energy is constant to roundoff
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(7)))
+    params = MaterialParams(eps0=8.854e-12, mu0=1.2566e-6, chi1=2.5)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    z = np.sqrt(params.eps_lin / params.mu0)  # balances the E and H energies
+    st = initialize(lambda X: cavity.E(0.0, X), lambda X: z * cavity.H(0.0, X),
+                    formulation, forms, H0_curl=lambda X: z * cavity.curl_H(0.0, X))
+    dt = 5.0 * mesh_size(mesh) * np.sqrt(params.eps_lin * params.mu0)
+    _, trace = integrate(st, dt, 20, ZERO_SOURCES, forms)
     w = np.asarray(trace.energy)
-    assert np.abs(w - w[0]).max() / w[0] <= 1e-9
+    assert np.abs(w - w[0]).max() <= 1e-12 * w[0]
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])

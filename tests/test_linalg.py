@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import jittered_cube
 from kerrfem.assembly import assemble_nonlinear_mass_curl, build_forms
 from kerrfem.linalg import (
     CgBreakdownError,
@@ -14,7 +15,7 @@ from kerrfem.linalg import (
     solve_saddle,
 )
 from kerrfem.material import MaterialParams
-from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
+from kerrfem.mesh import build_topology, make_mesh, mesh_size
 
 
 def dense_random_spd(rng, n):
@@ -170,14 +171,8 @@ def test_transpose():
 
 
 def _jittered_forms(n, params):
-    """Forms on the Kuhn cube with interior vertices moved by up to 10% of
-    the spacing per coordinate."""
-    base = generate_structured_cube(n)
-    verts = base.vertices.copy()
-    interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
-    rng = np.random.default_rng(5)
-    verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
-    mesh = make_mesh(verts, base.tets)
+    """Forms on a jittered Kuhn cube."""
+    mesh = make_mesh(*jittered_cube(n, np.random.default_rng(5)))
     return build_forms(mesh, build_topology(mesh), params)
 
 

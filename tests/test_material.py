@@ -178,4 +178,4 @@ def test_constitutive_round_trip_extreme_magnitudes(params, log_mag, direction):
     v = np.asarray(direction)
     D = 10.0**log_mag * v / np.linalg.norm(v)
     back = d_of_e(params, e_of_d(params, D))
-    assert np.linalg.norm(back - D) <= 1e-12 * np.linalg.norm(D)
+    assert np.linalg.norm(back - D) <= 1e-14 * np.linalg.norm(D)
