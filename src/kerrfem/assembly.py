@@ -1,18 +1,26 @@
 """Quadrature-based assembly of mass, coupling, and projection operators.
 
-This module owns every quadrature decision.  :func:`build_context` fixes the
-degree-:data:`QUAD_DEGREE` tet rule, maps it to each element, and stores the
-measure ``dx`` (weight times Jacobian determinant) and the three discrete
-spaces, each with its physical basis, once per mesh.  A :class:`FemContext`
-then samples fields there (:meth:`FemContext.sample`) and integrates densities
-against ``dx`` (:meth:`FemContext.integrate`), so no other module handles
-quadrature weights.  The Gram matrices of the lowest-order spaces involve
-polynomial integrands of degree <= 2 and are therefore exact under this
-rule, as are the Kerr nonlinear mass (degree 4) and flux integrands.
+This module owns every quadrature decision, one rule per kind of integrand.
+:func:`build_context` fixes the degree-:data:`QUAD_DEGREE` conical tet rule
+(27 points), maps it to each element, and stores the measure ``dx`` (weight
+times Jacobian determinant) and the three discrete spaces, each with its
+physical basis, once per mesh.  A :class:`FemContext` then samples fields
+there (:meth:`FemContext.sample`) and integrates densities against ``dx``
+(:meth:`FemContext.integrate`), so no other module handles quadrature
+weights.  This rule serves the integrals made once per mesh or of
+non-polynomial integrands: the Gram matrices (degree <= 2), source loads,
+projections, error norms and the max-norm sampling of E_h.
+
+The integrands of every nedelec Kerr step are polynomials of degree <= 4 in
+the piecewise-linear E_h: the flux load, the Kerr Jacobian and the energy
+density.  They run on the symmetric 14-point degree-5 rule instead
+(:attr:`FemContext.edge_quad`, built on first use), which is exact for them
+as the conical rule is, at half the points.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` caches the LU factorizations the time
-steppers need.
+steppers need and, on first use, the free-edge pattern into which each Kerr
+Jacobian is assembled.
 """
 
 from __future__ import annotations
@@ -24,15 +32,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import DofMap, build_spaces
+from .fem_spaces import DofMap, build_spaces, edge_values
 from .linalg import from_triplets
 from .material import MaterialParams
 from .mesh import Mesh, Topology, all_geometry
-from .quadrature import tetrahedron_rule
+from .quadrature import symmetric_tetrahedron_rule, tetrahedron_rule
 
 __all__ = [
     "QUAD_DEGREE",
     "FemContext",
+    "EdgeQuadrature",
+    "FreeEdgePattern",
     "AssembledForms",
     "build_context",
     "build_forms",
@@ -48,8 +58,30 @@ __all__ = [
     "curl_project",
 ]
 
-# Exact for every integrand assembled here (Kerr mass and flux: degree 4).
+# Degree of the conical rule of FemContext.dx; the 14-point rule of
+# FemContext.edge_quad is exact to the same degree.
 QUAD_DEGREE = 5
+
+
+@dataclass(frozen=True)
+class EdgeQuadrature:
+    """The edge space on the symmetric 14-point rule, for the nedelec Kerr
+    integrands.  ``values`` is laid out as :attr:`DofMap.values` but already
+    multiplied by the cell signs, so local vectors and matrices come out in
+    the global orientation."""
+
+    dx: np.ndarray          # (nt, nq) quadrature weight times det J
+    cell_dofs: np.ndarray   # (nt, 6) global edge of each local edge
+    values: np.ndarray      # (nt, 6, 3 nq) signed physical edge basis
+
+    def field(self, coeffs: np.ndarray) -> np.ndarray:
+        """An edge field at the points, (nt, nq, 3)."""
+        local = np.asarray(coeffs, dtype=np.float64)[self.cell_dofs]
+        return np.matmul(local[:, None, :], self.values).reshape(len(local), -1, 3)
+
+    def integrate(self, density: np.ndarray) -> float:
+        """Integral over the mesh of a scalar density at the points, (nt, nq)."""
+        return float(np.einsum("tq,tq->", self.dx, density))
 
 
 @dataclass
@@ -97,6 +129,16 @@ class FemContext:
         """L2 Gram matrix (f_k, f_l) of vector fields given as callables."""
         vals = np.stack([self.sample(f) for f in funcs])
         return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
+
+    @cached_property
+    def edge_quad(self) -> EdgeQuadrature:
+        """The edge space on the symmetric 14-point rule, built on first use."""
+        _, _, det, inv_jt, _ = all_geometry(self.mesh)
+        rule = symmetric_tetrahedron_rule()
+        values = edge_values(inv_jt, rule.points)
+        values *= self.dof_u.cell_signs[:, :, None]
+        return EdgeQuadrature(det[:, None] * rule.weights[None, :],
+                              self.dof_u.cell_dofs, values)
 
 
 def build_context(mesh: Mesh, topo: Topology) -> FemContext:
@@ -170,37 +212,53 @@ def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
 
 def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """(curl u, curl v) on the edge space; curls are cellwise constant."""
-    local = np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
-    return _scatter_matrix(local, dofmap, dofmap.num_dofs)
+    return _scatter_matrix(_local_curl_curl(ctx), dofmap, dofmap.num_dofs)
 
 
-def assemble_nonlinear_mass_curl(ctx: FemContext, params: MaterialParams,
-                                 coeffs: np.ndarray) -> sp.csr_matrix:
-    """Field-dependent mass on the edge space: integral of eps(E_h) psi_i . psi_j.
+def _local_curl_curl(ctx: FemContext) -> np.ndarray:
+    """Per-tet (curl psi_i, curl psi_j), (nt, 6, 6); curls are cellwise constant."""
+    return np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
 
-    E_h is piecewise linear here, so the degree-4 integrand is evaluated by
-    quadrature (exact under the degree-:data:`QUAD_DEGREE` rule).
-    """
-    dofmap = ctx.dof_u
-    E = ctx.field_at_quads(dofmap, coeffs)           # (nt, nq, 3)
+
+def _kerr_measure(quad: EdgeQuadrature, params: MaterialParams, coeffs: np.ndarray):
+    """E_h at the points of ``quad`` and the measure eps0 (1 + chi1 + chi3
+    |E_h|^2) dx."""
+    E = quad.field(coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
-    phi = dofmap.values
-    local = _local_gram(ctx.dx * es, phi)
+    return E, params.eps0 * es * quad.dx
+
+
+def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
+                                 dt: float) -> sp.csr_matrix:
+    """Kerr Jacobian of a nedelec midpoint step on the free edges,
+    M_eps(E_h) + dt^2/(4 mu0) A_cc, in :attr:`AssembledForms.free_edge_pattern`.
+
+    M_eps[i, j] is the integral of eps(E_h) psi_i . psi_j with the field
+    derivative eps(E) = eps0 [(1 + chi1 + chi3 |E|^2) I + 2 chi3 E E^T]; E_h
+    is piecewise linear, so the degree-4 integrand is exact on the 14-point
+    rule.  At dt = 0 this is the Kerr mass of the RK4 stages.
+    """
+    params = forms.params
+    quad = forms.ctx.edge_quad
+    E, measure = _kerr_measure(quad, params, coeffs)
+    phi = quad.values
+    local = _local_gram(measure, phi)
     if params.chi3 > 0.0:
         prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
         ephi = prod[..., 0::3] + prod[..., 1::3] + prod[..., 2::3]  # E . psi_i
-        local += 2.0 * params.chi3 * _local_gram(ctx.dx, ephi)
-    return _scatter_matrix(params.eps0 * local, dofmap, dofmap.num_dofs)
+        local += _local_gram((2.0 * params.eps0 * params.chi3) * quad.dx, ephi)
+    return forms.free_edge_pattern.matrix(local, dt * dt / (4.0 * params.mu0))
 
 
 def assemble_flux_load(ctx: FemContext, params: MaterialParams,
                        coeffs: np.ndarray) -> np.ndarray:
-    """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i."""
-    dofmap = ctx.dof_u
-    E = ctx.field_at_quads(dofmap, coeffs)
-    es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
-    D = params.eps0 * es[..., None] * E
-    return _scatter_vector(_local_moments(ctx.dx, D, dofmap.values), dofmap)
+    """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i,
+    exact on the 14-point rule (degree 4)."""
+    quad = ctx.edge_quad
+    E, measure = _kerr_measure(quad, params, coeffs)
+    local = _local_moments(measure, E, quad.values)
+    return np.bincount(quad.cell_dofs.ravel(), weights=local.ravel(),
+                       minlength=ctx.dof_u.num_dofs)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -289,6 +347,52 @@ def curl_project(forms: AssembledForms, target, target_curl,
     return u
 
 
+@dataclass(frozen=True)
+class FreeEdgePattern:
+    """Canonical CSR pattern (sorted, no duplicates) of M_u + A_cc restricted
+    to the free edges, with the data slot of every local entry (t, i, j)
+    (one past the last slot for a pair with a fixed edge) and A_cc's data on
+    it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray       # (nt * 36,)
+    curl_curl: np.ndarray   # (nnz,)
+
+    def matrix(self, local: np.ndarray, shift: float) -> sp.csr_matrix:
+        """Sum of per-tet matrices (nt, 6, 6), signed to the global edge
+        orientation, plus ``shift`` A_cc, on the pattern."""
+        nnz = len(self.indices)
+        data = np.bincount(self.slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+        if shift:
+            data += shift * self.curl_curl
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _free_edge_pattern(ctx: FemContext, free_edges: np.ndarray) -> FreeEdgePattern:
+    """The :class:`FreeEdgePattern` of the edge space on ``free_edges``."""
+    dofmap = ctx.dof_u
+    nfree = len(free_edges)
+    position = np.full(dofmap.num_dofs, -1, dtype=np.int64)
+    position[free_edges] = np.arange(nfree)
+    local = position[dofmap.cell_dofs]                    # (nt, 6)
+    rows = np.repeat(local[:, :, None], 6, axis=2).ravel()
+    cols = np.repeat(local[:, None, :], 6, axis=1).ravel()
+    kept = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[kept] * nfree + cols[kept], return_inverse=True)
+    nnz = len(keys)
+    slots = np.full(len(rows), nnz, dtype=np.int64)
+    slots[kept] = slot
+    indptr = np.zeros(nfree + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // nfree, minlength=nfree), out=indptr[1:])
+    signs = dofmap.cell_signs
+    curl_curl = _local_curl_curl(ctx) * signs[:, :, None] * signs[:, None, :]
+    return FreeEdgePattern(
+        indptr, keys % nfree, slots,
+        np.bincount(slots, weights=curl_curl.ravel(), minlength=nnz + 1)[:nnz])
+
+
 @dataclass
 class AssembledForms:
     """All constant matrices of both semi-discrete formulations, the LU
@@ -338,20 +442,26 @@ class AssembledForms:
         return assemble_curl_curl(self.ctx, self.dof_u)
 
     @cached_property
+    def free_edge_pattern(self) -> FreeEdgePattern:
+        """The pattern every nedelec Kerr Jacobian is assembled into, built
+        on first use."""
+        return _free_edge_pattern(self.ctx, self.free_edges)
+
+    @cached_property
     def solve_mass_v1(self):
         """Solve with the face Gram matrix."""
         return linalg.factorized(self.mass_v1)
 
-    def reduced_matrix(self, formulation: str, dt: float,
-                       eps_mass: sp.csr_matrix | None = None) -> sp.csr_matrix:
-        """Edge matrix of a midpoint step with one field eliminated: mu0 M_u +
-        dt^2/(4 eps_lin) A_cc (lee-madsen), or on the free edges M_eps +
-        dt^2/(4 mu0) A_cc (nedelec; ``eps_mass`` defaults to eps_lin M_u)."""
+    def reduced_matrix(self, formulation: str, dt: float) -> sp.csr_matrix:
+        """Linear edge matrix of a midpoint step with one field eliminated:
+        mu0 M_u + dt^2/(4 eps_lin) A_cc (lee-madsen), or on the free edges
+        eps_lin M_u + dt^2/(4 mu0) A_cc (nedelec; its Kerr counterpart is
+        :func:`assemble_nonlinear_mass_curl`)."""
         params = self.params
         A = self.curl_curl
         if formulation == "lee-madsen":
             return params.mu0 * self.mass_u1 + dt * dt / (4.0 * params.eps_lin) * A
-        M = params.eps_lin * self.mass_u1 if eps_mass is None else eps_mass
+        M = params.eps_lin * self.mass_u1
         free = self.free_edges
         return (M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)]
 

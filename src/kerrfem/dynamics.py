@@ -203,8 +203,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     if params.chi3 == 0.0:
         de[free] = forms.reduced_solver("nedelec", 0.0)(rhs_e)
     else:
-        eps_mass = assemble_nonlinear_mass_curl(forms.ctx, params, state.e)
-        meps = forms.reduced_matrix("nedelec", 0.0, eps_mass)
+        meps = assemble_nonlinear_mass_curl(forms, state.e, 0.0)
         de[free] = linalg.cg_solve(meps, rhs_e, rel_tol=cg_tol)
     dh = forms.discrete_curl @ state.e
     if sources.j_m_terms:
@@ -292,7 +291,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
                    je: np.ndarray, jm: np.ndarray):
     """Sweep of the nedelec step: a chord update of E on the free edges for
     R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with the Jacobian
-    :meth:`AssembledForms.reduced_matrix` evaluated and factorized at E0 when
+    :func:`assemble_nonlinear_mass_curl` evaluated and factorized at E0 when
     the step starts and again at the current E1 only when ``refresh`` is set
     (see :func:`_midpoint_sweeps`); linear media use the cached solver.  H1
     follows exactly from the discrete curl of E1, so the ``h1`` argument is
@@ -308,8 +307,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     def jacobian_solver(e):
         if params.chi3 == 0.0:
             return forms.reduced_solver("nedelec", dt)
-        eps_mass = assemble_nonlinear_mass_curl(ctx, params, e)
-        return linalg.factorized(forms.reduced_matrix("nedelec", dt, eps_mass))
+        return linalg.factorized(assemble_nonlinear_mass_curl(forms, e, dt))
 
     solve = jacobian_solver(e0)
 
@@ -383,10 +381,11 @@ def total_energy(state: State, forms: AssembledForms) -> float:
                                + 0.75 * params.eps0 * params.chi3 * e2 * e2))
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
-    E = ctx.field_at_quads(forms.dof_u, state.e)
+    quad = ctx.edge_quad
+    E = quad.field(state.e)
     e2 = np.einsum("tqd,tqd->tq", E, E)
     dens_e = 0.5 * params.eps_lin * e2 + 0.75 * params.eps0 * params.chi3 * e2 * e2
-    we = ctx.integrate(dens_e)
+    we = quad.integrate(dens_e)
     wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_v1 @ state.h))
     return we + wh
 

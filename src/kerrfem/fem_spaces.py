@@ -96,6 +96,12 @@ def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):
     )
 
 
+def edge_values(inv_jt: np.ndarray, points) -> np.ndarray:
+    """Physical edge basis values on every tet at reference points, (nt, 6,
+    3 m), as :func:`piola_map` maps them, without its other three arrays."""
+    return _mapped_values(inv_jt, eval_edge_basis(points)[0])
+
+
 def _mapped_values(A: np.ndarray, ref: np.ndarray, det=None) -> np.ndarray:
     """A u (divided by det) for each reference basis function u, (m, nloc, 3),
     on every tet, written into one (nt, nloc, 3 m) array a function at a time

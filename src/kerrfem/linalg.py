@@ -1,10 +1,11 @@
 """Minimal sparse linear algebra used by assembly and the time steppers.
 
-Matrices are plain scipy.sparse CSR matrices (built by :func:`from_triplets`)
-and factorizations are scipy's SuperLU; the conjugate gradient loop is
-written out here because callers need to distinguish an indefinite operator
-(breakdown) from a slow one (non-convergence), which the library solvers do
-not report.  Everything is float64.
+Matrices are plain scipy.sparse CSR matrices (built by :func:`from_triplets`,
+or by assembly straight into a fixed pattern) and factorizations are scipy's
+SuperLU; the conjugate gradient loop is written out here because callers
+need to distinguish an indefinite operator (breakdown) from a slow one
+(non-convergence), which the library solvers do not report.  Everything is
+float64.
 """
 
 from __future__ import annotations

@@ -117,6 +117,25 @@ def field_magnitude_from_flux(p: MaterialParams, r) -> np.ndarray:
     return s - (s * (as2 + b) - r) / (3.0 * as2 + b)
 
 
+_TINY = np.finfo(np.float64).tiny  # smallest normal float64
+
+
+def _flux_magnitude(D: np.ndarray) -> np.ndarray:
+    """|D| per vector.  Where the squared norm underflows (|D| below about
+    1e-154) that vector is first divided by its largest component; every
+    other vector takes the plain square root of its squared norm."""
+    r2 = np.einsum("...i,...i->...", D, D)
+    r = np.sqrt(r2)
+    if r2.size and r2.min() < _TINY:
+        small = r2 < _TINY
+        r = np.array(r)
+        tiny_d = D[small]
+        top = np.abs(tiny_d).max(axis=-1, keepdims=True)
+        unit = np.divide(tiny_d, top, out=np.zeros_like(tiny_d), where=top > 0.0)
+        r[small] = top[:, 0] * np.sqrt(np.einsum("...i,...i->...", unit, unit))
+    return r
+
+
 def e_of_d(p: MaterialParams, D) -> np.ndarray:
     """Exact inverse of :func:`d_of_e`: the unique E with D(E) = D.
 
@@ -126,7 +145,7 @@ def e_of_d(p: MaterialParams, D) -> np.ndarray:
     D = np.asarray(D, dtype=np.float64)
     if p.chi3 == 0.0:
         return D / p.eps_lin
-    r = np.sqrt(np.einsum("...i,...i->...", D, D))
+    r = _flux_magnitude(D)
     s = field_magnitude_from_flux(p, r)
     scale = np.divide(s, r, out=np.zeros_like(r), where=r > 0.0)
     return scale[..., None] * D

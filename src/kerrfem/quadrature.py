@@ -2,12 +2,16 @@
 
 Simplex rules are conical products of Gauss-Jacobi lines (Stroud), so a rule
 with q points per direction integrates all polynomials of total degree
-2q - 1 exactly and has strictly positive weights.  Weights sum to the
-reference measure: 1/6 (tet), 1/2 (triangle), 1 (segment on [0, 1]).
+2q - 1 exactly and has strictly positive weights.  Next to them sits one
+fixed symmetric tet rule, :func:`symmetric_tetrahedron_rule`: 14 points,
+exact to degree 5 like the 27-point conical rule, with positive weights.
+Weights sum to the reference measure: 1/6 (tet), 1/2 (triangle), 1
+(segment on [0, 1]).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -67,3 +71,33 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
 def segment_rule(num_points: int = 4) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1]."""
     return _conical_rule(1, num_points)
+
+
+# Orbits of the symmetric 14-point degree-5 rule on the reference tet, as
+# (barycentric parameter, weight): two 4-point orbits (a, a, a, 1 - 3a) and
+# one 6-point orbit (b, b, 1/2 - b, 1/2 - b), solved to 40 digits from the
+# moment equations (Jaskowiec and Sukumar, "High-order cubature rules for
+# tetrahedra", IJNME 121, 2020, list the same rule).
+_VERTEX_ORBITS = ((0.092735250310891226402, 0.012248840519393658257),
+                  (0.3108859192633006098, 0.0187813209530026418))
+_EDGE_ORBIT = (0.045503704125649649492, 0.007091003462846911073)
+
+
+@lru_cache(maxsize=None)
+def symmetric_tetrahedron_rule() -> QuadratureRule:
+    """Symmetric rule on the reference tet, exact to degree 5, with
+    positive weights: 14 points where ``tetrahedron_rule(5)`` has 27."""
+    bary, wts = [], []
+    for a, w in _VERTEX_ORBITS:
+        for k in range(4):
+            lam = np.full(4, a)
+            lam[k] = 1.0 - 3.0 * a
+            bary.append(lam)
+            wts.append(w)
+    b, w = _EDGE_ORBIT
+    for pair in itertools.combinations(range(4), 2):
+        lam = np.full(4, 0.5 - b)
+        lam[list(pair)] = b
+        bary.append(lam)
+        wts.append(w)
+    return QuadratureRule(points=np.array(bary)[:, 1:], weights=np.array(wts))

@@ -37,10 +37,16 @@ from kerrfem.mesh import (
     build_topology,
     generate_structured_cube,
     make_mesh,
+    mesh_size,
     read_mesh,
     write_mesh,
 )
-from kerrfem.quadrature import segment_rule, tetrahedron_rule, triangle_rule
+from kerrfem.quadrature import (
+    segment_rule,
+    symmetric_tetrahedron_rule,
+    tetrahedron_rule,
+    triangle_rule,
+)
 from kerrfem.verification import cavity_mode_case
 
 
@@ -54,6 +60,21 @@ def test_all_lists_every_public_function_and_class():
               if not name.startswith("_") and callable(obj)
               and getattr(obj, "__module__", None) == assembly.__name__}
     assert public <= set(assembly.__all__)
+
+
+def test_symmetric_tet_rule_is_exact_to_degree_five():
+    rule = symmetric_tetrahedron_rule()
+    assert rule.points.shape == (14, 3)
+    assert np.all(rule.weights > 0)
+    assert rule.weights.sum() == pytest.approx(1.0 / 6.0, rel=1e-15)
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
+    assert np.all(bary > 0.0)
+    x, y, z = rule.points.T
+    exponents = [(a, b, c) for a in range(6) for b in range(6 - a) for c in range(6 - a - b)]
+    assert len(exponents) == 56
+    for a, b, c in exponents:
+        got = np.sum(rule.weights * x**a * y**b * z**c)
+        assert got == pytest.approx(monomial_integral_tet(a, b, c), rel=1e-14)
 
 
 def test_tet_rule_monomial_exactness():
@@ -130,26 +151,37 @@ def test_masses_are_spd(ctx2):
             assert x @ (M @ x) > 0.0
 
 
-def test_nonlinear_mass_curl_matches_block_structure(ctx2):
-    # with chi3 = 0 the edge-space eps-mass is the scaled plain mass
+def _free_block(forms, A):
+    """Dense free x free block of an edge matrix."""
+    free = forms.free_edges
+    return np.asarray(A)[np.ix_(free, free)]
+
+
+def test_nonlinear_mass_curl_matches_block_structure(cube2):
+    # with chi3 = 0 the Kerr Jacobian is the linear reduced matrix, whose
+    # mass part is the scaled plain mass on the free edges
+    mesh, topo = cube2
     params = MaterialParams(eps0=2.0, chi1=0.5)
-    dm = ctx2.dof_u
+    forms = build_forms(mesh, topo, params)
     rng = np.random.default_rng(2)
-    e = rng.normal(size=dm.num_dofs)
-    M = assemble_nonlinear_mass_curl(ctx2, params, e)
-    M1 = assemble_mass(ctx2, dm)
-    assert np.abs(M.toarray() - 3.0 * M1.toarray()).max() < 1e-12
+    e = rng.normal(size=forms.dof_u.num_dofs)
+    M = assemble_nonlinear_mass_curl(forms, e, 0.0)
+    M1 = _free_block(forms, forms.mass_u1.toarray())
+    assert np.abs(M.toarray() - 3.0 * M1).max() < 1e-12
+    dt = 0.3
+    jac = assemble_nonlinear_mass_curl(forms, e, dt).toarray()
+    assert np.abs(jac - forms.reduced_matrix("nedelec", dt).toarray()).max() < 1e-12
 
 
-def test_nonlinear_mass_curl_is_spd_kerr(ctx2):
+def test_nonlinear_mass_curl_is_spd_kerr(cube2):
+    mesh, topo = cube2
     params = MaterialParams(chi3=1.5)
-    dm = ctx2.dof_u
+    forms = build_forms(mesh, topo, params)
     rng = np.random.default_rng(3)
-    e = rng.normal(size=dm.num_dofs)
-    M = assemble_nonlinear_mass_curl(ctx2, params, e)
+    e = rng.normal(size=forms.dof_u.num_dofs)
+    M = assemble_nonlinear_mass_curl(forms, e, 0.0)
     w = np.linalg.eigvalsh(M.toarray())
-    M1 = assemble_mass(ctx2, dm)
-    w1 = np.linalg.eigvalsh(M1.toarray())
+    w1 = np.linalg.eigvalsh(_free_block(forms, forms.mass_u1.toarray()))
     assert w.min() >= w1.min() - 1e-12  # eps(E) >= eps0 I = I
 
 
@@ -292,19 +324,43 @@ def test_kerr_jacobian_and_flux_load_match_oracle(chi3):
     ctx, dm = forms.ctx, forms.dof_u
     rng = np.random.default_rng(13)
     e = rng.normal(size=dm.num_dofs)
-    jac = assemble_nonlinear_mass_curl(ctx, params, e).toarray()
+    jac = assemble_nonlinear_mass_curl(forms, e, 0.0).toarray()
     load = assemble_flux_load(ctx, params, e)
     jac_ref, load_ref = _kerr_edge_oracle(mesh, forms, params, e)
+    jac_ref = _free_block(forms, jac_ref)
     assert np.abs(jac - jac_ref).max() <= 1e-13 * np.abs(jac_ref).max()
     assert np.abs(load - load_ref).max() <= 1e-13 * np.abs(load_ref).max()
-    # the Jacobian is the derivative of the flux load, along a unit direction
-    v = rng.normal(size=dm.num_dofs)
+    # the Jacobian is the derivative of the flux load on the free edges,
+    # along a unit direction that leaves the boundary edges fixed
+    free = forms.free_edges
+    v = np.zeros(dm.num_dofs)
+    v[free] = rng.normal(size=len(free))
     v /= np.linalg.norm(v)
     step = 1e-4
     fd = (assemble_flux_load(ctx, params, e + step * v)
-          - assemble_flux_load(ctx, params, e - step * v)) / (2.0 * step)
-    jv = jac @ v
+          - assemble_flux_load(ctx, params, e - step * v))[free] / (2.0 * step)
+    jv = jac @ v[free]
     assert np.abs(jv - fd).max() <= 1e-8 * np.abs(jv).max()
+
+
+@pytest.mark.parametrize("chi3", [0.0, 1.0])
+@pytest.mark.parametrize("dt_over_h", [0.0, 0.3])
+def test_kerr_jacobian_fixed_pattern_matches_dense(chi3, dt_over_h):
+    # the Jacobian assembled into the free-edge pattern is the dense
+    # (M_eps(e) + dt^2/(4 mu0) A_cc)[free][:, free], in canonical CSR
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(21)))
+    params = MaterialParams(eps0=1.3, mu0=0.7, chi1=0.4, chi3=chi3)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    e = np.random.default_rng(22).normal(size=forms.dof_u.num_dofs)
+    dt = dt_over_h * mesh_size(mesh)
+    jac = assemble_nonlinear_mass_curl(forms, e, dt)
+    eps_mass, _ = _kerr_edge_oracle(mesh, forms, params, e)
+    dense = _free_block(forms, eps_mass + dt * dt / (4.0 * params.mu0)
+                        * forms.curl_curl.toarray())
+    assert jac.shape == dense.shape
+    assert np.abs(jac.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+    assert jac.has_canonical_format
+    jac.check_format(full_check=True)
 
 
 def test_basis_layout(forms2):

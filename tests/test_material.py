@@ -179,3 +179,19 @@ def test_constitutive_round_trip_extreme_magnitudes(params, log_mag, direction):
     D = 10.0**log_mag * v / np.linalg.norm(v)
     back = d_of_e(params, e_of_d(params, D))
     assert np.linalg.norm(back - D) <= 1e-14 * np.linalg.norm(D)
+
+
+@pytest.mark.parametrize("params", [
+    MaterialParams(chi1=0.5, chi3=1.0),
+    MaterialParams(eps0=8.854e-12, mu0=1.2566e-6, chi1=2.5, chi3=1e-22),
+], ids=["nondim", "si"])
+@pytest.mark.parametrize("magnitude", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.36, -0.48, 0.8)])
+def test_constitutive_round_trip_below_squared_underflow(params, magnitude, direction):
+    # |D|^2 underflows here, yet E keeps D's direction and D(E(D)) = D; the
+    # errors are taken componentwise, since a 2-norm would underflow too
+    D = magnitude * np.asarray(direction)
+    E = e_of_d(params, D)
+    back = d_of_e(params, E)
+    assert np.abs(back - D).max() <= 1e-14 * np.abs(D).max()
+    assert np.abs(E / np.abs(E).max() - D / np.abs(D).max()).max() <= 1e-14
