@@ -9,7 +9,8 @@ there (:meth:`FemContext.sample`) and integrates densities against ``dx``
 (:meth:`FemContext.integrate`), so no other module handles quadrature
 weights.  This rule serves the integrals made once per mesh or of
 non-polynomial integrands: the Gram matrices (degree <= 2), source loads,
-projections, error norms and the max-norm sampling of E_h.
+projections and error norms.  The max-norm of an edge field E_h is taken at
+the tet vertices (:attr:`FemContext.edge_vertices`).
 
 The integrands of every nedelec Kerr step are polynomials of degree <= 4 in
 the piecewise-linear E_h: the flux load, the Kerr Jacobian and the energy
@@ -18,9 +19,10 @@ density.  They run on the symmetric 14-point degree-5 rule instead
 as the conical rule is, at half the points.
 
 :func:`build_forms` assembles each constant operator of both formulations
-once; :class:`AssembledForms` caches the LU factorizations the time
-steppers need and, on first use, the free-edge pattern into which each Kerr
-Jacobian is assembled.
+once; :class:`AssembledForms` keeps the one LU factorization the time loop
+solves with (a linear reduced matrix or the lagged nedelec Kerr Jacobian)
+and, on first use, the free-edge pattern into which each Kerr Jacobian is
+assembled.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ QUAD_DEGREE = 5
 
 @dataclass(frozen=True)
 class EdgeQuadrature:
-    """The edge space on the symmetric 14-point rule, for the nedelec Kerr
-    integrands.  ``values`` is laid out as :attr:`DofMap.values` but already
-    multiplied by the cell signs, so local vectors and matrices come out in
-    the global orientation."""
+    """The edge space at the points of one rule: the symmetric 14-point
+    rule of the nedelec Kerr integrands, or the tet vertices.  ``values`` is
+    laid out as :attr:`DofMap.values` but already multiplied by the cell
+    signs, so local vectors and matrices come out in the global
+    orientation."""
 
     dx: np.ndarray          # (nt, nq) quadrature weight times det J
     cell_dofs: np.ndarray   # (nt, 6) global edge of each local edge
@@ -133,12 +136,22 @@ class FemContext:
     @cached_property
     def edge_quad(self) -> EdgeQuadrature:
         """The edge space on the symmetric 14-point rule, built on first use."""
-        _, _, det, inv_jt, _ = all_geometry(self.mesh)
         rule = symmetric_tetrahedron_rule()
-        values = edge_values(inv_jt, rule.points)
+        return self._edge_points(rule.points, rule.weights)
+
+    @cached_property
+    def edge_vertices(self) -> EdgeQuadrature:
+        """The edge space at the four vertices of each tet (the vertex rule,
+        exact for linear integrands), built on first use: |E_h| of an edge
+        field is convex on each tet, so its maximum is at one of them."""
+        vertices = np.vstack([np.zeros(3), np.eye(3)])
+        return self._edge_points(vertices, np.full(4, 1.0 / 24.0))
+
+    def _edge_points(self, points: np.ndarray, weights: np.ndarray) -> EdgeQuadrature:
+        _, _, det, inv_jt, _ = all_geometry(self.mesh)
+        values = edge_values(inv_jt, points)
         values *= self.dof_u.cell_signs[:, :, None]
-        return EdgeQuadrature(det[:, None] * rule.weights[None, :],
-                              self.dof_u.cell_dofs, values)
+        return EdgeQuadrature(det[:, None] * weights[None, :], self.dof_u.cell_dofs, values)
 
 
 def build_context(mesh: Mesh, topo: Topology) -> FemContext:
@@ -395,8 +408,8 @@ def _free_edge_pattern(ctx: FemContext, free_edges: np.ndarray) -> FreeEdgePatte
 
 @dataclass
 class AssembledForms:
-    """All constant matrices of both semi-discrete formulations, the LU
-    factorizations of those the time steppers solve with, and the load
+    """All constant matrices of both semi-discrete formulations, the face
+    mass LU and the one time-loop LU (:meth:`kept_solver`), and the load
     vectors and Gram matrices of separable sources (all made on first use,
     then kept)."""
 
@@ -408,7 +421,8 @@ class AssembledForms:
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
     coupling_ned: sp.csr_matrix    # faces x free edges
-    _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # the one time-loop LU kept, ((name, dt), solve); see kept_solver
+    _time_loop_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, dof map)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # L2 Gram matrices of the factors of one current, keyed by (g_1, ..., g_K)
@@ -466,12 +480,27 @@ class AssembledForms:
         return (M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)]
 
     def reduced_solver(self, formulation: str, dt: float):
-        """Solve with the linear :meth:`reduced_matrix`, keeping only the latest
-        (formulation, dt) factorization; at dt = 0 it is the RK4 mass."""
-        if self._reduced_lu[0] != (formulation, dt):
-            lu = linalg.factorized(self.reduced_matrix(formulation, dt))
-            self._reduced_lu = ((formulation, dt), lu)
-        return self._reduced_lu[1]
+        """Solve with the linear :meth:`reduced_matrix`; at dt = 0 it is the
+        RK4 mass."""
+        solve = self.kept_solver(formulation, dt)
+        if solve is None:
+            solve = self.keep_solver(formulation, dt, self.reduced_matrix(formulation, dt))
+        return solve
+
+    def kept_solver(self, name: str, dt: float):
+        """The kept time-loop LU solve if it was made for ``(name, dt)``,
+        else None.  One is kept at a time: the linear reduced matrix of a
+        formulation (``name`` the formulation), or the lagged nedelec Kerr
+        Jacobian (``name`` "nedelec-kerr"), which the next step at the same
+        dt starts from."""
+        key, solve = self._time_loop_lu
+        return solve if key == (name, dt) else None
+
+    def keep_solver(self, name: str, dt: float, matrix: sp.spmatrix):
+        """Factorize ``matrix`` as the kept time-loop LU of ``(name, dt)``,
+        replacing the one kept before, and return its solve."""
+        self._time_loop_lu = ((name, dt), linalg.factorized(matrix))
+        return self._time_loop_lu[1]
 
 
 def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> AssembledForms:

@@ -15,10 +15,11 @@ linear subsystem and is second-order accurate; classical RK4 serves as an
 independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
-affine, so its one sweep is exact.  The nedelec Kerr Jacobian is lagged (a
-chord method): it is evaluated and factorized at the start of the step and
-re-evaluated at the current iterate only after an update that shrank by
-less than :data:`REFRESH_RATIO`.
+affine, so its one sweep is exact.  Kerr sweeps stop at the first update
+within the tolerance.  The nedelec Kerr Jacobian is lagged (a chord
+method): its factorization is kept on the forms and carried from step to
+step while dt is unchanged, and re-evaluated at the current iterate only
+after an update that shrank by less than :data:`REFRESH_RATIO`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .material import cm_matrix, d_of_e, e_of_d
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
 MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
-REFRESH_RATIO = 0.25  # a sweep contracting less than this refreshes a lagged Jacobian
+REFRESH_RATIO = 0.05  # a sweep contracting less than this refreshes a lagged Jacobian
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 
 
@@ -211,16 +212,17 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     return de, -dh / params.mu0
 
 
-def _picard_exit(delta: float, prev_delta: float, tol: float, iteration: int) -> bool:
+def _picard_exit(delta: float, tol: float, iteration: int) -> bool:
     """Whether the sweeps stop after an update of relative size ``delta``:
-    it is at roundoff, or within ``tol`` and no longer shrinking
-    (``prev_delta`` is inf at first) or at the :data:`MAX_SWEEPS` cap."""
+    at the first one within ``tol``, the stopping rule of a simplified Newton
+    iteration (Hairer and Wanner, *Solving ODEs II*, IV.8).  Raises
+    NonlinearSolveError on a non-finite update or when the
+    :data:`MAX_SWEEPS` cap is reached above ``tol``."""
     if not np.isfinite(delta):
         raise NonlinearSolveError("midpoint iteration diverged (non-finite update); reduce dt")
-    last = iteration == MAX_SWEEPS - 1
-    if delta <= 1e-15 or (delta <= tol and (last or delta >= prev_delta)):
+    if delta <= tol:
         return True
-    if last:
+    if iteration == MAX_SWEEPS - 1:
         raise NonlinearSolveError(
             f"midpoint iteration stalled at relative update {delta:.3e} "
             f"after {MAX_SWEEPS} sweeps; reduce dt"
@@ -252,7 +254,7 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
             delta = max(_relative_update(e1_new, e1, e_floor),
                         _relative_update(h1_new, h1, h_floor))
             e1, h1 = e1_new, h1_new
-            if _picard_exit(delta, prev, tol, it) or linear:
+            if _picard_exit(delta, tol, it) or linear:
                 break
             refresh = delta > REFRESH_RATIO * prev
             prev = delta
@@ -290,12 +292,14 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
                    je: np.ndarray, jm: np.ndarray):
     """Sweep of the nedelec step: a chord update of E on the free edges for
-    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), with the Jacobian
-    :func:`assemble_nonlinear_mass_curl` evaluated and factorized at E0 when
-    the step starts and again at the current E1 only when ``refresh`` is set
-    (see :func:`_midpoint_sweeps`); linear media use the cached solver.  H1
-    follows exactly from the discrete curl of E1, so the ``h1`` argument is
-    not read.  The start iterate is E0 itself."""
+    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e).  Its Jacobian
+    :func:`assemble_nonlinear_mass_curl` is the factorization that ``forms``
+    keeps for this dt, left by the step before; it is evaluated and
+    factorized afresh at E0 only when ``forms`` keeps none for this dt, and
+    at the current E1 when ``refresh`` is set (see :func:`_midpoint_sweeps`).
+    Linear media use the cached reduced solver.  H1 follows exactly from the
+    discrete curl of E1, so the ``h1`` argument is not read.  The start
+    iterate is E0 itself."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -304,12 +308,15 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
 
-    def jacobian_solver(e):
-        if params.chi3 == 0.0:
-            return forms.reduced_solver("nedelec", dt)
-        return linalg.factorized(assemble_nonlinear_mass_curl(forms, e, dt))
+    def factorize_jacobian(e):
+        return forms.keep_solver("nedelec-kerr", dt, assemble_nonlinear_mass_curl(forms, e, dt))
 
-    solve = jacobian_solver(e0)
+    if params.chi3 == 0.0:
+        solve = forms.reduced_solver("nedelec", dt)
+    else:
+        solve = forms.kept_solver("nedelec-kerr", dt)
+        if solve is None:
+            solve = factorize_jacobian(e0)
 
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
@@ -319,7 +326,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         residual = (assemble_flux_load(ctx, params, e1)[free] - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
         if refresh:
-            solve = jacobian_solver(e1)
+            solve = factorize_jacobian(e1)
         e1 = e1.copy()
         e1[free] -= solve(residual)
         return e1, h_end(e1)
@@ -391,12 +398,13 @@ def total_energy(state: State, forms: AssembledForms) -> float:
 
 
 def e_max_norm(state: State, forms: AssembledForms) -> float:
-    """Max pointwise |E_h| (sampled at quadrature points for edge fields)."""
+    """Max pointwise |E_h|, exact: an edge field is linear on each tet and
+    its magnitude convex, so it peaks at a vertex."""
     ctx = forms.ctx
     if state.formulation == "lee-madsen":
         E = state.e.reshape(ctx.num_tets, 3)
         return float(np.max(np.linalg.norm(E, axis=1))) if E.size else 0.0
-    E = ctx.field_at_quads(forms.dof_u, state.e)
+    E = ctx.edge_vertices.field(state.e)
     return float(np.sqrt(np.max(np.einsum("tqd,tqd->tq", E, E))))
 
 

@@ -118,18 +118,31 @@ def _finite(value: float, name: str) -> float:
 _SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", relax=1, options={"SymmetricMode": True})
 
 
+# Largest relative error of the probe back-solve in :func:`factorized`; a
+# well-posed time-loop matrix recovers the probe to about 1e-14.
+PROBE_TOL = 1e-8
+
+
 def factorized(A: sp.spmatrix):
     """Cached sparse LU solve function for repeated right-hand sides.
 
     A must be symmetric positive definite: the columns are ordered by
     minimum degree on the structure of A + A^T and every pivot is taken on
-    the diagonal.  Raises LinalgError when the factorization fails, e.g. on
-    an exactly singular matrix.
+    the diagonal.  One probe back-solve of A x for a fixed x must return x
+    to :data:`PROBE_TOL` relative.  Raises LinalgError when the
+    factorization fails, e.g. on an exactly singular matrix, or when the
+    probe misses, on a numerically singular one.
     """
     try:
         lu = spla.splu(A.tocsc(), diag_pivot_thresh=0.0, **_SYMMETRIC_LU)
     except RuntimeError as exc:
         raise LinalgError(f"sparse LU factorization failed: {exc}") from exc
+    x = np.cos(np.arange(A.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = np.linalg.norm(lu.solve(A @ x) - x) / max(np.linalg.norm(x), 1.0)
+    if not error <= PROBE_TOL:
+        raise LinalgError(f"matrix is numerically singular: a probe back-solve is off "
+                          f"by {error:.1e} relative")
     return lu.solve
 
 

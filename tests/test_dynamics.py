@@ -211,26 +211,69 @@ def test_midpoint_signals_nonconvergence(cavity, cube2, monkeypatch):
         one_step(st, 0.05, ZERO_SOURCES, forms)
 
 
-def test_nedelec_kerr_factorizes_one_jacobian_per_step(cube2, cavity, monkeypatch):
-    # the Jacobian evaluated at the start of each step serves all its sweeps
+def test_nedelec_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
+    # a step starts from the Jacobian factorization the step before left on
+    # forms, so 5 steps at one dt factorize fewer than 5 Jacobians; a new dt
+    # factorizes afresh, at the start state of its first step
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-    calls = {"factorized": 0, "assemble_nonlinear_mass_curl": 0}
+    factorized_matrices = []
+    original = linalg.factorized
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(A):
+        factorized_matrices.append(A)
+        return original(A)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(linalg, "factorized")
-    counted(dynamics, "assemble_nonlinear_mass_curl")
+    monkeypatch.setattr(linalg, "factorized", counted)
     st = cavity_state(cavity, forms, formulation="nedelec")
-    integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
-    assert calls == {"factorized": 5, "assemble_nonlinear_mass_curl": 5}
+    mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
+    assert 1 <= len(factorized_matrices) < 5
+    factorized_matrices.clear()
+    integrate(mid, 0.02, 1, ZERO_SOURCES, forms, collect=False)
+    assert factorized_matrices
+    fresh = dynamics.assemble_nonlinear_mass_curl(forms, mid.e, 0.02)
+    assert (factorized_matrices[0] != fresh).nnz == 0
+
+
+def test_nedelec_kerr_runs_on_fresh_forms_are_bitwise_equal(cube2, cavity):
+    # the carried factorization lives on forms, so a run on fresh forms
+    # starts from nothing that an earlier run left behind
+    mesh, topo = cube2
+    ends = []
+    for _ in range(2):
+        forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+        st = cavity_state(cavity, forms, formulation="nedelec")
+        end, _ = integrate(st, 0.05, 5, ZERO_SOURCES, forms, collect=False)
+        ends.append(end)
+    assert np.array_equal(ends[0].e, ends[1].e)
+    assert np.array_equal(ends[0].h, ends[1].h)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_kerr_sweeps_stop_at_the_first_update_within_tolerance(cube2, cavity, formulation,
+                                                               monkeypatch):
+    # the per-sweep relative updates of each Kerr step: every one but the
+    # last is above the tolerance, so the sweeps stop at the first within it
+    mesh, topo = cube2
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    updates = []
+    original = dynamics._picard_exit
+
+    def recorded(delta, *args):
+        updates[-1].append(delta)
+        return original(delta, *args)
+
+    monkeypatch.setattr(dynamics, "_picard_exit", recorded)
+    st = cavity_state(cavity, forms, formulation=formulation)
+    updates.append([])
+    integrate(st, 0.05, 4, ZERO_SOURCES, forms, collect=False,
+              on_step=lambda step, state: updates.append([]))
+    steps = updates[:-1]
+    assert len(steps) == 4
+    for sweeps in steps:
+        assert len(sweeps) >= 2
+        assert all(delta > dynamics.SOLVER_TOL for delta in sweeps[:-1])
+        assert sweeps[-1] <= dynamics.SOLVER_TOL
 
 
 @pytest.mark.parametrize("dt_over_h", [0.5, 1.0, 2.0, 5.0])
@@ -313,6 +356,20 @@ def test_midpoint_linear_large_dt_conserves_energy(cavity, formulation):
     _, trace = integrate(st, dt, 20, ZERO_SOURCES, forms)
     w = np.asarray(trace.energy)
     assert np.abs(w - w[0]).max() <= 1e-12 * w[0]
+
+
+def test_numerically_singular_time_loop_matrix_raises(cavity):
+    # the SI-scale case above at dt = 6 h in seconds (dt c / h ~ 1e9): the
+    # nedelec reduced matrix is numerically singular, and its factorization
+    # fails its probe back-solve instead of marching a wrong state
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(7)))
+    params = MaterialParams(eps0=8.854e-12, mu0=1.2566e-6, chi1=2.5)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    z = np.sqrt(params.eps_lin / params.mu0)
+    st = initialize(lambda X: cavity.E(0.0, X), lambda X: z * cavity.H(0.0, X),
+                    "nedelec", forms, H0_curl=lambda X: z * cavity.curl_H(0.0, X))
+    with pytest.raises(linalg.LinalgError, match=r"^step 1 .*numerically singular.*reduce dt$"):
+        integrate(st, 6.0 * mesh_size(mesh), 20, ZERO_SOURCES, forms)
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
@@ -642,6 +699,18 @@ def test_e_max_norm(cav_forms2, cavity):
     st = cavity_state(cavity, cav_forms2)
     m = e_max_norm(st, cav_forms2)
     assert 0.5 < m <= 1.01  # |E| of the mode is at most 1
+
+
+def test_e_max_norm_nedelec_peaks_at_a_vertex(cube4, cavity):
+    # the interpolated mode peaks at a tet vertex, above every interior
+    # quadrature point, and above 1 (its interpolation error)
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, cavity.params)
+    st = cavity_state(cavity, forms, formulation="nedelec")
+    m = e_max_norm(st, forms)
+    assert m == pytest.approx(1.0082965, rel=1e-6)
+    E = forms.ctx.field_at_quads(forms.dof_u, st.e)
+    assert np.sqrt(np.einsum("tqd,tqd->tq", E, E).max()) < m
 
 
 def test_trace_times_strictly_increasing(cav_forms2, cavity):

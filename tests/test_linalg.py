@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import jittered_cube
@@ -203,3 +204,18 @@ def test_factorized_singular_raises():
     A = from_triplets([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.0, 1.0], shape=(2, 2))
     with pytest.raises(LinalgError, match="singular"):
         factorized(A)
+
+
+@pytest.mark.parametrize("condition,singular", [(1e4, False), (1e17, True)])
+def test_factorized_probe_flags_numerically_singular(condition, singular):
+    # an SPD matrix with eigenvalues from 1 down to 1 / condition factorizes
+    # without a zero pivot either way; the probe back-solve tells them apart
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(20, 20)))
+    A = (q * np.geomspace(1.0, 1.0 / condition, 20)) @ q.T
+    A = sp.csr_matrix(0.5 * (A + A.T))
+    if singular:
+        with pytest.raises(LinalgError, match="numerically singular"):
+            factorized(A)
+    else:
+        b = np.ones(20)
+        assert np.linalg.norm(A @ factorized(A)(b) - b) <= 1e-12 * np.linalg.norm(b)
