@@ -1,22 +1,29 @@
 """Quadrature-based assembly of mass, coupling, and projection operators.
 
 This module owns every quadrature decision, one rule per kind of integrand.
-:func:`build_context` fixes the degree-:data:`QUAD_DEGREE` conical tet rule
-(27 points), maps it to each element, and stores the measure ``dx`` (weight
-times Jacobian determinant) and the three discrete spaces, each with its
-physical basis, once per mesh.  A :class:`FemContext` then samples fields
-there (:meth:`FemContext.sample`) and integrates densities against ``dx``
-(:meth:`FemContext.integrate`), so no other module handles quadrature
-weights.  This rule serves the integrals made once per mesh or of
-non-polynomial integrands: the Gram matrices (degree <= 2), source loads,
-projections and error norms.  The max-norm of an edge field E_h is taken at
-the tet vertices (:attr:`FemContext.edge_vertices`).
+:func:`build_context` maps one rule to each element and stores the measure
+``dx`` (weight times Jacobian determinant) and the three discrete spaces,
+each with its signed physical basis at the mapped points, once per mesh.  A
+:class:`FemContext` then samples fields there (:meth:`FemContext.sample`),
+evaluates discrete fields there (:meth:`kerrfem.fem_spaces.DofMap.field`)
+and integrates densities against ``dx`` (:meth:`FemContext.integrate`), so
+no other module handles quadrature weights or orientation signs.
 
-The integrands of every nedelec Kerr step are polynomials of degree <= 4 in
-the piecewise-linear E_h: the flux load, the Kerr Jacobian and the energy
-density.  They run on the symmetric 14-point degree-5 rule instead
-(:attr:`FemContext.edge_quad`, built on first use), which is exact for them
-as the conical rule is, at half the points.
+The context of :func:`build_forms` is on the degree-:data:`QUAD_DEGREE`
+conical tet rule (27 points).  It serves the integrals made once per mesh or
+of non-polynomial integrands: the Gram matrices (degree <= 2), source loads,
+projections and error norms.  Three contexts of the same mesh on other rules
+hang off it, each built on first use:
+
+- :attr:`FemContext.edge_quad`, on the symmetric 14-point degree-5 rule.
+  The integrands of every nedelec Kerr step are polynomials of degree <= 4
+  in the piecewise-linear E_h: the flux load, the Kerr Jacobian and the
+  energy density.  This rule is exact for them, as the conical rule is, at
+  half the points.
+- :attr:`FemContext.edge_vertices`, at the tet vertices, where the
+  max-norm of an edge field E_h is taken.
+- :attr:`FemContext.centroid`, at the tet centroids, where VTK output
+  samples the fields.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` keeps the one LU factorization the time loop
@@ -34,16 +41,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import DofMap, build_spaces, edge_values
+from .fem_spaces import DofMap, build_spaces
 from .linalg import from_triplets
 from .material import MaterialParams
 from .mesh import Mesh, Topology, all_geometry
-from .quadrature import symmetric_tetrahedron_rule, tetrahedron_rule
+from .quadrature import QuadratureRule, symmetric_tetrahedron_rule, tetrahedron_rule
 
 __all__ = [
     "QUAD_DEGREE",
     "FemContext",
-    "EdgeQuadrature",
     "FreeEdgePattern",
     "AssembledForms",
     "build_context",
@@ -60,44 +66,23 @@ __all__ = [
     "curl_project",
 ]
 
-# Degree of the conical rule of FemContext.dx; the 14-point rule of
-# FemContext.edge_quad is exact to the same degree.
+# Degree of the conical rule of the build_forms context; the 14-point rule
+# of FemContext.edge_quad is exact to the same degree.
 QUAD_DEGREE = 5
-
-
-@dataclass(frozen=True)
-class EdgeQuadrature:
-    """The edge space at the points of one rule: the symmetric 14-point
-    rule of the nedelec Kerr integrands, or the tet vertices.  ``values`` is
-    laid out as :attr:`DofMap.values` but already multiplied by the cell
-    signs, so local vectors and matrices come out in the global
-    orientation."""
-
-    dx: np.ndarray          # (nt, nq) quadrature weight times det J
-    cell_dofs: np.ndarray   # (nt, 6) global edge of each local edge
-    values: np.ndarray      # (nt, 6, 3 nq) signed physical edge basis
-
-    def field(self, coeffs: np.ndarray) -> np.ndarray:
-        """An edge field at the points, (nt, nq, 3)."""
-        local = np.asarray(coeffs, dtype=np.float64)[self.cell_dofs]
-        return np.matmul(local[:, None, :], self.values).reshape(len(local), -1, 3)
-
-    def integrate(self, density: np.ndarray) -> float:
-        """Integral over the mesh of a scalar density at the points, (nt, nq)."""
-        return float(np.einsum("tq,tq->", self.dx, density))
 
 
 @dataclass
 class FemContext:
-    """Geometry, quadrature measure, and the three discrete spaces of one mesh."""
+    """Geometry, quadrature measure, and the three discrete spaces of one
+    mesh at the points of one rule."""
 
     mesh: Mesh
     topo: Topology
     vol: np.ndarray       # (nt,)
     phys_pts: np.ndarray  # (nt, nq, 3)
     dx: np.ndarray        # (nt, nq) quadrature weight times det J
-    edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls
-    face_divs: np.ndarray     # (nt, 4)
+    edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls, signed
+    face_divs: np.ndarray     # (nt, 4) signed
     dof_u: DofMap  # Whitney edges, H(curl)
     dof_v: DofMap  # Raviart-Thomas faces, H(div)
     dof_w: DofMap  # cellwise-constant vectors, L2
@@ -106,10 +91,12 @@ class FemContext:
     def num_tets(self) -> int:
         return self.mesh.num_tets
 
-    def field_at_quads(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate a discrete vector field at all quadrature points, (nt, nq, 3)."""
-        local = np.asarray(coeffs, dtype=np.float64)[dofmap.cell_dofs] * dofmap.cell_signs
-        return np.matmul(local[:, None, :], dofmap.values).reshape(len(local), -1, 3)
+    def spaces(self, formulation: str) -> tuple[DofMap, DofMap]:
+        """Dof maps (E, H) of a formulation: (W, U) for lee-madsen, (U, V)
+        for nedelec."""
+        if formulation == "lee-madsen":
+            return self.dof_w, self.dof_u
+        return self.dof_u, self.dof_v
 
     def sample(self, func) -> np.ndarray:
         """Values of a vector field at all quadrature points, (nt, nq, 3).
@@ -134,29 +121,29 @@ class FemContext:
         return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
 
     @cached_property
-    def edge_quad(self) -> EdgeQuadrature:
-        """The edge space on the symmetric 14-point rule, built on first use."""
-        rule = symmetric_tetrahedron_rule()
-        return self._edge_points(rule.points, rule.weights)
+    def edge_quad(self) -> FemContext:
+        """This mesh on the symmetric 14-point rule, built on first use."""
+        return build_context(self.mesh, self.topo, symmetric_tetrahedron_rule())
 
     @cached_property
-    def edge_vertices(self) -> EdgeQuadrature:
-        """The edge space at the four vertices of each tet (the vertex rule,
-        exact for linear integrands), built on first use: |E_h| of an edge
-        field is convex on each tet, so its maximum is at one of them."""
-        vertices = np.vstack([np.zeros(3), np.eye(3)])
-        return self._edge_points(vertices, np.full(4, 1.0 / 24.0))
+    def edge_vertices(self) -> FemContext:
+        """This mesh at the four vertices of each tet (the vertex rule, exact
+        for linear integrands), built on first use: |E_h| of an edge field
+        is convex on each tet, so its maximum is at one of them."""
+        vertices = QuadratureRule(np.vstack([np.zeros(3), np.eye(3)]), np.full(4, 1.0 / 24.0))
+        return build_context(self.mesh, self.topo, vertices)
 
-    def _edge_points(self, points: np.ndarray, weights: np.ndarray) -> EdgeQuadrature:
-        _, _, det, inv_jt, _ = all_geometry(self.mesh)
-        values = edge_values(inv_jt, points)
-        values *= self.dof_u.cell_signs[:, :, None]
-        return EdgeQuadrature(det[:, None] * weights[None, :], self.dof_u.cell_dofs, values)
+    @cached_property
+    def centroid(self) -> FemContext:
+        """This mesh at the centroid of each tet (the midpoint rule), built
+        on first use."""
+        midpoint = QuadratureRule(np.full((1, 3), 0.25), np.full(1, 1.0 / 6.0))
+        return build_context(self.mesh, self.topo, midpoint)
 
 
-def build_context(mesh: Mesh, topo: Topology) -> FemContext:
+def build_context(mesh: Mesh, topo: Topology, rule: QuadratureRule) -> FemContext:
+    """The :class:`FemContext` of a mesh at the points of a reference tet rule."""
     origins, J, det, invJT, vol = all_geometry(mesh)
-    rule = tetrahedron_rule(QUAD_DEGREE)
     dof_u, dof_v, dof_w, edge_curls, face_divs = build_spaces(topo, J, det, invJT,
                                                               rule.points)
     return FemContext(
@@ -199,33 +186,27 @@ def _local_moments(measure: np.ndarray, vals: np.ndarray, phi: np.ndarray) -> np
 
 def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
     """Accumulate per-tet local vectors into a global load vector."""
-    return np.bincount(
-        dofmap.cell_dofs.ravel(),
-        weights=(local * dofmap.cell_signs).ravel(),
-        minlength=dofmap.num_dofs,
-    )
+    return np.bincount(dofmap.cell_dofs.ravel(), weights=local.ravel(),
+                       minlength=dofmap.num_dofs)
 
 
-def _scatter_matrix(local: np.ndarray, dofmap: DofMap, num_rows: int) -> sp.csr_matrix:
+def _scatter_matrix(local: np.ndarray, dofmap: DofMap) -> sp.csr_matrix:
     """Accumulate per-tet local matrices into a global sparse matrix."""
-    signed = local * dofmap.cell_signs[:, :, None] * dofmap.cell_signs[:, None, :]
     nloc = dofmap.cell_dofs.shape[1]
     rows = np.repeat(dofmap.cell_dofs[:, :, None], nloc, axis=2)
     cols = np.repeat(dofmap.cell_dofs[:, None, :], nloc, axis=1)
-    return from_triplets(
-        rows.ravel(), cols.ravel(), signed.ravel(), shape=(num_rows, num_rows)
-    )
+    n = dofmap.num_dofs
+    return from_triplets(rows.ravel(), cols.ravel(), local.ravel(), shape=(n, n))
 
 
 def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """Gram matrix (SPD) of the edge or face space of ``dofmap``."""
-    local = _local_gram(ctx.dx, dofmap.values)
-    return _scatter_matrix(local, dofmap, dofmap.num_dofs)
+    return _scatter_matrix(_local_gram(ctx.dx, dofmap.values), dofmap)
 
 
 def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     """(curl u, curl v) on the edge space; curls are cellwise constant."""
-    return _scatter_matrix(_local_curl_curl(ctx), dofmap, dofmap.num_dofs)
+    return _scatter_matrix(_local_curl_curl(ctx), dofmap)
 
 
 def _local_curl_curl(ctx: FemContext) -> np.ndarray:
@@ -233,10 +214,10 @@ def _local_curl_curl(ctx: FemContext) -> np.ndarray:
     return np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
 
 
-def _kerr_measure(quad: EdgeQuadrature, params: MaterialParams, coeffs: np.ndarray):
+def _kerr_measure(quad: FemContext, params: MaterialParams, coeffs: np.ndarray):
     """E_h at the points of ``quad`` and the measure eps0 (1 + chi1 + chi3
     |E_h|^2) dx."""
-    E = quad.field(coeffs)
+    E = quad.dof_u.field(coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     return E, params.eps0 * es * quad.dx
 
@@ -254,7 +235,7 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
     params = forms.params
     quad = forms.ctx.edge_quad
     E, measure = _kerr_measure(quad, params, coeffs)
-    phi = quad.values
+    phi = quad.dof_u.values
     local = _local_gram(measure, phi)
     if params.chi3 > 0.0:
         prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
@@ -269,9 +250,7 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams,
     exact on the 14-point rule (degree 4)."""
     quad = ctx.edge_quad
     E, measure = _kerr_measure(quad, params, coeffs)
-    local = _local_moments(measure, E, quad.values)
-    return np.bincount(quad.cell_dofs.ravel(), weights=local.ravel(),
-                       minlength=ctx.dof_u.num_dofs)
+    return _scatter_vector(_local_moments(measure, E, quad.dof_u.values), quad.dof_u)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -283,8 +262,7 @@ def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
     and the discrete curl in :func:`build_forms`.
     """
     nt = ctx.num_tets
-    signed_curls = ctx.edge_curls * dofmap.cell_signs[:, :, None]  # (nt, 6, 3)
-    vals = signed_curls * ctx.vol[:, None, None]
+    vals = ctx.edge_curls * ctx.vol[:, None, None]
     rows = (3 * np.arange(nt)[:, None, None] + np.arange(3)[None, None, :])
     rows = np.broadcast_to(rows, (nt, 6, 3))
     cols = np.broadcast_to(dofmap.cell_dofs[:, :, None], (nt, 6, 3))
@@ -373,8 +351,8 @@ class FreeEdgePattern:
     curl_curl: np.ndarray   # (nnz,)
 
     def matrix(self, local: np.ndarray, shift: float) -> sp.csr_matrix:
-        """Sum of per-tet matrices (nt, 6, 6), signed to the global edge
-        orientation, plus ``shift`` A_cc, on the pattern."""
+        """Sum of per-tet matrices (nt, 6, 6) in the global edge
+        orientation plus ``shift`` A_cc, on the pattern."""
         nnz = len(self.indices)
         data = np.bincount(self.slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
         if shift:
@@ -399,11 +377,9 @@ def _free_edge_pattern(ctx: FemContext, free_edges: np.ndarray) -> FreeEdgePatte
     slots[kept] = slot
     indptr = np.zeros(nfree + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // nfree, minlength=nfree), out=indptr[1:])
-    signs = dofmap.cell_signs
-    curl_curl = _local_curl_curl(ctx) * signs[:, :, None] * signs[:, None, :]
-    return FreeEdgePattern(
-        indptr, keys % nfree, slots,
-        np.bincount(slots, weights=curl_curl.ravel(), minlength=nnz + 1)[:nnz])
+    curl_curl = _local_curl_curl(ctx).ravel()
+    return FreeEdgePattern(indptr, keys % nfree, slots,
+                           np.bincount(slots, weights=curl_curl, minlength=nnz + 1)[:nnz])
 
 
 @dataclass
@@ -442,13 +418,6 @@ class AssembledForms:
     def dof_w(self) -> DofMap:
         """Cellwise-constant vectors: E of lee-madsen."""
         return self.ctx.dof_w
-
-    def spaces(self, formulation: str) -> tuple[DofMap, DofMap]:
-        """Dof maps (E, H) of a formulation: (W, U) for lee-madsen, (U, V)
-        for nedelec."""
-        if formulation == "lee-madsen":
-            return self.dof_w, self.dof_u
-        return self.dof_u, self.dof_v
 
     @cached_property
     def curl_curl(self) -> sp.csr_matrix:
@@ -511,7 +480,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
     discrete curl, restricted to the free (interior) edges.
     """
-    ctx = build_context(mesh, topo)
+    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
     free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
     mass_u1 = assemble_mass(ctx, ctx.dof_u)
     mass_v1 = assemble_mass(ctx, ctx.dof_v)

@@ -202,9 +202,9 @@ def write_vtk(mesh: Mesh, cell_fields: dict, path) -> None:
 def cell_sampled_fields(state: State, forms) -> dict:
     """E_h and H_h sampled per cell (centroid values) for VTK output."""
     def at_centroid(dof, coeffs):
-        return np.einsum("tid,ti->td", dof.centroid, coeffs[dof.cell_dofs] * dof.cell_signs)
+        return np.einsum("tid,ti->td", dof.values, coeffs[dof.cell_dofs])
 
-    dof_e, dof_h = forms.spaces(state.formulation)
+    dof_e, dof_h = forms.ctx.centroid.spaces(state.formulation)
     return {"E_h": at_centroid(dof_e, state.e), "H_h": at_centroid(dof_h, state.h)}
 
 

@@ -171,7 +171,7 @@ def _loads(forms: AssembledForms, formulation: str, sources: Sources, t: float):
     """Source load vectors (j_e, j_m) against the formulation's test spaces."""
     loads = []
     for terms, dof in zip((sources.j_e_terms, sources.j_m_terms),
-                          forms.spaces(formulation)):
+                          forms.ctx.spaces(formulation)):
         load = np.zeros(dof.num_dofs)
         for a, g in terms:
             load += a(t) * _term_load(forms, g, dof)
@@ -389,7 +389,7 @@ def total_energy(state: State, forms: AssembledForms) -> float:
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
     quad = ctx.edge_quad
-    E = quad.field(state.e)
+    E = quad.dof_u.field(state.e)
     e2 = np.einsum("tqd,tqd->tq", E, E)
     dens_e = 0.5 * params.eps_lin * e2 + 0.75 * params.eps0 * params.chi3 * e2 * e2
     we = quad.integrate(dens_e)
@@ -404,7 +404,7 @@ def e_max_norm(state: State, forms: AssembledForms) -> float:
     if state.formulation == "lee-madsen":
         E = state.e.reshape(ctx.num_tets, 3)
         return float(np.max(np.linalg.norm(E, axis=1))) if E.size else 0.0
-    E = ctx.edge_vertices.field(state.e)
+    E = ctx.edge_vertices.dof_u.field(state.e)
     return float(np.sqrt(np.max(np.einsum("tqd,tqd->tq", E, E))))
 
 
@@ -412,10 +412,7 @@ def discrete_divergence(state: State, forms: AssembledForms) -> np.ndarray:
     """Cellwise divergence of the face-element magnetic field (nedelec)."""
     if state.formulation != "nedelec":
         raise ValueError("divergence monitor applies to the nedelec formulation")
-    dof = forms.dof_v
-    ctx = forms.ctx
-    local = state.h[dof.cell_dofs] * dof.cell_signs
-    return np.einsum("ti,ti->t", local, ctx.face_divs)
+    return np.einsum("ti,ti->t", state.h[forms.dof_v.cell_dofs], forms.ctx.face_divs)
 
 
 def _term_gram(forms: AssembledForms, terms) -> np.ndarray:

@@ -3,10 +3,11 @@
 Three discrete spaces are provided at lowest order (k = 1): Whitney edge
 elements in H(curl), lowest-order Raviart-Thomas face elements in H(div),
 and piecewise-constant vectors in L2.  Each is one :class:`DofMap` that
-carries its physical basis (the last is the identity).  Degrees of freedom
-sit on mesh entities with a combinatorial global orientation (see
-:mod:`kerrfem.mesh`), so two tets sharing an entity always agree on the sign
-of its dof.
+carries its physical basis at one point set (the last is the identity).
+Degrees of freedom sit on mesh entities with a combinatorial global
+orientation (see :mod:`kerrfem.mesh`), so two tets sharing an entity always
+agree on the sign of its dof; :func:`build_spaces` applies those signs to
+every basis array it makes, and no other code reads them.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ def piola_map(jac: np.ndarray, det: np.ndarray, inv_jt: np.ndarray, points):
     )
 
 
-def edge_values(inv_jt: np.ndarray, points) -> np.ndarray:
-    """Physical edge basis values on every tet at reference points, (nt, 6,
-    3 m), as :func:`piola_map` maps them, without its other three arrays."""
-    return _mapped_values(inv_jt, eval_edge_basis(points)[0])
-
-
 def _mapped_values(A: np.ndarray, ref: np.ndarray, det=None) -> np.ndarray:
     """A u (divided by det) for each reference basis function u, (m, nloc, 3),
     on every tet, written into one (nt, nloc, 3 m) array a function at a time
@@ -115,51 +110,52 @@ def _mapped_values(A: np.ndarray, ref: np.ndarray, det=None) -> np.ndarray:
     return out.reshape(nt, nloc, 3 * m)
 
 
-# Reference coordinates of the tet centroid, as a one-point set.
-CENTROID = np.full((1, 3), 0.25)
-
-
 @dataclass(frozen=True, eq=False)
 class DofMap:
-    """One discrete space on a mesh: its cell-to-global dof connectivity and
-    its physical local basis.
+    """One discrete space on a mesh at one point set: its cell-to-global dof
+    connectivity and its physical local basis at the points.
 
-    ``cell_dofs[t, k]`` is the global index of local dof k on tet t and
-    ``cell_signs[t, k]`` the orientation factor relating the local basis
-    function to the global one.  ``values`` and ``centroid`` are the physical
-    local basis functions at the quadrature points and at the centroid of
-    each tet; ``values[t, i, 3 q + d]`` is component d of local function i
-    at quadrature point q, the layout the quadrature kernels contract over.
+    ``cell_dofs[t, k]`` is the global index of local dof k on tet t.
+    ``values[t, i, 3 q + d]`` is component d of local function i at point q,
+    the layout the quadrature kernels contract over, already multiplied by
+    the cell sign that relates the local function to the global one, so
+    local vectors and matrices come out in the global orientation.
     Compared and hashed by identity.
     """
 
     num_dofs: int
     cell_dofs: np.ndarray   # (nt, nloc) int
-    cell_signs: np.ndarray  # (nt, nloc) float
-    values: np.ndarray      # (nt, nloc, 3 nq)
-    centroid: np.ndarray    # (nt, nloc, 3)
+    values: np.ndarray      # (nt, nloc, 3 nq) signed
+
+    def field(self, coeffs: np.ndarray) -> np.ndarray:
+        """A discrete field of this space at the points, (nt, nq, 3)."""
+        local = np.asarray(coeffs, dtype=np.float64)[self.cell_dofs]
+        return np.matmul(local[:, None, :], self.values).reshape(len(local), -1, 3)
 
 
 def build_spaces(topo: Topology, jac: np.ndarray, det: np.ndarray,
                  inv_jt: np.ndarray, points: np.ndarray):
     """The edge, face and cellwise-constant spaces (U, V, W) with their
-    physical bases at reference ``points`` (m, 3) and at the centroid, plus
-    the constant edge curls (nt, 6, 3) and face divergences (nt, 4).
+    physical bases at reference ``points`` (m, 3), plus the constant edge
+    curls (nt, 6, 3) and face divergences (nt, 4).
 
-    Counts: one dof per edge, one per face and three per tet; the
-    cellwise-constant basis is the identity, a broadcast view.
+    Every edge and face array is multiplied here, once, by the cell signs of
+    the mesh orientation (see :class:`DofMap`).  Counts: one dof per edge,
+    one per face and three per tet; the cellwise-constant basis is the
+    identity, a broadcast view.
     """
     edge_q, edge_curls, face_q, face_divs = piola_map(jac, det, inv_jt, points)
-    edge_c, _, face_c, _ = piola_map(jac, det, inv_jt, CENTROID)
+    edge_sign = topo.tet_edge_sign.astype(np.float64)
+    face_sign = topo.tet_face_sign.astype(np.float64)
+    edge_q *= edge_sign[:, :, None]
+    edge_curls *= edge_sign[:, :, None]
+    face_q *= face_sign[:, :, None]
+    face_divs *= face_sign
     nt, nq = len(det), len(points)
-    eye = np.eye(3)
-    dof_u = DofMap(topo.num_edges, topo.tet_edges,
-                   topo.tet_edge_sign.astype(np.float64), edge_q, edge_c)
-    dof_v = DofMap(topo.num_faces, topo.tet_faces,
-                   topo.tet_face_sign.astype(np.float64), face_q, face_c)
+    dof_u = DofMap(topo.num_edges, topo.tet_edges, edge_q)
+    dof_v = DofMap(topo.num_faces, topo.tet_faces, face_q)
     dof_w = DofMap(3 * nt, 3 * np.arange(nt, dtype=np.int64)[:, None] + np.arange(3),
-                   np.ones((nt, 3)), np.broadcast_to(np.tile(eye, nq), (nt, 3, 3 * nq)),
-                   np.broadcast_to(eye, (nt, 3, 3)))
+                   np.broadcast_to(np.tile(np.eye(3), nq), (nt, 3, 3 * nq)))
     return dof_u, dof_v, dof_w, edge_curls, face_divs
 
 

@@ -5,7 +5,14 @@ from hypothesis import settings
 from kerrfem.assembly import build_forms
 from kerrfem.fem_spaces import piola_map
 from kerrfem.material import MaterialParams
-from kerrfem.mesh import all_geometry, build_topology, generate_structured_cube, make_mesh
+from kerrfem.mesh import (
+    TET_EDGES,
+    TET_FACES,
+    all_geometry,
+    build_topology,
+    generate_structured_cube,
+    make_mesh,
+)
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example time limit, so the suite stays
@@ -55,12 +62,23 @@ def to_reference(geometry, tet_id, points):
     return np.linalg.solve(J[tet_id], (np.atleast_2d(points) - origins[tet_id]).T).T
 
 
+def _local_signs(mesh, tet_id, space):
+    """Orientation signs of the local edges or faces of one tet, from its
+    vertex numbers: the sign of the permutation that sorts each local edge
+    pair or face triple, i.e. of the product of its pairwise differences."""
+    v = mesh.tets[tet_id].astype(np.float64)
+    if space == "edge":
+        return np.array([np.sign(v[b] - v[a]) for a, b in TET_EDGES])
+    return np.array([np.sign((v[b] - v[a]) * (v[c] - v[a]) * (v[c] - v[b]))
+                     for a, b, c in TET_FACES])
+
+
 def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     """Evaluate a discrete vector field on one tet at physical points.
 
     An oracle independent of ``dofmap.values``: the basis comes from a per-tet
     Piola map of its own, chosen by the local dof count (6 edge, 4 face,
-    3 cellwise constant).
+    3 cellwise constant), and its orientation from the tet's vertex numbers.
     """
     points = np.atleast_2d(points)
     space = {6: "edge", 4: "face", 3: "cell"}[dofmap.cell_dofs.shape[1]]
@@ -72,7 +90,7 @@ def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     one = slice(tet_id, tet_id + 1)
     edge_vals, _, face_vals, _ = piola_map(J[one], det[one], invJT[one],
                                            to_reference(geometry, tet_id, points))
-    local = coeffs[dofmap.cell_dofs[tet_id]] * dofmap.cell_signs[tet_id]
+    local = coeffs[dofmap.cell_dofs[tet_id]] * _local_signs(mesh, tet_id, space)
     phys = {"edge": edge_vals, "face": face_vals}[space][0].reshape(len(local), -1, 3)
     return np.einsum("iqd,i->qd", phys, local)
 
@@ -110,8 +128,7 @@ def discrete_field_closure(mesh, dofmap, coeffs):
 
 def piecewise_curl_closure(mesh, forms, coeffs):
     """Closure evaluating the (cellwise constant) curl of an edge-space field."""
-    signed = forms.ctx.edge_curls * forms.dof_u.cell_signs[:, :, None]
-    cell_curl = np.einsum("tid,ti->td", signed, coeffs[forms.dof_u.cell_dofs])
+    cell_curl = np.einsum("tid,ti->td", forms.ctx.edge_curls, coeffs[forms.dof_u.cell_dofs])
     return _cellwise_closure(mesh, lambda t, X, geometry: cell_curl[t])
 
 

@@ -23,6 +23,7 @@ from kerrfem.assembly import (
     assemble_mass,
     assemble_nonlinear_mass_curl,
     assemble_source,
+    QUAD_DEGREE,
     build_context,
     build_forms,
     curl_project,
@@ -114,7 +115,7 @@ def test_triangle_and_segment_rules():
 @pytest.fixture(scope="module")
 def ctx2(cube2):
     mesh, topo = cube2
-    return build_context(mesh, topo)
+    return build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
 
 
 def test_integrate_constant_is_volume(ctx2):
@@ -189,13 +190,12 @@ def test_coupling_reference_tet_entries():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
     topo = build_topology(mesh)
-    ctx = build_context(mesh, topo)
+    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
     dm = ctx.dof_u
     C = assemble_coupling(ctx, dm).toarray()
     # entries are |K| times the constant curl components (signs are +1 here)
     for j in range(6):
-        assert np.allclose(C[:, dm.cell_dofs[0, j]],
-                           ctx.vol[0] * ctx.edge_curls[0, j] * dm.cell_signs[0, j])
+        assert np.allclose(C[:, dm.cell_dofs[0, j]], ctx.vol[0] * ctx.edge_curls[0, j])
 
 
 def test_coupling_gradient_columns_vanish(forms2):
@@ -226,14 +226,11 @@ def test_nedelec_coupling_matches_quadrature(cube1):
     oracle = np.zeros((dm_v.num_dofs, dm_u.num_dofs))
     for t in range(ctx.num_tets):
         for i in range(4):
-            gi, si = dm_v.cell_dofs[t, i], dm_v.cell_signs[t, i]
             for j in range(6):
-                gj, sj = dm_u.cell_dofs[t, j], dm_u.cell_signs[t, j]
-                val = np.einsum(
+                oracle[dm_v.cell_dofs[t, i], dm_u.cell_dofs[t, j]] += np.einsum(
                     "q,qd,d->", ctx.dx[t], dm_v.values[t, i].reshape(-1, 3),
                     ctx.edge_curls[t, j],
                 )
-                oracle[gi, gj] += si * sj * val
     assert np.abs(K - oracle[:, forms.free_edges]).max() < 1e-13
 
 
@@ -244,12 +241,8 @@ def test_discrete_curl_reproduces_curl(cube2):
     u = rng.normal(size=forms.dof_u.num_dofs)
     hcoeff = forms.discrete_curl @ u
     # compare the RT representation against the cellwise constant curl
-    cell_curl = np.einsum(
-        "tid,ti->td",
-        forms.ctx.edge_curls * forms.dof_u.cell_signs[:, :, None],
-        u[forms.dof_u.cell_dofs],
-    )
-    H = forms.ctx.field_at_quads(forms.dof_v, hcoeff)
+    cell_curl = np.einsum("tid,ti->td", forms.ctx.edge_curls, u[forms.dof_u.cell_dofs])
+    H = forms.dof_v.field(hcoeff)
     assert np.abs(H - cell_curl[:, None, :]).max() < 1e-12
 
 
@@ -278,11 +271,11 @@ def test_de_rham_exactness_on_jittered_meshes(n, seed):
     assert abs(curl @ assemble_gradient(forms.ctx)).max() == 0.0
     assert curl.nnz == 3 * topo.num_faces
     assert np.all(np.abs(curl.data) == 1.0)
-    # div curl = 0 exactly: a cell's face divergences all have magnitude
-    # 6 / det J, so their signs make the cell-face incidence
+    # div curl = 0 exactly: a cell's signed face divergences all have
+    # magnitude 6 / det J, so their signs make the cell-face incidence
     nt = mesh.num_tets
     div = from_triplets(np.repeat(np.arange(nt), 4), topo.tet_faces.ravel(),
-                        (topo.tet_face_sign * np.sign(forms.ctx.face_divs)).ravel(),
+                        np.sign(forms.ctx.face_divs).ravel(),
                         shape=(nt, topo.num_faces))
     assert abs(div @ curl).max() == 0.0
     # C^T diag(1/|K|) C = A_cc, to roundoff
@@ -373,7 +366,7 @@ def test_basis_layout(forms2):
     assert ctx.dof_w.values.shape == (nt, 3, 3 * nq)
     assert ctx.dof_w.values.strides[0] == 0
     c = np.random.default_rng(14).normal(size=ctx.dof_w.num_dofs)
-    vals = ctx.field_at_quads(ctx.dof_w, c)
+    vals = ctx.dof_w.field(c)
     assert np.array_equal(vals, np.broadcast_to(c.reshape(nt, 1, 3), (nt, nq, 3)))
 
 
@@ -389,8 +382,7 @@ def test_l2_project_commutes_with_curl(cube2, forms2):
     u = rng.normal(size=forms2.dof_u.num_dofs)
     closure = piecewise_curl_closure(mesh, forms2, u)
     projected = l2_project(forms2.ctx, closure)
-    signed = forms2.ctx.edge_curls * forms2.dof_u.cell_signs[:, :, None]
-    exact = np.einsum("tid,ti->td", signed, u[forms2.dof_u.cell_dofs]).ravel()
+    exact = np.einsum("tid,ti->td", forms2.ctx.edge_curls, u[forms2.dof_u.cell_dofs]).ravel()
     assert np.abs(projected - exact).max() <= 1e-12
 
 
@@ -398,7 +390,7 @@ def test_l2_projection_rate():
     errs = []
     for n in (2, 4):
         mesh = generate_structured_cube(n)
-        ctx = build_context(mesh, build_topology(mesh))
+        ctx = build_context(mesh, build_topology(mesh), tetrahedron_rule(QUAD_DEGREE))
 
         def w(X):
             X = np.atleast_2d(X)
@@ -407,7 +399,7 @@ def test_l2_projection_rate():
             return out
 
         coeffs = l2_project(ctx, w)
-        wh = ctx.field_at_quads(ctx.dof_w, coeffs)
+        wh = ctx.dof_w.field(coeffs)
         errs.append(np.sqrt(ctx.norm_sq(wh - ctx.sample(w))))
     eoc = np.log2(errs[0] / errs[1])
     assert 0.8 <= eoc <= 1.3
@@ -496,7 +488,7 @@ def test_assemble_source_polynomial_exactness(reference_tet_mesh):
     # degree-3 polynomial target against the Whitney basis, checked against
     # the closed-form monomial integrals
     topo = build_topology(reference_tet_mesh)
-    ctx = build_context(reference_tet_mesh, topo)
+    ctx = build_context(reference_tet_mesh, topo, tetrahedron_rule(QUAD_DEGREE))
     dm = ctx.dof_u
     polys = (
         {(2, 1, 0): 1.0, (0, 0, 0): 0.5},   # x^2 y + 0.5
@@ -553,15 +545,14 @@ def test_curl_curl_gram(forms2):
     rng = np.random.default_rng(10)
     u = rng.normal(size=forms2.dof_u.num_dofs)
     quad = u @ (assemble_curl_curl(forms2.ctx, forms2.dof_u) @ u)
-    signed = forms2.ctx.edge_curls * forms2.dof_u.cell_signs[:, :, None]
-    cell_curl = np.einsum("tid,ti->td", signed, u[forms2.dof_u.cell_dofs])
+    cell_curl = np.einsum("tid,ti->td", forms2.ctx.edge_curls, u[forms2.dof_u.cell_dofs])
     direct = np.einsum("td,td,t->", cell_curl, cell_curl, forms2.ctx.vol)
     assert quad == pytest.approx(direct, rel=1e-13)
 
 
 def test_gradient_matrix_is_incidence(cube2):
     mesh, topo = cube2
-    ctx = build_context(mesh, topo)
+    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
     G = assemble_gradient(ctx, pinned_vertex=0).toarray()
     nv = mesh.num_vertices
     for e, (lo, hi) in enumerate(topo.edges[:10]):

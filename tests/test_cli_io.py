@@ -145,7 +145,7 @@ def test_cell_sampled_fields_shapes(cube2):
         assert fields["H_h"].shape == (mesh.num_tets, 3)
         # centroid values agree with the independent per-tet evaluation
         centroids = mesh.vertices[mesh.tets].mean(axis=1)
-        for name, dof, coeffs in zip(("E_h", "H_h"), forms.spaces(formulation),
+        for name, dof, coeffs in zip(("E_h", "H_h"), forms.ctx.spaces(formulation),
                                      (st.e, st.h)):
             oracle = [eval_on_tet(mesh, dof, coeffs, t, centroids[t])[0]
                       for t in range(mesh.num_tets)]
@@ -191,6 +191,13 @@ def test_cli_converge_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a short nedelec Kerr run whose step-2 VTK file and energy CSV are compared
+RUN_NEDELEC_KERR = ["run", "--n", "3", "--formulation", "nedelec", "--case",
+                    "custom-zero-source", "--chi3", "1", "--t-end", "0.04", "--dt", "0.02",
+                    "--vtk-every", "2", "--vtk-prefix", "run_nedelec_kerr_n3",
+                    "--energy-csv", "run_nedelec_kerr_n3_energy.csv"]
+
+
 @pytest.mark.parametrize("argv,reference", [
     (["converge", "--case", "kerr-manufactured", "--chi3", "1", "--levels", "2,4"],
      "converge_kerr_chi3_1_levels_2_4.csv"),
@@ -203,12 +210,17 @@ def test_cli_converge_deterministic(tmp_path, capsys):
      "converge_cavity_nedelec_levels_2_4.csv"),
     (["project", "--levels", "2,4"], "project_levels_2_4.csv"),
     (["mesh", "--n", "3"], "cube3.tetmesh"),
-], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh"])
-def test_cli_output_matches_reference_file(tmp_path, capsys, argv, reference):
+    (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_000002.vtk"),
+    (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_energy.csv"),
+], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
+        "run-vtk", "run-energy"])
+def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
-    out = tmp_path / reference
-    assert cli_main(argv + ["--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / reference).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "run":  # a run names its own outputs
+        argv = argv + ["--out", reference]
+    assert cli_main(argv) == 0
+    assert (tmp_path / reference).read_bytes() == (DATA / reference).read_bytes()
     capsys.readouterr()
 
 

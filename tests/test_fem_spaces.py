@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import eval_on_tet
-from kerrfem.assembly import build_context
+from conftest import eval_on_tet, jittered_cube
+from kerrfem.assembly import QUAD_DEGREE, build_context, build_forms
 from kerrfem.fem_spaces import (
     eval_edge_basis,
     eval_face_basis,
@@ -10,8 +10,14 @@ from kerrfem.fem_spaces import (
     interpolate_face_dofs,
     piola_map,
 )
-from kerrfem.mesh import TET_EDGES, TET_FACES, all_geometry, make_mesh
-from kerrfem.quadrature import segment_rule, triangle_rule
+from kerrfem.material import MaterialParams
+from kerrfem.mesh import TET_EDGES, TET_FACES, all_geometry, build_topology, make_mesh
+from kerrfem.quadrature import (
+    segment_rule,
+    symmetric_tetrahedron_rule,
+    tetrahedron_rule,
+    triangle_rule,
+)
 
 REF_VERTS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -96,11 +102,43 @@ def test_constant_field_face_expansion():
 
 def test_dof_counts_unit_cube(cube1):
     mesh, topo = cube1
-    ctx = build_context(mesh, topo)
+    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
     assert ctx.dof_u.num_dofs == 19
     assert ctx.dof_w.num_dofs == 18
     assert len(topo.boundary_edges) == 18  # only the body diagonal is interior
     assert ctx.dof_v.num_dofs == 18
+
+
+@pytest.mark.parametrize("rule", ["conical", "symmetric", "vertices", "centroid"])
+def test_stored_bases_are_signed_piola_maps(rule):
+    # every basis array of each context equals piola_map at the context's
+    # reference points times the cell signs of the mesh orientation
+    rng = np.random.default_rng(31)
+    verts, tets = jittered_cube(2, rng)
+    perm = rng.permutation(len(verts))
+    permuted = np.empty_like(verts)
+    permuted[perm] = verts
+    mesh = make_mesh(permuted, perm[tets])
+    topo = build_topology(mesh)
+    main = build_forms(mesh, topo, MaterialParams()).ctx
+    ctx, points = {
+        "conical": (main, tetrahedron_rule(QUAD_DEGREE).points),
+        "symmetric": (main.edge_quad, symmetric_tetrahedron_rule().points),
+        "vertices": (main.edge_vertices, np.vstack([np.zeros(3), np.eye(3)])),
+        "centroid": (main.centroid, np.full((1, 3), 0.25)),
+    }[rule]
+    origins, J, det, invJT, _ = all_geometry(mesh)
+    assert np.allclose(ctx.phys_pts, origins[:, None, :] + np.einsum("tab,qb->tqa", J, points),
+                       rtol=0.0, atol=1e-15)
+    edge_vals, edge_curls, face_vals, face_divs = piola_map(J, det, invJT, points)
+    edge_sign, face_sign = topo.tet_edge_sign, topo.tet_face_sign
+    assert (edge_sign < 0).any() and (face_sign < 0).any()
+    assert np.array_equal(ctx.dof_u.values, edge_vals * edge_sign[:, :, None])
+    assert np.array_equal(ctx.edge_curls, edge_curls * edge_sign[:, :, None])
+    assert np.array_equal(ctx.dof_v.values, face_vals * face_sign[:, :, None])
+    assert np.array_equal(ctx.face_divs, face_divs * face_sign)
+    identity = np.tile(np.eye(3), len(points))
+    assert np.array_equal(ctx.dof_w.values, np.broadcast_to(identity, ctx.dof_w.values.shape))
 
 
 def test_push_forward_identity(reference_tet_mesh):
