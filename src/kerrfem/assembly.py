@@ -1,29 +1,22 @@
 """Quadrature-based assembly of mass, coupling, and projection operators.
 
-This module owns every quadrature decision, one rule per kind of integrand.
-:func:`build_context` maps one rule to each element and stores the measure
-``dx`` (weight times Jacobian determinant) and the three discrete spaces,
-each with its signed physical basis at the mapped points, once per mesh.  A
-:class:`FemContext` then samples fields there (:meth:`FemContext.sample`),
-evaluates discrete fields there (:meth:`kerrfem.fem_spaces.DofMap.field`)
-and integrates densities against ``dx`` (:meth:`FemContext.integrate`), so
-no other module handles quadrature weights or orientation signs.
+This module owns every quadrature decision.  :func:`build_context` maps one
+rule to each element and stores the measure ``dx`` (weight times Jacobian
+determinant) and the three discrete spaces, each with its signed physical
+basis at the mapped points, once per mesh.  A :class:`FemContext` then
+samples fields there (:meth:`FemContext.sample`), evaluates discrete fields
+there (:meth:`kerrfem.fem_spaces.DofMap.field`) and integrates densities
+against ``dx`` (:meth:`FemContext.integrate`), so no other module handles
+quadrature weights or orientation signs.
 
-The context of :func:`build_forms` is on the degree-:data:`QUAD_DEGREE`
-conical tet rule (27 points).  It serves the integrals made once per mesh or
-of non-polynomial integrands: the Gram matrices (degree <= 2), source loads,
-projections and error norms.  Three contexts of the same mesh on other rules
-hang off it, each built on first use:
-
-- :attr:`FemContext.edge_quad`, on the symmetric 14-point degree-5 rule.
-  The integrands of every nedelec Kerr step are polynomials of degree <= 4
-  in the piecewise-linear E_h: the flux load, the Kerr Jacobian and the
-  energy density.  This rule is exact for them, as the conical rule is, at
-  half the points.
-- :attr:`FemContext.edge_vertices`, at the tet vertices, where the
-  max-norm of an edge field E_h is taken.
-- :attr:`FemContext.centroid`, at the tet centroids, where VTK output
-  samples the fields.
+The context of :func:`build_forms` is on one rule, the symmetric 14-point
+degree-5 tet rule: exact for every polynomial integrand, degree-5 accurate
+for source loads, projections and norms.  Every polynomial integrand of the
+lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Gram
+matrices, the Kerr flux load, the Kerr Jacobian and the energy density.  One
+companion context of the same mesh, :attr:`FemContext.vertices`, is built on
+first use at the tet vertices, where the max-norm of an edge field is taken
+and VTK output samples the fields.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` keeps the one LU factorization the time loop
@@ -45,10 +38,9 @@ from .fem_spaces import DofMap, build_spaces
 from .linalg import from_triplets
 from .material import MaterialParams
 from .mesh import Mesh, Topology, all_geometry
-from .quadrature import QuadratureRule, symmetric_tetrahedron_rule, tetrahedron_rule
+from .quadrature import QuadratureRule, symmetric_tetrahedron_rule
 
 __all__ = [
-    "QUAD_DEGREE",
     "FemContext",
     "FreeEdgePattern",
     "AssembledForms",
@@ -65,11 +57,6 @@ __all__ = [
     "l2_project",
     "curl_project",
 ]
-
-# Degree of the conical rule of the build_forms context; the 14-point rule
-# of FemContext.edge_quad is exact to the same degree.
-QUAD_DEGREE = 5
-
 
 @dataclass
 class FemContext:
@@ -121,24 +108,14 @@ class FemContext:
         return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
 
     @cached_property
-    def edge_quad(self) -> FemContext:
-        """This mesh on the symmetric 14-point rule, built on first use."""
-        return build_context(self.mesh, self.topo, symmetric_tetrahedron_rule())
-
-    @cached_property
-    def edge_vertices(self) -> FemContext:
+    def vertices(self) -> FemContext:
         """This mesh at the four vertices of each tet (the vertex rule, exact
-        for linear integrands), built on first use: |E_h| of an edge field
-        is convex on each tet, so its maximum is at one of them."""
-        vertices = QuadratureRule(np.vstack([np.zeros(3), np.eye(3)]), np.full(4, 1.0 / 24.0))
-        return build_context(self.mesh, self.topo, vertices)
-
-    @cached_property
-    def centroid(self) -> FemContext:
-        """This mesh at the centroid of each tet (the midpoint rule), built
-        on first use."""
-        midpoint = QuadratureRule(np.full((1, 3), 0.25), np.full(1, 1.0 / 6.0))
-        return build_context(self.mesh, self.topo, midpoint)
+        for linear integrands), built on first use.  Every discrete field is
+        affine on a tet, so the mean of its four values is its value at the
+        tet's center, and |E_h| of an edge field, convex on each tet, peaks
+        at one of them."""
+        rule = QuadratureRule(np.vstack([np.zeros(3), np.eye(3)]), np.full(4, 1.0 / 24.0))
+        return build_context(self.mesh, self.topo, rule)
 
 
 def build_context(mesh: Mesh, topo: Topology, rule: QuadratureRule) -> FemContext:
@@ -214,12 +191,12 @@ def _local_curl_curl(ctx: FemContext) -> np.ndarray:
     return np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
 
 
-def _kerr_measure(quad: FemContext, params: MaterialParams, coeffs: np.ndarray):
-    """E_h at the points of ``quad`` and the measure eps0 (1 + chi1 + chi3
+def _kerr_measure(ctx: FemContext, params: MaterialParams, coeffs: np.ndarray):
+    """E_h at the points of ``ctx`` and the measure eps0 (1 + chi1 + chi3
     |E_h|^2) dx."""
-    E = quad.dof_u.field(coeffs)
+    E = ctx.dof_u.field(coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
-    return E, params.eps0 * es * quad.dx
+    return E, params.eps0 * es * ctx.dx
 
 
 def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
@@ -233,14 +210,14 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
     rule.  At dt = 0 this is the Kerr mass of the RK4 stages.
     """
     params = forms.params
-    quad = forms.ctx.edge_quad
-    E, measure = _kerr_measure(quad, params, coeffs)
-    phi = quad.dof_u.values
+    ctx = forms.ctx
+    E, measure = _kerr_measure(ctx, params, coeffs)
+    phi = ctx.dof_u.values
     local = _local_gram(measure, phi)
     if params.chi3 > 0.0:
         prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
         ephi = prod[..., 0::3] + prod[..., 1::3] + prod[..., 2::3]  # E . psi_i
-        local += _local_gram((2.0 * params.eps0 * params.chi3) * quad.dx, ephi)
+        local += _local_gram((2.0 * params.eps0 * params.chi3) * ctx.dx, ephi)
     return forms.free_edge_pattern.matrix(local, dt * dt / (4.0 * params.mu0))
 
 
@@ -248,9 +225,8 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams,
                        coeffs: np.ndarray) -> np.ndarray:
     """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i,
     exact on the 14-point rule (degree 4)."""
-    quad = ctx.edge_quad
-    E, measure = _kerr_measure(quad, params, coeffs)
-    return _scatter_vector(_local_moments(measure, E, quad.dof_u.values), quad.dof_u)
+    E, measure = _kerr_measure(ctx, params, coeffs)
+    return _scatter_vector(_local_moments(measure, E, ctx.dof_u.values), ctx.dof_u)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -480,7 +456,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
     discrete curl, restricted to the free (interior) edges.
     """
-    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
+    ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
     free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
     mass_u1 = assemble_mass(ctx, ctx.dof_u)
     mass_v1 = assemble_mass(ctx, ctx.dof_v)

@@ -163,7 +163,9 @@ def interpolate_edge_dofs(func, mesh: Mesh, topo: Topology) -> np.ndarray:
     """Edge dofs of a vector field: tangential line integrals lo -> hi.
 
     ``func`` maps (m, 3) points to (m, 3) values.  Gauss quadrature with 4
-    points per edge, exact for the polynomial traces that occur here.
+    points per edge: exact for polynomial traces of degree <= 7, and
+    accurate to that degree for smooth traces such as the sines of the
+    cavity and Kerr fields.
     """
     rule = segment_rule(4)
     s = rule.points[:, 0]

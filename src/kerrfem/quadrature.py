@@ -5,8 +5,9 @@ with q points per direction integrates all polynomials of total degree
 2q - 1 exactly and has strictly positive weights.  Next to them sits one
 fixed symmetric tet rule, :func:`symmetric_tetrahedron_rule`: 14 points,
 exact to degree 5 like the 27-point conical rule, with positive weights.
-Weights sum to the reference measure: 1/6 (tet), 1/2 (triangle), 1
-(segment on [0, 1]).
+It is the one tet rule the library integrates on; the conical tet rule
+serves only as a reference of higher degree.  Weights sum to the reference
+measure: 1/6 (tet), 1/2 (triangle), 1 (segment on [0, 1]).
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import os
 import tempfile
+import weakref
 from math import factorial
 
 import numpy as np
@@ -23,13 +25,13 @@ from kerrfem.assembly import (
     assemble_mass,
     assemble_nonlinear_mass_curl,
     assemble_source,
-    QUAD_DEGREE,
     build_context,
     build_forms,
     curl_project,
     l2_project,
 )
-from kerrfem.dynamics import ZERO_SOURCES, initialize, integrate
+from kerrfem.cli_io import cell_sampled_fields
+from kerrfem.dynamics import ZERO_SOURCES, e_max_norm, initialize, integrate
 from kerrfem.linalg import from_triplets
 from kerrfem.material import MaterialParams
 from kerrfem.mesh import (
@@ -115,7 +117,7 @@ def test_triangle_and_segment_rules():
 @pytest.fixture(scope="module")
 def ctx2(cube2):
     mesh, topo = cube2
-    return build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
+    return build_context(mesh, topo, symmetric_tetrahedron_rule())
 
 
 def test_integrate_constant_is_volume(ctx2):
@@ -190,7 +192,7 @@ def test_coupling_reference_tet_entries():
     verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
     topo = build_topology(mesh)
-    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
+    ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
     dm = ctx.dof_u
     C = assemble_coupling(ctx, dm).toarray()
     # entries are |K| times the constant curl components (signs are +1 here)
@@ -356,6 +358,25 @@ def test_kerr_jacobian_fixed_pattern_matches_dense(chi3, dt_over_h):
     jac.check_format(full_check=True)
 
 
+def test_contexts_hold_no_reference_cycle(cube2):
+    # with the cycle collector off, reference counting alone frees the forms
+    # and every context they made on first use after a nedelec Kerr step
+    mesh, topo = cube2
+    case = cavity_mode_case()
+    gc.disable()
+    try:
+        forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+        ctx_ref = weakref.ref(forms.ctx)
+        state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X),
+                           "nedelec", forms)
+        state, trace = integrate(state, 0.05, 1, ZERO_SOURCES, forms)
+        outputs = (e_max_norm(state, forms), cell_sampled_fields(state, forms))
+        del forms, state, trace, outputs
+        assert ctx_ref() is None
+    finally:
+        gc.enable()
+
+
 def test_basis_layout(forms2):
     ctx = forms2.ctx
     nt, nq = ctx.dx.shape
@@ -390,7 +411,7 @@ def test_l2_projection_rate():
     errs = []
     for n in (2, 4):
         mesh = generate_structured_cube(n)
-        ctx = build_context(mesh, build_topology(mesh), tetrahedron_rule(QUAD_DEGREE))
+        ctx = build_context(mesh, build_topology(mesh), symmetric_tetrahedron_rule())
 
         def w(X):
             X = np.atleast_2d(X)
@@ -488,7 +509,7 @@ def test_assemble_source_polynomial_exactness(reference_tet_mesh):
     # degree-3 polynomial target against the Whitney basis, checked against
     # the closed-form monomial integrals
     topo = build_topology(reference_tet_mesh)
-    ctx = build_context(reference_tet_mesh, topo, tetrahedron_rule(QUAD_DEGREE))
+    ctx = build_context(reference_tet_mesh, topo, symmetric_tetrahedron_rule())
     dm = ctx.dof_u
     polys = (
         {(2, 1, 0): 1.0, (0, 0, 0): 0.5},   # x^2 y + 0.5
@@ -552,7 +573,7 @@ def test_curl_curl_gram(forms2):
 
 def test_gradient_matrix_is_incidence(cube2):
     mesh, topo = cube2
-    ctx = build_context(mesh, topo, tetrahedron_rule(QUAD_DEGREE))
+    ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
     G = assemble_gradient(ctx, pinned_vertex=0).toarray()
     nv = mesh.num_vertices
     for e, (lo, hi) in enumerate(topo.edges[:10]):

@@ -1,14 +1,17 @@
+import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import discrete_field_closure, piecewise_curl_closure
-from kerrfem.assembly import build_forms
+from kerrfem.assembly import build_context, build_forms
 from kerrfem.dynamics import Sources, State, initialize, integrate
 from kerrfem.fem_spaces import interpolate_edge_dofs
 from kerrfem.material import MaterialParams, eps_matrix
-from kerrfem.quadrature import segment_rule
+from kerrfem.mesh import build_topology, generate_structured_cube
+from kerrfem.quadrature import segment_rule, tetrahedron_rule
 from kerrfem.verification import (
     EocTable,
     cavity_mode_case,
@@ -224,6 +227,26 @@ def test_error_norm_weight_monotonicity(cube1):
     e1, _ = error_norms(state, ConstCase, f1)
     e2, _ = error_norms(state, ConstCase, f2)
     assert e2 == pytest.approx(np.sqrt(2.0) * e1, rel=1e-12)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+@pytest.mark.parametrize("case_name", ["kerr-manufactured", "cavity"])
+@pytest.mark.parametrize("n,rel_tol", [(2, 3e-4), (4, 2e-5)])
+def test_error_norms_are_at_quadrature_error_level(case_name, formulation, n, rel_tol):
+    # the one 14-point rule measures the error of initial data against the
+    # exact fields at a later time as a degree-13 rule on the same fields does
+    case = get_case(case_name)
+    mesh = generate_structured_cube(n)
+    topo = build_topology(mesh)
+    forms = build_forms(mesh, topo, case.params)
+    state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation,
+                       forms, H0_curl=lambda X: case.curl_H(0.0, X))
+    state = dataclasses.replace(state, t=0.37)
+    reference = SimpleNamespace(ctx=build_context(mesh, topo, tetrahedron_rule(13)),
+                                params=case.params)
+    got = error_norms(state, case, forms)
+    want = error_norms(state, case, reference)
+    assert np.allclose(got, want, rtol=rel_tol, atol=0.0)
 
 
 def test_eoc_table_csv_roundtrip(tmp_path):
