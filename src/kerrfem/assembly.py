@@ -13,16 +13,18 @@ The context of :func:`build_forms` is on one rule, the symmetric 14-point
 degree-5 tet rule: exact for every polynomial integrand, degree-5 accurate
 for source loads, projections and norms.  Every polynomial integrand of the
 lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Gram
-matrices, the Kerr flux load, the Kerr Jacobian and the energy density.  One
-companion context of the same mesh, :attr:`FemContext.vertices`, is built on
-first use at the tet vertices, where the max-norm of an edge field is taken
-and VTK output samples the fields.
+matrices, the Kerr flux load, the nedelec Kerr Jacobian and the energy
+density.  One companion context of the same mesh,
+:attr:`FemContext.vertices`, is built on first use at the tet vertices,
+where the max-norm of an edge field is taken and VTK output samples the
+fields.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` keeps the one LU factorization the time loop
-solves with (a linear reduced matrix or the lagged nedelec Kerr Jacobian)
-and, on first use, the free-edge pattern into which each Kerr Jacobian is
-assembled.
+solves with (a linear reduced matrix or the lagged Kerr Jacobian of either
+formulation) and, on first use, the :class:`EdgePattern` into which each
+Kerr Jacobian is assembled: the free edges for nedelec, all edges for
+lee-madsen.
 """
 
 from __future__ import annotations
@@ -36,19 +38,20 @@ import scipy.sparse as sp
 from . import linalg
 from .fem_spaces import DofMap, build_spaces
 from .linalg import from_triplets
-from .material import MaterialParams
+from .material import MaterialParams, cm_matrix
 from .mesh import Mesh, Topology, all_geometry
 from .quadrature import QuadratureRule, symmetric_tetrahedron_rule
 
 __all__ = [
     "FemContext",
-    "FreeEdgePattern",
+    "EdgePattern",
     "AssembledForms",
     "build_context",
     "build_forms",
     "assemble_mass",
     "assemble_curl_curl",
     "assemble_nonlinear_mass_curl",
+    "assemble_nonlinear_curl_curl",
     "assemble_flux_load",
     "assemble_coupling",
     "assemble_discrete_curl",
@@ -218,7 +221,28 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
         prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
         ephi = prod[..., 0::3] + prod[..., 1::3] + prod[..., 2::3]  # E . psi_i
         local += _local_gram((2.0 * params.eps0 * params.chi3) * ctx.dx, ephi)
-    return forms.free_edge_pattern.matrix(local, dt * dt / (4.0 * params.mu0))
+    pattern = forms.free_edge_pattern
+    return pattern.matrix(local, dt * dt / (4.0 * params.mu0) * pattern.curl_curl)
+
+
+def assemble_nonlinear_curl_curl(forms: AssembledForms, e: np.ndarray,
+                                 dt: float) -> sp.csr_matrix:
+    """Kerr Jacobian of a lee-madsen midpoint step on all edges,
+    mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E_K) / (eps0 |K|)) C, in
+    :attr:`AssembledForms.edge_pattern`.
+
+    ``e`` holds the cellwise-constant E_K and :func:`kerrfem.material.cm_matrix`
+    is the inverse of eps(E)/eps0, so the Kerr block of a tet is
+    (dt^2/4) |K| curls^T C_m(E_K) curls / eps0 on its six edges.  In a
+    linear medium C_m = I / (1 + chi1) and this is the reduced matrix.
+    """
+    params = forms.params
+    ctx = forms.ctx
+    curls = ctx.edge_curls                                 # (nt, 6, 3)
+    cm = cm_matrix(params, e.reshape(-1, 3))               # (nt, 3, 3)
+    scale = (dt * dt / (4.0 * params.eps0)) * ctx.vol
+    local = np.matmul(curls, np.matmul(cm, curls.transpose(0, 2, 1))) * scale[:, None, None]
+    return forms.edge_pattern.matrix(local, params.mu0 * forms.mass_u1.data)
 
 
 def assemble_flux_load(ctx: FemContext, params: MaterialParams,
@@ -315,47 +339,50 @@ def curl_project(forms: AssembledForms, target, target_curl,
 
 
 @dataclass(frozen=True)
-class FreeEdgePattern:
-    """Canonical CSR pattern (sorted, no duplicates) of M_u + A_cc restricted
-    to the free edges, with the data slot of every local entry (t, i, j)
-    (one past the last slot for a pair with a fixed edge) and A_cc's data on
-    it."""
+class EdgePattern:
+    """Canonical CSR pattern (sorted, no duplicates) of M_u + A_cc on a set
+    of edges, all of them (the pattern of :attr:`AssembledForms.mass_u1`) or
+    the free ones, with the data slot of every local entry (t, i, j) (one
+    past the last slot for a pair with an edge outside the set) and A_cc's
+    data on it."""
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray       # (nt * 36,)
     curl_curl: np.ndarray   # (nnz,)
 
-    def matrix(self, local: np.ndarray, shift: float) -> sp.csr_matrix:
+    def matrix(self, local: np.ndarray, base) -> sp.csr_matrix:
         """Sum of per-tet matrices (nt, 6, 6) in the global edge
-        orientation plus ``shift`` A_cc, on the pattern."""
+        orientation plus the constant matrix whose data on the pattern is
+        ``base``."""
         nnz = len(self.indices)
         data = np.bincount(self.slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
-        if shift:
-            data += shift * self.curl_curl
         n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        return sp.csr_matrix((data + base, self.indices, self.indptr), shape=(n, n))
 
 
-def _free_edge_pattern(ctx: FemContext, free_edges: np.ndarray) -> FreeEdgePattern:
-    """The :class:`FreeEdgePattern` of the edge space on ``free_edges``."""
+def _edge_pattern(ctx: FemContext, edges: np.ndarray | None = None) -> EdgePattern:
+    """The :class:`EdgePattern` of the edge space on the sorted ``edges``,
+    or on all edges when None."""
     dofmap = ctx.dof_u
-    nfree = len(free_edges)
+    if edges is None:
+        edges = np.arange(dofmap.num_dofs)
+    n = len(edges)
     position = np.full(dofmap.num_dofs, -1, dtype=np.int64)
-    position[free_edges] = np.arange(nfree)
+    position[edges] = np.arange(n)
     local = position[dofmap.cell_dofs]                    # (nt, 6)
     rows = np.repeat(local[:, :, None], 6, axis=2).ravel()
     cols = np.repeat(local[:, None, :], 6, axis=1).ravel()
     kept = (rows >= 0) & (cols >= 0)
-    keys, slot = np.unique(rows[kept] * nfree + cols[kept], return_inverse=True)
+    keys, slot = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
     nnz = len(keys)
     slots = np.full(len(rows), nnz, dtype=np.int64)
     slots[kept] = slot
-    indptr = np.zeros(nfree + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // nfree, minlength=nfree), out=indptr[1:])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     curl_curl = _local_curl_curl(ctx).ravel()
-    return FreeEdgePattern(indptr, keys % nfree, slots,
-                           np.bincount(slots, weights=curl_curl, minlength=nnz + 1)[:nnz])
+    return EdgePattern(indptr, keys % n, slots,
+                       np.bincount(slots, weights=curl_curl, minlength=nnz + 1)[:nnz])
 
 
 @dataclass
@@ -401,10 +428,16 @@ class AssembledForms:
         return assemble_curl_curl(self.ctx, self.dof_u)
 
     @cached_property
-    def free_edge_pattern(self) -> FreeEdgePattern:
+    def edge_pattern(self) -> EdgePattern:
+        """The pattern every lee-madsen Kerr Jacobian is assembled into,
+        built on first use; it is the pattern of :attr:`mass_u1`."""
+        return _edge_pattern(self.ctx)
+
+    @cached_property
+    def free_edge_pattern(self) -> EdgePattern:
         """The pattern every nedelec Kerr Jacobian is assembled into, built
         on first use."""
-        return _free_edge_pattern(self.ctx, self.free_edges)
+        return _edge_pattern(self.ctx, self.free_edges)
 
     @cached_property
     def solve_mass_v1(self):
@@ -435,9 +468,9 @@ class AssembledForms:
     def kept_solver(self, name: str, dt: float):
         """The kept time-loop LU solve if it was made for ``(name, dt)``,
         else None.  One is kept at a time: the linear reduced matrix of a
-        formulation (``name`` the formulation), or the lagged nedelec Kerr
-        Jacobian (``name`` "nedelec-kerr"), which the next step at the same
-        dt starts from."""
+        formulation (``name`` the formulation), or the lagged Kerr Jacobian
+        of one (``name`` "lee-madsen-kerr" or "nedelec-kerr"), which the
+        next step at the same dt starts from."""
         key, solve = self._time_loop_lu
         return solve if key == (name, dt) else None
 

@@ -16,10 +16,11 @@ independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
-within the tolerance.  The nedelec Kerr Jacobian is lagged (a chord
-method): its factorization is kept on the forms and carried from step to
-step while dt is unchanged, and re-evaluated at the current iterate only
-after an update that shrank by less than :data:`REFRESH_RATIO`.
+within the tolerance.  In both formulations they solve with the Kerr
+Jacobian of their residual, lagged (a chord method): its factorization is
+kept on the forms and carried from step to step while dt is unchanged, and
+re-evaluated at the current iterate only after an update that shrank by
+less than :data:`REFRESH_RATIO`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from . import linalg
 from .assembly import (
     AssembledForms,
     assemble_flux_load,
+    assemble_nonlinear_curl_curl,
     assemble_nonlinear_mass_curl,
     assemble_source,
     curl_project,
@@ -261,17 +263,40 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     return e1, h1
 
 
+def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, e_start):
+    """The solve a midpoint step's sweeps start from, and the function
+    ``refresh(e)`` that replaces it by the factorized
+    ``jacobian(forms, e, dt)``.
+
+    Linear media solve with the cached reduced solver, the exact and
+    constant Jacobian (their one sweep never refreshes it).  Kerr media
+    solve with the lagged Kerr Jacobian that ``forms`` keeps for this dt
+    under "<formulation>-kerr", left by the step before; only when it keeps
+    none is it evaluated and factorized afresh at the start iterate
+    ``e_start``."""
+    if forms.params.chi3 == 0.0:
+        return forms.reduced_solver(formulation, dt), None
+    name = formulation + "-kerr"
+
+    def refresh(e):
+        return forms.keep_solver(name, dt, jacobian(forms, e, dt))
+
+    solve = forms.kept_solver(name, dt)
+    return (refresh(e_start) if solve is None else solve), refresh
+
+
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
                       je: np.ndarray, jm: np.ndarray):
-    """Sweep of the lee-madsen step and its start iterate (E(H0), H0): H by a
-    simplified Newton update on G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 +
-    E1)/2 + j_m) with the linear reduced matrix, an upper bound of the Kerr
-    Jacobian (so the update contracts; ``refresh`` has nothing to
-    re-evaluate), then E1 = E(H1) by cellwise constitutive inversion, which
-    the next sweep's residual reads."""
+    """Sweep of the lee-madsen step and its start iterate (E(H0), H0): a
+    chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 +
+    j_m), then E1 = E(H1) by cellwise constitutive inversion, which the next
+    sweep's residual reads.  Its Jacobian
+    mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
+    (:func:`assemble_nonlinear_curl_curl`) is held as :func:`_chord_solver`
+    says, and re-evaluated at the current E1 when ``refresh`` is set (see
+    :func:`_midpoint_sweeps`)."""
     params = forms.params
     vol = forms.ctx.vol[:, None]
-    solve = forms.reduced_solver("lee-madsen", dt)
     C = forms.coupling_lm
     CT = C.T
     e0, h0 = state.e, state.h
@@ -281,25 +306,30 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
         return e_of_d(params, d1).ravel()
 
+    e_start = e_end(h0)
+    solve, refactorize = _chord_solver(forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
+                                       e_start)
+
     def sweep(e1, h1, refresh):
+        nonlocal solve
+        if refresh:
+            solve = refactorize(e1)
         h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
                         + dt * (CT @ (0.5 * (e0 + e1)) + jm))
         return e_end(h1), h1
 
-    return sweep, e_end(h0)
+    return sweep, e_start
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
                    je: np.ndarray, jm: np.ndarray):
     """Sweep of the nedelec step: a chord update of E on the free edges for
-    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e).  Its Jacobian
-    :func:`assemble_nonlinear_mass_curl` is the factorization that ``forms``
-    keeps for this dt, left by the step before; it is evaluated and
-    factorized afresh at E0 only when ``forms`` keeps none for this dt, and
-    at the current E1 when ``refresh`` is set (see :func:`_midpoint_sweeps`).
-    Linear media use the cached reduced solver.  H1 follows exactly from the
-    discrete curl of E1, so the ``h1`` argument is not read.  The start
-    iterate is E0 itself."""
+    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), whose Jacobian
+    :func:`assemble_nonlinear_mass_curl` is held as :func:`_chord_solver`
+    says, and re-evaluated at the current E1 when ``refresh`` is set (see
+    :func:`_midpoint_sweeps`).  H1 follows exactly from the discrete curl of
+    E1, so the ``h1`` argument is not read.  The start iterate is E0
+    itself."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -307,16 +337,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     e0, h0 = state.e, state.h
     jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
-
-    def factorize_jacobian(e):
-        return forms.keep_solver("nedelec-kerr", dt, assemble_nonlinear_mass_curl(forms, e, dt))
-
-    if params.chi3 == 0.0:
-        solve = forms.reduced_solver("nedelec", dt)
-    else:
-        solve = forms.kept_solver("nedelec-kerr", dt)
-        if solve is None:
-            solve = factorize_jacobian(e0)
+    solve, refactorize = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl, e0)
 
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
@@ -326,7 +347,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         residual = (assemble_flux_load(ctx, params, e1)[free] - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
         if refresh:
-            solve = factorize_jacobian(e1)
+            solve = refactorize(e1)
         e1 = e1.copy()
         e1[free] -= solve(residual)
         return e1, h_end(e1)

@@ -23,6 +23,7 @@ from kerrfem.assembly import (
     assemble_flux_load,
     assemble_gradient,
     assemble_mass,
+    assemble_nonlinear_curl_curl,
     assemble_nonlinear_mass_curl,
     assemble_source,
     build_context,
@@ -33,7 +34,7 @@ from kerrfem.assembly import (
 from kerrfem.cli_io import cell_sampled_fields
 from kerrfem.dynamics import ZERO_SOURCES, e_max_norm, initialize, integrate
 from kerrfem.linalg import from_triplets
-from kerrfem.material import MaterialParams
+from kerrfem.material import MaterialParams, cm_matrix, d_of_e, e_of_d
 from kerrfem.mesh import (
     TET_EDGES,
     all_geometry,
@@ -356,6 +357,50 @@ def test_kerr_jacobian_fixed_pattern_matches_dense(chi3, dt_over_h):
     assert np.abs(jac.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
     assert jac.has_canonical_format
     jac.check_format(full_check=True)
+
+
+@pytest.mark.parametrize("chi3", [0.0, 1.0])
+def test_lee_madsen_kerr_jacobian_is_the_residual_derivative(chi3):
+    # the lee-madsen Jacobian, scattered into the pattern of mass_u1, is
+    # mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E) / (eps0 |K|)) C, the reduced
+    # matrix when chi3 = 0, and the derivative of the midpoint residual
+    # G(H1) = mu0 M_u (H1 - H0) + dt C^T (E0 + E(H1)) / 2
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(23)))
+    params = MaterialParams(eps0=1.3, mu0=0.7, chi1=0.4, chi3=chi3)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    rng = np.random.default_rng(24)
+    C, vol, dt = forms.coupling_lm, forms.ctx.vol, 0.3 * mesh_size(mesh)
+    e0 = rng.normal(size=C.shape[0])
+    h0 = rng.normal(size=C.shape[1])
+
+    def e_end(h1):
+        d1 = d_of_e(params, e0.reshape(-1, 3)) + (dt / vol[:, None]) * (
+            C @ (0.5 * (h0 + h1))).reshape(-1, 3)
+        return e_of_d(params, d1).ravel()
+
+    def residual(h1):
+        return params.mu0 * (forms.mass_u1 @ (h1 - h0)) + dt * (C.T @ (0.5 * (e0 + e_end(h1))))
+
+    h1 = h0 + 0.1 * rng.normal(size=len(h0))
+    e1 = e_end(h1)
+    jac = assemble_nonlinear_curl_curl(forms, e1, dt)
+    assert jac.has_canonical_format
+    jac.check_format(full_check=True)
+    assert np.array_equal(jac.indptr, forms.mass_u1.indptr)
+    assert np.array_equal(jac.indices, forms.mass_u1.indices)
+    blocks = sp.block_diag(cm_matrix(params, e1.reshape(-1, 3))
+                           / (params.eps0 * vol[:, None, None]))
+    dense = (params.mu0 * forms.mass_u1 + dt * dt / 4.0 * (C.T @ blocks @ C)).toarray()
+    assert np.abs(jac.toarray() - dense).max() <= 1e-14 * np.abs(dense).max()
+    if chi3 == 0.0:
+        reduced = forms.reduced_matrix("lee-madsen", dt).toarray()
+        assert np.abs(jac.toarray() - reduced).max() <= 1e-14 * np.abs(reduced).max()
+    v = rng.normal(size=len(h0))
+    v /= np.linalg.norm(v)
+    step = 1e-5
+    fd = (residual(h1 + step * v) - residual(h1 - step * v)) / (2.0 * step)
+    jv = jac @ v
+    assert np.abs(jv - fd).max() <= 1e-8 * np.abs(jv).max()
 
 
 def test_contexts_hold_no_reference_cycle(cube2):

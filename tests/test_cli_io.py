@@ -196,6 +196,10 @@ RUN_NEDELEC_KERR = ["run", "--n", "3", "--formulation", "nedelec", "--case",
                     "custom-zero-source", "--chi3", "1", "--t-end", "0.04", "--dt", "0.02",
                     "--vtk-every", "2", "--vtk-prefix", "run_nedelec_kerr_n3",
                     "--energy-csv", "run_nedelec_kerr_n3_energy.csv"]
+# a short lee-madsen Kerr run, several chord sweeps per step
+RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case",
+                       "custom-zero-source", "--chi3", "1", "--t-end", "0.2", "--dt", "0.05",
+                       "--energy-csv", "run_lee_madsen_kerr_n3_energy.csv"]
 
 
 @pytest.mark.parametrize("argv,reference", [
@@ -212,8 +216,9 @@ RUN_NEDELEC_KERR = ["run", "--n", "3", "--formulation", "nedelec", "--case",
     (["mesh", "--n", "3"], "cube3.tetmesh"),
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_000002.vtk"),
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_energy.csv"),
+    (RUN_LEE_MADSEN_KERR, "run_lee_madsen_kerr_n3_energy.csv"),
 ], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
-        "run-vtk", "run-energy"])
+        "run-vtk", "run-energy", "run-energy-lee-madsen"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     monkeypatch.chdir(tmp_path)
@@ -298,10 +303,11 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exits_nonzero(capsys):
-    # a large step in a strongly Kerr medium: the lee-madsen sweeps stall,
-    # and the CLI reports the solver error on one line instead of a traceback
+    # a very large step in a strongly Kerr medium: the lee-madsen chord
+    # stalls, and the CLI reports the solver error on one line instead of a
+    # traceback
     code = cli_main(["run", "--case", "custom-zero-source", "--chi3", "100", "--n", "2",
-                     "--dt", "0.5", "--t-end", "1"])
+                     "--dt", "2", "--t-end", "4"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "reduce dt" in err

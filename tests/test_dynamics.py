@@ -7,6 +7,7 @@ from conftest import energy_density, jittered_cube
 from kerrfem import dynamics, linalg
 from kerrfem.assembly import (
     assemble_flux_load,
+    assemble_nonlinear_curl_curl,
     assemble_source,
     build_forms,
     l2_project,
@@ -28,7 +29,7 @@ from kerrfem.dynamics import (
     total_energy,
 )
 from kerrfem.fem_spaces import interpolate_edge_dofs
-from kerrfem.material import MaterialParams, d_of_e, eps_matrix
+from kerrfem.material import MaterialParams, d_of_e, e_of_d, eps_matrix
 from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
 from kerrfem.verification import cavity_mode_case, kerr_manufactured_case
 
@@ -53,6 +54,35 @@ def cav_forms2(cube2, cavity):
 def one_step(state, dt, sources, forms):
     """The state after one midpoint step."""
     return integrate(state, dt, 1, sources, forms, collect=False)[0]
+
+
+def count_sweeps(monkeypatch) -> list:
+    """The list to which each later midpoint step appends its sweep count."""
+    sweeps = []
+    picard_exit = dynamics._picard_exit
+
+    def counted(delta, tol, iteration):
+        if iteration == 0:
+            sweeps.append(0)
+        sweeps[-1] += 1
+        return picard_exit(delta, tol, iteration)
+
+    monkeypatch.setattr(dynamics, "_picard_exit", counted)
+    return sweeps
+
+
+def count_factorizations(monkeypatch) -> list:
+    """The list to which each later :func:`linalg.factorized` call appends
+    its matrix."""
+    matrices = []
+    original = linalg.factorized
+
+    def counted(A):
+        matrices.append(A)
+        return original(A)
+
+    monkeypatch.setattr(linalg, "factorized", counted)
+    return matrices
 
 
 def sampled_source_norm_sq(forms, case, t):
@@ -197,13 +227,14 @@ def test_integrate_stops_at_non_finite_state(cav_forms2, cavity):
 
 
 def test_midpoint_signals_nonconvergence(cavity, cube2, monkeypatch):
-    # a large step in a strongly Kerr medium: the frozen linear matrix of the
-    # lee-madsen sweeps contracts too slowly to converge within the cap
+    # a step of twice the unit cube's light-crossing time in a strongly Kerr
+    # medium: even with its Jacobian refreshed, the lee-madsen chord does not
+    # converge within the cap
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=100.0))
     st = cavity_state(cavity, forms)
     with pytest.raises(NonlinearSolveError, match="reduce dt"):
-        one_step(st, 0.5, ZERO_SOURCES, forms)
+        one_step(st, 2.0, ZERO_SOURCES, forms)
     # one Newton sweep of a nedelec Kerr step is not yet converged
     monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1)
     st = cavity_state(cavity, forms, formulation="nedelec")
@@ -217,14 +248,7 @@ def test_nedelec_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkey
     # factorizes afresh, at the start state of its first step
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-    factorized_matrices = []
-    original = linalg.factorized
-
-    def counted(A):
-        factorized_matrices.append(A)
-        return original(A)
-
-    monkeypatch.setattr(linalg, "factorized", counted)
+    factorized_matrices = count_factorizations(monkeypatch)
     st = cavity_state(cavity, forms, formulation="nedelec")
     mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
     assert 1 <= len(factorized_matrices) < 5
@@ -282,16 +306,7 @@ def test_nedelec_kerr_converges_at_large_dt(cavity, dt_over_h, monkeypatch):
     # dt = 5 h, which needs the Jacobian refreshed when the sweeps slow down;
     # with the refresh no step takes more than 9 sweeps here, without it the
     # worst step takes 24-47
-    sweeps = []
-    picard_exit = dynamics._picard_exit
-
-    def counted(delta, tol, iteration):
-        if iteration == 0:
-            sweeps.append(0)
-        sweeps[-1] += 1
-        return picard_exit(delta, tol, iteration)
-
-    monkeypatch.setattr(dynamics, "_picard_exit", counted)
+    sweeps = count_sweeps(monkeypatch)
     mesh = generate_structured_cube(4)
     forms = build_forms(mesh, build_topology(mesh), MaterialParams(chi3=1.0))
     st = cavity_state(cavity, forms, formulation="nedelec")
@@ -302,13 +317,57 @@ def test_nedelec_kerr_converges_at_large_dt(cavity, dt_over_h, monkeypatch):
 
 
 def test_lee_madsen_kerr_converges_at_dt_h(cube4, cavity):
-    # the README's measured limit: lee-madsen Kerr sweeps, which form each H
-    # residual with E(H1), take three cavity steps at dt = h on n = 4
+    # lee-madsen Kerr sweeps, which form each H residual with E(H1), take
+    # three cavity steps at dt = h on n = 4
     mesh, topo = cube4
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
     st = cavity_state(cavity, forms)
     end, _ = integrate(st, mesh_size(mesh), 3, ZERO_SOURCES, forms, collect=False)
     assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_lee_madsen_kerr_converges_at_large_dt(cavity, n):
+    # the README's measured limit: the lee-madsen chord, whose Kerr Jacobian
+    # is refreshed when the sweeps slow down, takes three cavity steps at
+    # dt = 2 h; sweeps with the linear reduced matrix stall there by 1.1 h
+    # (n = 4) and 1.4 h (n = 8)
+    mesh = generate_structured_cube(n)
+    forms = build_forms(mesh, build_topology(mesh), MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms)
+    end, _ = integrate(st, 2.0 * mesh_size(mesh), 3, ZERO_SOURCES, forms, collect=False)
+    assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
+
+
+def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
+    # 8 cavity steps at dt = h/4 average 6.1 sweeps with the Kerr Jacobian;
+    # with the linear reduced matrix they averaged 17.4
+    sweeps = count_sweeps(monkeypatch)
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms)
+    integrate(st, 0.25 * mesh_size(mesh), 8, ZERO_SOURCES, forms, collect=False)
+    assert len(sweeps) == 8 and np.mean(sweeps) <= 8.0, sweeps
+
+
+def test_lee_madsen_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
+    # as in nedelec: 5 steps at one dt factorize fewer than 5 Jacobians, and
+    # a new dt factorizes afresh at the start iterate E(H0) of its first step
+    mesh, topo = cube2
+    params = MaterialParams(chi3=1.0)
+    forms = build_forms(mesh, topo, params)
+    factorized_matrices = count_factorizations(monkeypatch)
+    st = cavity_state(cavity, forms)
+    mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
+    assert 1 <= len(factorized_matrices) < 5
+    factorized_matrices.clear()
+    dt = 0.02
+    integrate(mid, dt, 1, ZERO_SOURCES, forms, collect=False)
+    assert factorized_matrices
+    d_start = (d_of_e(params, mid.e.reshape(-1, 3))
+               + (dt / forms.ctx.vol[:, None]) * (forms.coupling_lm @ mid.h).reshape(-1, 3))
+    fresh = assemble_nonlinear_curl_curl(forms, e_of_d(params, d_start).ravel(), dt)
+    assert (factorized_matrices[0] != fresh).nnz == 0
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
