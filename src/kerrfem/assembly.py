@@ -351,7 +351,7 @@ class EdgePattern:
     slots: np.ndarray       # (nt * 36,)
     curl_curl: np.ndarray   # (nnz,)
 
-    def matrix(self, local: np.ndarray, base) -> sp.csr_matrix:
+    def matrix(self, local: np.ndarray, base: np.ndarray) -> sp.csr_matrix:
         """Sum of per-tet matrices (nt, 6, 6) in the global edge
         orientation plus the constant matrix whose data on the pattern is
         ``base``."""
