@@ -2,22 +2,22 @@
 
 This module owns every quadrature decision.  :func:`build_context` maps one
 rule to each element and stores the measure ``dx`` (weight times Jacobian
-determinant) and the three discrete spaces, each with its signed physical
-basis at the mapped points, once per mesh.  A :class:`FemContext` then
-samples fields there (:meth:`FemContext.sample`), evaluates discrete fields
-there (:meth:`kerrfem.fem_spaces.DofMap.field`) and integrates densities
-against ``dx`` (:meth:`FemContext.integrate`), so no other module handles
-quadrature weights or orientation signs.
+determinant), the rule's barycentric table ``bary`` (nq, 4) and the three
+discrete spaces, each with its signed physical basis at the tet vertices
+(see :mod:`kerrfem.fem_spaces`), once per mesh.  A :class:`FemContext` then
+samples fields at the points (:meth:`FemContext.sample`), evaluates discrete
+fields there as ``bary`` times their vertex values
+(:meth:`FemContext.field`) and integrates densities against ``dx``
+(:meth:`FemContext.integrate`), so no other module handles quadrature
+weights or orientation signs.  No basis is kept at the points: the moments
+of a load are ``bary^T (dx f)`` contracted with the vertex values, and the
+Gram matrices of the edge and face spaces are closed forms in those values.
 
 The context of :func:`build_forms` is on one rule, the symmetric 14-point
 degree-5 tet rule: exact for every polynomial integrand, degree-5 accurate
 for source loads, projections and norms.  Every polynomial integrand of the
-lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Gram
-matrices, the Kerr flux load, the nedelec Kerr Jacobian and the energy
-density.  One companion context of the same mesh,
-:attr:`FemContext.vertices`, is built on first use at the tet vertices,
-where the max-norm of an edge field is taken and VTK output samples the
-fields.
+lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Kerr
+flux load, the nedelec Kerr Jacobian and the energy density.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` keeps the one LU factorization the time loop
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import DofMap, build_spaces
+from .fem_spaces import DofMap, barycentric, build_spaces
 from .linalg import from_triplets
 from .material import MaterialParams, cm_matrix
 from .mesh import Mesh, Topology, all_geometry
@@ -63,14 +63,15 @@ __all__ = [
 
 @dataclass
 class FemContext:
-    """Geometry, quadrature measure, and the three discrete spaces of one
-    mesh at the points of one rule."""
+    """Geometry, the quadrature measure of one rule, and the three discrete
+    spaces of one mesh."""
 
     mesh: Mesh
     topo: Topology
     vol: np.ndarray       # (nt,)
     phys_pts: np.ndarray  # (nt, nq, 3)
     dx: np.ndarray        # (nt, nq) quadrature weight times det J
+    bary: np.ndarray      # (nq, 4) barycentric coordinates of the rule's points
     edge_curls: np.ndarray    # (nt, 6, 3) constant physical curls, signed
     face_divs: np.ndarray     # (nt, 4) signed
     dof_u: DofMap  # Whitney edges, H(curl)
@@ -87,6 +88,11 @@ class FemContext:
         if formulation == "lee-madsen":
             return self.dof_w, self.dof_u
         return self.dof_u, self.dof_v
+
+    def field(self, dofmap: DofMap, coeffs: np.ndarray) -> np.ndarray:
+        """A discrete field of the space of ``dofmap`` at all quadrature
+        points, (nt, nq, 3)."""
+        return np.matmul(self.bary, dofmap.vertex_field(coeffs))
 
     def sample(self, func) -> np.ndarray:
         """Values of a vector field at all quadrature points, (nt, nq, 3).
@@ -110,28 +116,18 @@ class FemContext:
         vals = np.stack([self.sample(f) for f in funcs])
         return np.einsum("tq,ktqd,ltqd->kl", self.dx, vals, vals)
 
-    @cached_property
-    def vertices(self) -> FemContext:
-        """This mesh at the four vertices of each tet (the vertex rule, exact
-        for linear integrands), built on first use.  Every discrete field is
-        affine on a tet, so the mean of its four values is its value at the
-        tet's center, and |E_h| of an edge field, convex on each tet, peaks
-        at one of them."""
-        rule = QuadratureRule(np.vstack([np.zeros(3), np.eye(3)]), np.full(4, 1.0 / 24.0))
-        return build_context(self.mesh, self.topo, rule)
-
 
 def build_context(mesh: Mesh, topo: Topology, rule: QuadratureRule) -> FemContext:
     """The :class:`FemContext` of a mesh at the points of a reference tet rule."""
     origins, J, det, invJT, vol = all_geometry(mesh)
-    dof_u, dof_v, dof_w, edge_curls, face_divs = build_spaces(topo, J, det, invJT,
-                                                              rule.points)
+    dof_u, dof_v, dof_w, edge_curls, face_divs = build_spaces(topo, J, det, invJT)
     return FemContext(
         mesh=mesh,
         topo=topo,
         vol=vol,
         phys_pts=origins[:, None, :] + np.einsum("tab,qb->tqa", J, rule.points),
         dx=det[:, None] * rule.weights[None, :],
+        bary=barycentric(rule.points),
         edge_curls=edge_curls,
         face_divs=face_divs,
         dof_u=dof_u,
@@ -140,28 +136,20 @@ def build_context(mesh: Mesh, topo: Topology, rule: QuadratureRule) -> FemContex
     )
 
 
-# Tets per block of the Gram kernel, which bounds its weighted temporary.
-_GRAM_BLOCK = 512
-
-
 def _local_gram(measure: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Per-tet matrices of the integral of phi_i . phi_j against a weighted
     measure (nt, nq); ``phi`` is (nt, nloc, k nq) with k components per point,
     and the result (nt, nloc, nloc)."""
-    nt, nloc, width = phi.shape
-    weights = np.repeat(measure, width // measure.shape[1], axis=1)  # (nt, k nq)
-    out = np.empty((nt, nloc, nloc))
-    for start in range(0, nt, _GRAM_BLOCK):
-        b = slice(start, start + _GRAM_BLOCK)
-        np.matmul(phi[b] * weights[b, None, :], phi[b].transpose(0, 2, 1), out=out[b])
-    return out
+    weights = np.repeat(measure, phi.shape[2] // measure.shape[1], axis=1)  # (nt, k nq)
+    return np.matmul(phi * weights[:, None, :], phi.transpose(0, 2, 1))
 
 
-def _local_moments(measure: np.ndarray, vals: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Per-tet integrals of vals (nt, nq, 3) . phi_i against a measure (nt, nq);
-    (nt, nloc)."""
-    weighted = (measure[:, :, None] * vals).reshape(len(measure), -1, 1)
-    return np.matmul(phi, weighted)[:, :, 0]
+def _local_moments(ctx: FemContext, measure: np.ndarray, vals: np.ndarray,
+                   dofmap: DofMap) -> np.ndarray:
+    """Per-tet integrals of vals (nt, nq, 3) . phi_i against a measure (nt, nq)
+    over the space of ``dofmap``, (nt, nloc): the barycentric moments
+    bary^T (measure vals) contracted with the vertex values."""
+    return dofmap.moments(np.matmul(ctx.bary.T, measure[:, :, None] * vals))
 
 
 def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
@@ -180,8 +168,9 @@ def _scatter_matrix(local: np.ndarray, dofmap: DofMap) -> sp.csr_matrix:
 
 
 def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
-    """Gram matrix (SPD) of the edge or face space of ``dofmap``."""
-    return _scatter_matrix(_local_gram(ctx.dx, dofmap.values), dofmap)
+    """Gram matrix (SPD) of the edge or face space of ``dofmap``, in closed
+    form (:meth:`kerrfem.fem_spaces.DofMap.gram`)."""
+    return _scatter_matrix(dofmap.gram(ctx.vol), dofmap)
 
 
 def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -197,7 +186,7 @@ def _local_curl_curl(ctx: FemContext) -> np.ndarray:
 def _kerr_measure(ctx: FemContext, params: MaterialParams, coeffs: np.ndarray):
     """E_h at the points of ``ctx`` and the measure eps0 (1 + chi1 + chi3
     |E_h|^2) dx."""
-    E = ctx.dof_u.field(coeffs)
+    E = ctx.field(ctx.dof_u, coeffs)
     es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
     return E, params.eps0 * es * ctx.dx
 
@@ -210,12 +199,13 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
     M_eps[i, j] is the integral of eps(E_h) psi_i . psi_j with the field
     derivative eps(E) = eps0 [(1 + chi1 + chi3 |E|^2) I + 2 chi3 E E^T]; E_h
     is piecewise linear, so the degree-4 integrand is exact on the 14-point
-    rule.  At dt = 0 this is the Kerr mass of the RK4 stages.
+    rule.  The basis at the points is formed for this call only.  At dt = 0
+    this is the Kerr mass of the RK4 stages.
     """
     params = forms.params
     ctx = forms.ctx
     E, measure = _kerr_measure(ctx, params, coeffs)
-    phi = ctx.dof_u.values
+    phi = ctx.dof_u.at(ctx.bary)
     local = _local_gram(measure, phi)
     if params.chi3 > 0.0:
         prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
@@ -250,7 +240,7 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams,
     """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i,
     exact on the 14-point rule (degree 4)."""
     E, measure = _kerr_measure(ctx, params, coeffs)
-    return _scatter_vector(_local_moments(measure, E, ctx.dof_u.values), ctx.dof_u)
+    return _scatter_vector(_local_moments(ctx, measure, E, ctx.dof_u), ctx.dof_u)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
@@ -308,7 +298,7 @@ def assemble_source(ctx: FemContext, target, dofmap: DofMap) -> np.ndarray:
 
     ``target`` maps (m, 3) points to (m, 3) values.
     """
-    local = _local_moments(ctx.dx, ctx.sample(target), dofmap.values)
+    local = _local_moments(ctx, ctx.dx, ctx.sample(target), dofmap)
     return _scatter_vector(local, dofmap)
 
 

@@ -138,7 +138,7 @@ _KEY_TABLE = {
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``section.key = value`` lines into a validated RunConfig."""
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,6 +150,9 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _KEY_TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         field_name, conv = _KEY_TABLE[key]
         try:
             values[field_name] = conv(value)
@@ -203,8 +206,9 @@ def cell_sampled_fields(state: State, forms) -> dict:
     """E_h and H_h per cell for VTK output: the mean of the four vertex
     values, which is the value at the tet's center, since every discrete
     field is affine on a tet."""
-    dof_e, dof_h = forms.ctx.vertices.spaces(state.formulation)
-    return {"E_h": dof_e.field(state.e).mean(axis=1), "H_h": dof_h.field(state.h).mean(axis=1)}
+    dof_e, dof_h = forms.ctx.spaces(state.formulation)
+    return {"E_h": dof_e.vertex_field(state.e).mean(axis=1),
+            "H_h": dof_h.vertex_field(state.h).mean(axis=1)}
 
 
 def write_energy_csv(trace, path) -> None:

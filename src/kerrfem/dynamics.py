@@ -409,7 +409,7 @@ def total_energy(state: State, forms: AssembledForms) -> float:
                                + 0.75 * params.eps0 * params.chi3 * e2 * e2))
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
-    E = ctx.dof_u.field(state.e)
+    E = ctx.field(ctx.dof_u, state.e)
     e2 = np.einsum("tqd,tqd->tq", E, E)
     dens_e = 0.5 * params.eps_lin * e2 + 0.75 * params.eps0 * params.chi3 * e2 * e2
     we = ctx.integrate(dens_e)
@@ -424,8 +424,8 @@ def e_max_norm(state: State, forms: AssembledForms) -> float:
     if state.formulation == "lee-madsen":
         E = state.e.reshape(ctx.num_tets, 3)
         return float(np.max(np.linalg.norm(E, axis=1))) if E.size else 0.0
-    E = ctx.vertices.dof_u.field(state.e)
-    return float(np.sqrt(np.max(np.einsum("tqd,tqd->tq", E, E))))
+    E = ctx.dof_u.vertex_field(state.e)
+    return float(np.sqrt(np.max(np.einsum("tvd,tvd->tv", E, E))))
 
 
 def discrete_divergence(state: State, forms: AssembledForms) -> np.ndarray:

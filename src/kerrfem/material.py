@@ -13,6 +13,7 @@ All functions accept a single 3-vector or an (..., 3) batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,9 @@ class MaterialError(Exception):
 class MaterialParams:
     """Vacuum constants and susceptibilities of a Kerr medium.
 
-    Defaults are nondimensionalized to 1; chi1 and chi3 must be nonnegative
-    so the permittivity stays positive definite for every field strength.
+    Defaults are nondimensionalized to 1; every parameter must be finite,
+    and chi1 and chi3 nonnegative so the permittivity stays positive
+    definite for every field strength.
     """
 
     eps0: float = 1.0
@@ -36,6 +38,9 @@ class MaterialParams:
     chi3: float = 0.0
 
     def __post_init__(self):
+        for name in ("eps0", "mu0", "chi1", "chi3"):
+            if not math.isfinite(getattr(self, name)):
+                raise MaterialError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.eps0 > 0.0):
             raise MaterialError(f"eps0 must be > 0, got {self.eps0}")
         if not (self.mu0 > 0.0):

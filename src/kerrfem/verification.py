@@ -200,8 +200,8 @@ def error_norms(state: State, case: ManufacturedCase,
     ctx = forms.ctx
     params = forms.params
     dof_e, dof_h = ctx.spaces(state.formulation)
-    E_h = dof_e.field(state.e)
-    H_h = dof_h.field(state.h)
+    E_h = ctx.field(dof_e, state.e)
+    H_h = ctx.field(dof_h, state.h)
     err_e = params.eps0 * ctx.norm_sq(E_h - ctx.sample(lambda X: case.E(state.t, X)))
     err_h = params.mu0 * ctx.norm_sq(H_h - ctx.sample(lambda X: case.H(state.t, X)))
     return math.sqrt(err_e), math.sqrt(err_h)
@@ -324,9 +324,9 @@ def projection_study(levels) -> EocTable:
         topo = build_topology(mesh)
         forms = build_forms(mesh, topo, MaterialParams())
         ctx = forms.ctx
-        w_h = forms.dof_w.field(l2_project(ctx, w_field))
+        w_h = ctx.field(forms.dof_w, l2_project(ctx, w_field))
         err_w = math.sqrt(ctx.norm_sq(w_h - ctx.sample(w_field)))
-        v_h = forms.dof_u.field(curl_project(
+        v_h = ctx.field(forms.dof_u, curl_project(
             forms, _cavity_h, lambda X: -2.0 * PI * _cavity_e(X)))
         err_v = math.sqrt(ctx.norm_sq(v_h - ctx.sample(_cavity_h)))
         hs.append(mesh_size(mesh))

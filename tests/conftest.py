@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 from kerrfem.assembly import build_forms
-from kerrfem.fem_spaces import piola_map
+from kerrfem.fem_spaces import barycentric
 from kerrfem.material import MaterialParams
 from kerrfem.mesh import (
     TET_EDGES,
@@ -55,6 +55,74 @@ def jittered_cube(n, rng):
     return verts, base.tets
 
 
+# The reference bases and their Piola map: an oracle built from the reference
+# element, independent of the vertex values that the library stores.
+
+# Barycentric gradients on the reference tet (rows: lambda_0..lambda_3).
+LAMBDA_GRADS = np.array(
+    [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+)
+
+
+def eval_edge_basis(points):
+    """Whitney edge functions at reference points.
+
+    Returns ``(values, curls)`` with values shaped (m, 6, 3) and the constant
+    curls (6, 3); basis k lives on local edge TET_EDGES[k] = (a, b) and is
+    lambda_a grad lambda_b - lambda_b grad lambda_a with curl
+    2 grad lambda_a x grad lambda_b.
+    """
+    lam = barycentric(points)
+    values = np.empty((lam.shape[0], 6, 3))
+    curls = np.empty((6, 3))
+    for k, (a, b) in enumerate(TET_EDGES):
+        values[:, k, :] = (
+            lam[:, a, None] * LAMBDA_GRADS[b] - lam[:, b, None] * LAMBDA_GRADS[a]
+        )
+        curls[k] = 2.0 * np.cross(LAMBDA_GRADS[a], LAMBDA_GRADS[b])
+    return values, curls
+
+
+def eval_face_basis(points):
+    """Lowest-order Raviart-Thomas functions at reference points.
+
+    Returns ``(values, divs)`` with values (m, 4, 3) and constant divergences
+    (4,).  Basis k is dual to the flux through local face TET_FACES[k],
+    measured along the right-hand-rule normal of the (ascending) face triple.
+    """
+    lam = barycentric(points)
+    values = np.empty((lam.shape[0], 4, 3))
+    divs = np.empty(4)
+    for k, (a, b, c) in enumerate(TET_FACES):
+        gbc = np.cross(LAMBDA_GRADS[b], LAMBDA_GRADS[c])
+        gca = np.cross(LAMBDA_GRADS[c], LAMBDA_GRADS[a])
+        gab = np.cross(LAMBDA_GRADS[a], LAMBDA_GRADS[b])
+        values[:, k, :] = 2.0 * (
+            lam[:, a, None] * gbc + lam[:, b, None] * gca + lam[:, c, None] * gab
+        )
+        divs[k] = 6.0 * float(LAMBDA_GRADS[a] @ gbc)
+    return values, divs
+
+
+def piola_map(jac, det, inv_jt, points):
+    """Unsigned physical edge and face bases on every tet at reference points.
+
+    H(curl) values transform covariantly (J^{-T} u) with curls scaled by
+    J / det J; H(div) values transform contravariantly (J u / det J) with
+    divergences scaled by 1 / det J.  Returns ``(edge_values, edge_curls,
+    face_values, face_divs)`` shaped (nt, m, 6, 3), (nt, 6, 3),
+    (nt, m, 4, 3) and (nt, 4).
+    """
+    edge_vals, edge_curls = eval_edge_basis(points)
+    face_vals, face_divs = eval_face_basis(points)
+    return (
+        np.einsum("tab,qib->tqia", inv_jt, edge_vals),
+        np.einsum("tab,ib->tia", jac, edge_curls) / det[:, None, None],
+        np.einsum("tab,qib->tqia", jac, face_vals) / det[:, None, None, None],
+        face_divs[None, :] / det[:, None],
+    )
+
+
 def to_reference(geometry, tet_id, points):
     """Reference coordinates (m, 3) of physical points in one tet, given the
     arrays of :func:`all_geometry`."""
@@ -76,9 +144,10 @@ def _local_signs(mesh, tet_id, space):
 def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     """Evaluate a discrete vector field on one tet at physical points.
 
-    An oracle independent of ``dofmap.values``: the basis comes from a per-tet
-    Piola map of its own, chosen by the local dof count (6 edge, 4 face,
-    3 cellwise constant), and its orientation from the tet's vertex numbers.
+    An oracle independent of ``dofmap.vertex_values``: the basis comes from
+    :func:`piola_map` on this one tet, chosen by the local dof count (6 edge,
+    4 face, 3 cellwise constant), and its orientation from the tet's vertex
+    numbers.
     """
     points = np.atleast_2d(points)
     space = {6: "edge", 4: "face", 3: "cell"}[dofmap.cell_dofs.shape[1]]
@@ -91,8 +160,8 @@ def eval_on_tet(mesh, dofmap, coeffs, tet_id, points, geometry=None):
     edge_vals, _, face_vals, _ = piola_map(J[one], det[one], invJT[one],
                                            to_reference(geometry, tet_id, points))
     local = coeffs[dofmap.cell_dofs[tet_id]] * _local_signs(mesh, tet_id, space)
-    phys = {"edge": edge_vals, "face": face_vals}[space][0].reshape(len(local), -1, 3)
-    return np.einsum("iqd,i->qd", phys, local)
+    phys = {"edge": edge_vals, "face": face_vals}[space][0]
+    return np.einsum("qid,i->qd", phys, local)
 
 
 def _cellwise_closure(mesh, on_tet):

@@ -15,6 +15,7 @@ from conftest import (
     eval_on_tet,
     jittered_cube,
     piecewise_curl_closure,
+    piola_map,
 )
 from kerrfem import assembly
 from kerrfem.assembly import (
@@ -144,6 +145,27 @@ def test_build_forms_assembles_each_gram_once(cube2, monkeypatch):
     assert len(calls) == 0
 
 
+@pytest.mark.parametrize("space", ["edge", "face"])
+def test_closed_form_grams_match_quadrature_of_the_oracle(space):
+    # the closed-form Gram matrices equal a degree-13 quadrature of the
+    # signed Piola-mapped reference bases on a jittered mesh
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(41)))
+    topo = build_topology(mesh)
+    forms = build_forms(mesh, topo, MaterialParams())
+    rule = tetrahedron_rule(13)
+    _, J, det, invJT, _ = all_geometry(mesh)
+    edge_vals, _, face_vals, _ = piola_map(J, det, invJT, rule.points)
+    vals, sign, dm, gram = {
+        "edge": (edge_vals, topo.tet_edge_sign, forms.dof_u, forms.mass_u1),
+        "face": (face_vals, topo.tet_face_sign, forms.dof_v, forms.mass_v1),
+    }[space]
+    vals = vals * sign[:, None, :, None]
+    local = np.einsum("q,t,tqid,tqjd->tij", rule.weights, det, vals, vals)
+    want = np.zeros((dm.num_dofs, dm.num_dofs))
+    np.add.at(want, (dm.cell_dofs[:, :, None], dm.cell_dofs[:, None, :]), local)
+    assert np.abs(gram.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_masses_are_spd(ctx2):
     rng = np.random.default_rng(0)
     for dm in (ctx2.dof_u, ctx2.dof_v):
@@ -225,15 +247,17 @@ def test_nedelec_coupling_matches_quadrature(cube1):
     forms = build_forms(mesh, topo, MaterialParams())
     ctx, dm_u, dm_v = forms.ctx, forms.dof_u, forms.dof_v
     K = forms.coupling_ned.toarray()
-    # quadrature oracle for (phi_i^V, curl psi_j)
+    # quadrature oracle for (phi_i^V, curl psi_j), each face function
+    # evaluated by eval_on_tet
+    unit = np.eye(dm_v.num_dofs)
     oracle = np.zeros((dm_v.num_dofs, dm_u.num_dofs))
     for t in range(ctx.num_tets):
         for i in range(4):
+            g = dm_v.cell_dofs[t, i]
+            phi = eval_on_tet(mesh, dm_v, unit[g], t, ctx.phys_pts[t])
             for j in range(6):
-                oracle[dm_v.cell_dofs[t, i], dm_u.cell_dofs[t, j]] += np.einsum(
-                    "q,qd,d->", ctx.dx[t], dm_v.values[t, i].reshape(-1, 3),
-                    ctx.edge_curls[t, j],
-                )
+                oracle[g, dm_u.cell_dofs[t, j]] += np.einsum(
+                    "q,qd,d->", ctx.dx[t], phi, ctx.edge_curls[t, j])
     assert np.abs(K - oracle[:, forms.free_edges]).max() < 1e-13
 
 
@@ -243,9 +267,10 @@ def test_discrete_curl_reproduces_curl(cube2):
     rng = np.random.default_rng(6)
     u = rng.normal(size=forms.dof_u.num_dofs)
     hcoeff = forms.discrete_curl @ u
-    # compare the RT representation against the cellwise constant curl
+    # compare the RT representation, affine on each tet, at its vertices
+    # against the cellwise constant curl
     cell_curl = np.einsum("tid,ti->td", forms.ctx.edge_curls, u[forms.dof_u.cell_dofs])
-    H = forms.dof_v.field(hcoeff)
+    H = forms.dof_v.vertex_field(hcoeff)
     assert np.abs(H - cell_curl[:, None, :]).max() < 1e-12
 
 
@@ -404,36 +429,58 @@ def test_lee_madsen_kerr_jacobian_is_the_residual_derivative(chi3):
 
 
 def test_contexts_hold_no_reference_cycle(cube2):
-    # with the cycle collector off, reference counting alone frees the forms
-    # and every context they made on first use after a nedelec Kerr step
+    # after a nedelec Kerr step and both vertex-value outputs, the forms keep
+    # no per-tet array on a quadrature-point axis but the measure and the
+    # points (no basis at the points), and, with the cycle collector off,
+    # reference counting alone frees them and their context
     mesh, topo = cube2
     case = cavity_mode_case()
     gc.disable()
     try:
         forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-        ctx_ref = weakref.ref(forms.ctx)
+        ctx = forms.ctx
+        ctx_ref = weakref.ref(ctx)
         state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X),
                            "nedelec", forms)
         state, trace = integrate(state, 0.05, 1, ZERO_SOURCES, forms)
         outputs = (e_max_norm(state, forms), cell_sampled_fields(state, forms))
-        del forms, state, trace, outputs
+        nt, nq = ctx.dx.shape
+        kept = {}
+        for owner in (forms, ctx, ctx.dof_u, ctx.dof_v, ctx.dof_w):
+            for name, value in vars(owner).items():
+                if isinstance(value, np.ndarray) and value.ndim >= 2 and len(value) == nt:
+                    kept[name] = value.shape
+        per_point = {name for name, shape in kept.items()
+                     if nq in shape[1:] or 3 * nq in shape[1:]}
+        assert per_point == {"dx", "phys_pts"}
+        assert kept["vertex_values"] == (nt, 3, 12)
+        del forms, ctx, state, trace, outputs
         assert ctx_ref() is None
     finally:
         gc.enable()
 
 
 def test_basis_layout(forms2):
+    # each space stores its signed values at the four tet vertices,
+    # (nt, nloc, 12); a field at the points is the barycentric table times
+    # its vertex values
     ctx = forms2.ctx
     nt, nq = ctx.dx.shape
+    assert ctx.bary.shape == (nq, 4)
     for dm, nloc in ((ctx.dof_u, 6), (ctx.dof_v, 4)):
-        assert dm.values.shape == (nt, nloc, 3 * nq)
-        assert dm.values.flags.c_contiguous
+        assert dm.vertex_values.shape == (nt, nloc, 12)
+        assert dm.vertex_values.flags.c_contiguous
+        c = np.random.default_rng(15).normal(size=dm.num_dofs)
+        at_vertices = dm.vertex_field(c)
+        assert at_vertices.shape == (nt, 4, 3)
+        assert np.array_equal(ctx.field(dm, c), np.matmul(ctx.bary, at_vertices))
     # the cellwise-constant basis is one broadcast identity, taking no memory
-    assert ctx.dof_w.values.shape == (nt, 3, 3 * nq)
-    assert ctx.dof_w.values.strides[0] == 0
+    assert ctx.dof_w.vertex_values.shape == (nt, 3, 12)
+    assert ctx.dof_w.vertex_values.strides[0] == 0
     c = np.random.default_rng(14).normal(size=ctx.dof_w.num_dofs)
-    vals = ctx.dof_w.field(c)
-    assert np.array_equal(vals, np.broadcast_to(c.reshape(nt, 1, 3), (nt, nq, 3)))
+    assert np.array_equal(ctx.dof_w.vertex_field(c),
+                          np.broadcast_to(c.reshape(nt, 1, 3), (nt, 4, 3)))
+    assert np.allclose(ctx.field(ctx.dof_w, c), c.reshape(nt, 1, 3), rtol=1e-15, atol=0.0)
 
 
 def test_l2_project_constants(ctx2):
@@ -465,7 +512,7 @@ def test_l2_projection_rate():
             return out
 
         coeffs = l2_project(ctx, w)
-        wh = ctx.dof_w.field(coeffs)
+        wh = ctx.field(ctx.dof_w, coeffs)
         errs.append(np.sqrt(ctx.norm_sq(wh - ctx.sample(w))))
     eoc = np.log2(errs[0] / errs[1])
     assert 0.8 <= eoc <= 1.3

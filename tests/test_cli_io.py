@@ -47,12 +47,18 @@ def test_parse_minimal_config_defaults():
 
 def test_parse_rejects_negative_chi3():
     with pytest.raises(ConfigError, match="chi3 must be >= 0"):
-        parse_config(MINIMAL + "material.chi3 = -1\ncase = custom-zero-source\n")
+        parse_config(MINIMAL.replace("case = cavity", "case = custom-zero-source")
+                     + "material.chi3 = -1\n")
 
 
 def test_parse_unknown_key_cites_line():
     with pytest.raises(ConfigError, match="line 2: unknown key 'mesh.m'"):
         parse_config("mesh.n = 2\nmesh.m = 3\n")
+
+
+def test_parse_repeated_key_cites_both_lines():
+    with pytest.raises(ConfigError, match="line 3: key 'mesh.n' repeats line 1"):
+        parse_config("mesh.n = 4\ncase = cavity\nmesh.n = 8\n")
 
 
 def test_parse_bad_value_cites_line():
@@ -300,6 +306,15 @@ def test_cli_error_paths(tmp_path, capsys):
     # usage error -> argparse exit code 2
     assert cli_main(["bogus-command"]) == 2
     capsys.readouterr()
+
+
+def test_cli_non_finite_material_exits_with_its_name(capsys):
+    # a NaN susceptibility is a parameter error, reported before any solve
+    code = cli_main(["run", "--n", "2", "--case", "custom-zero-source", "--chi3", "nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "chi3 must be finite" in err
+    assert "reduce dt" not in err
 
 
 def test_cli_solver_failure_exits_nonzero(capsys):

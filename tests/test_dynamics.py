@@ -128,7 +128,7 @@ def test_initialize_projection_errors_shrink(cavity):
         forms = build_forms(mesh, build_topology(mesh), cavity.params)
         st = cavity_state(cavity, forms)
         ctx = forms.ctx
-        d = forms.dof_w.field(st.e) - ctx.sample(lambda X: cavity.E(0.0, X))
+        d = ctx.field(forms.dof_w, st.e) - ctx.sample(lambda X: cavity.E(0.0, X))
         errs.append(np.sqrt(ctx.norm_sq(d)))
     assert errs[1] < 0.65 * errs[0]  # ~first-order decay
 
@@ -162,7 +162,7 @@ def test_rhs_matches_cavity_mode_derivatives(cavity):
         e = l2_project(ctx, lambda X: cavity.E(t0, X))
         h = interpolate_edge_dofs(lambda X: cavity.H(t0, X), mesh, ctx.topo)
         de, dh = rhs(State("lee-madsen", e, h, t0), ZERO_SOURCES, forms)
-        d = forms.dof_w.field(de) - ctx.sample(lambda X: cavity.dt_E(t0, X))
+        d = ctx.field(forms.dof_w, de) - ctx.sample(lambda X: cavity.dt_E(t0, X))
         errs.append(np.sqrt(ctx.norm_sq(d)))
         _ = dh
     assert errs[1] < 0.7 * errs[0]
@@ -643,7 +643,7 @@ def test_total_energy_matches_density_quadrature(cube2):
         dof_e, dof_h = ctx.spaces(formulation)
         e = rng.normal(size=dof_e.num_dofs)
         h = rng.normal(size=dof_h.num_dofs)
-        density = energy_density(params, dof_e.field(e), dof_h.field(h))
+        density = energy_density(params, ctx.field(dof_e, e), ctx.field(dof_h, h))
         w = total_energy(State(formulation, e, h, 0.0), forms)
         assert w == pytest.approx(ctx.integrate(density), rel=1e-13)
 
@@ -780,7 +780,7 @@ def test_e_max_norm_nedelec_peaks_at_a_vertex(cube4, cavity):
     st = cavity_state(cavity, forms, formulation="nedelec")
     m = e_max_norm(st, forms)
     assert m == pytest.approx(1.0082965, rel=1e-6)
-    E = forms.dof_u.field(st.e)
+    E = forms.ctx.field(forms.dof_u, st.e)
     assert np.sqrt(np.einsum("tqd,tqd->tq", E, E).max()) < m
 
 

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import eval_on_tet, jittered_cube
-from kerrfem.assembly import build_context, build_forms
-from kerrfem.fem_spaces import (
+from conftest import (
     eval_edge_basis,
     eval_face_basis,
+    eval_on_tet,
+    jittered_cube,
+    piola_map,
+    to_reference,
+)
+from kerrfem.assembly import build_context, build_forms
+from kerrfem.fem_spaces import (
+    barycentric,
+    build_spaces,
     interpolate_edge_dofs,
     interpolate_face_dofs,
-    piola_map,
 )
 from kerrfem.material import MaterialParams
 from kerrfem.mesh import TET_EDGES, TET_FACES, all_geometry, build_topology, make_mesh
@@ -108,10 +114,22 @@ def test_dof_counts_unit_cube(cube1):
     assert ctx.dof_v.num_dofs == 18
 
 
+def _at_points(dofmap, bary):
+    """The stored basis of ``dofmap`` at points of barycentric coordinates
+    ``bary`` (m, 4) in every tet, (nt, m, nloc, 3)."""
+    nt, nloc, _ = dofmap.vertex_values.shape
+    return dofmap.at(bary).reshape(nt, nloc, -1, 3).transpose(0, 2, 1, 3)
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("rule", ["symmetric", "vertices"])
 def test_stored_bases_are_signed_piola_maps(rule):
-    # every basis array of each context equals piola_map at the context's
-    # reference points times the cell signs of the mesh orientation
+    # at the 14 points and at the vertices, each basis equals the Piola
+    # map of the reference basis times the cell signs of the mesh
+    # orientation; so do the curls and divergences
     rng = np.random.default_rng(31)
     verts, tets = jittered_cube(2, rng)
     perm = rng.permutation(len(verts))
@@ -119,73 +137,81 @@ def test_stored_bases_are_signed_piola_maps(rule):
     permuted[perm] = verts
     mesh = make_mesh(permuted, perm[tets])
     topo = build_topology(mesh)
-    main = build_forms(mesh, topo, MaterialParams()).ctx
-    ctx, points = {
-        "symmetric": (main, symmetric_tetrahedron_rule().points),
-        "vertices": (main.vertices, np.vstack([np.zeros(3), np.eye(3)])),
-    }[rule]
+    ctx = build_forms(mesh, topo, MaterialParams()).ctx
+    nt = mesh.num_tets
     origins, J, det, invJT, _ = all_geometry(mesh)
-    assert np.allclose(ctx.phys_pts, origins[:, None, :] + np.einsum("tab,qb->tqa", J, points),
-                       rtol=0.0, atol=1e-15)
-    edge_vals, edge_curls, face_vals, face_divs = piola_map(J, det, invJT, points)
     edge_sign, face_sign = topo.tet_edge_sign, topo.tet_face_sign
     assert (edge_sign < 0).any() and (face_sign < 0).any()
-    assert np.array_equal(ctx.dof_u.values, edge_vals * edge_sign[:, :, None])
-    assert np.array_equal(ctx.edge_curls, edge_curls * edge_sign[:, :, None])
-    assert np.array_equal(ctx.dof_v.values, face_vals * face_sign[:, :, None])
-    assert np.array_equal(ctx.face_divs, face_divs * face_sign)
-    identity = np.tile(np.eye(3), len(points))
-    assert np.array_equal(ctx.dof_w.values, np.broadcast_to(identity, ctx.dof_w.values.shape))
+    if rule == "symmetric":
+        points, bary = symmetric_tetrahedron_rule().points, ctx.bary
+        assert np.allclose(ctx.phys_pts, origins[:, None] + np.einsum("tab,qb->tqa", J, points),
+                           rtol=0.0, atol=1e-15)
+    else:
+        points, bary = REF_VERTS, np.eye(4)
+    edge_vals, edge_curls, face_vals, face_divs = piola_map(J, det, invJT, points)
+    assert _close(_at_points(ctx.dof_u, bary), edge_vals * edge_sign[:, None, :, None])
+    assert _close(_at_points(ctx.dof_v, bary), face_vals * face_sign[:, None, :, None])
+    assert _close(ctx.edge_curls, edge_curls * edge_sign[:, :, None])
+    assert _close(ctx.face_divs, face_divs * face_sign)
+    identity = np.broadcast_to(np.eye(3), (nt, len(points), 3, 3))
+    assert np.allclose(_at_points(ctx.dof_w, bary), identity, rtol=0.0, atol=1e-15)
 
 
 def test_push_forward_identity(reference_tet_mesh):
+    # on the reference tet, whose cell signs are all +1, the spaces built
+    # from vertex values are the reference bases at every point
+    topo = build_topology(reference_tet_mesh)
     _, J, det, invJT, _ = all_geometry(reference_tet_mesh)
-    pts = np.array([[0.2, 0.3, 0.1]])
-    vals, curls = eval_edge_basis(pts)
-    fvals, fdivs = eval_face_basis(pts)
-    pv, pc, qv, qd = piola_map(J, det, invJT, pts)
-    assert np.allclose(pv[0].reshape(6, 1, 3), vals.transpose(1, 0, 2))
-    assert np.allclose(pc[0], curls)
-    assert np.allclose(qv[0].reshape(4, 1, 3), fvals.transpose(1, 0, 2))
-    assert np.allclose(qd[0], fdivs)
+    dof_u, dof_v, _, curls, divs = build_spaces(topo, J, det, invJT)
+    pts = np.random.default_rng(3).dirichlet(np.ones(4), size=5)[:, :3]
+    vals, ref_curls = eval_edge_basis(pts)
+    fvals, ref_divs = eval_face_basis(pts)
+    assert np.allclose(_at_points(dof_u, barycentric(pts))[0], vals, rtol=0.0, atol=1e-15)
+    assert np.allclose(_at_points(dof_v, barycentric(pts))[0], fvals, rtol=0.0, atol=1e-15)
+    assert np.array_equal(curls[0], ref_curls)
+    assert np.array_equal(divs[0], ref_divs)
 
 
-def _random_tet(seed):
-    """Geometry arrays and reference-to-physical map of one random tet."""
+def _random_tet_spaces(seed):
+    """A one-tet mesh on random vertices, its topology and the geometry and
+    spaces built on it; seeds 6 and 7 give a tet whose last two vertices
+    ``make_mesh`` swaps, so some cell signs are -1."""
     verts = np.random.default_rng(seed).normal(size=(4, 3))
     mesh = make_mesh(verts, np.array([[0, 1, 2, 3]]))
-    origins, J, det, invJT, _ = all_geometry(mesh)
-
-    def to_physical(ref):
-        return origins[0] + ref @ J[0].T
-
-    return (J, det, invJT), to_physical
+    topo = build_topology(mesh)
+    geometry = all_geometry(mesh)
+    _, J, det, invJT, _ = geometry
+    return mesh, topo, geometry, build_spaces(topo, J, det, invJT)
 
 
 def test_mapped_edge_dof_invariance():
-    # tangential edge dof of the mapped Whitney function equals 1
-    geometry, to_physical = _random_tet(4)
+    # the tangential line integral lo -> hi along each global edge of the
+    # stored signed Whitney functions is the identity matrix
+    mesh, topo, geometry, (dof_u, *_) = _random_tet_spaces(6)
+    assert (topo.tet_edge_sign < 0).any()
     rule = segment_rule(4)
-    for k, (a, b) in enumerate(TET_EDGES):
-        ra, rb = REF_VERTS[a], REF_VERTS[b]
-        ref_pts = ra + rule.points[:, 0:1] * (rb - ra)
-        phys = piola_map(*geometry, ref_pts)[0][0]
-        pa, pb = to_physical(ra), to_physical(rb)
-        dof = np.einsum("q,qd,d->", rule.weights, phys[k].reshape(-1, 3), pb - pa)
-        assert dof == pytest.approx(1.0, abs=1e-12)
+    D = np.zeros((6, 6))
+    for k in range(6):
+        p_lo, p_hi = mesh.vertices[topo.edges[dof_u.cell_dofs[0, k]]]
+        X = p_lo + rule.points[:, 0:1] * (p_hi - p_lo)
+        phys = _at_points(dof_u, barycentric(to_reference(geometry, 0, X)))[0]
+        D[k] = np.einsum("q,qid,d->i", rule.weights, phys, p_hi - p_lo)
+    assert np.abs(D - np.eye(6)).max() <= 1e-12
 
 
 def test_mapped_face_flux_invariance():
-    geometry, to_physical = _random_tet(5)
+    # the flux through each global face, along the normal of its sorted
+    # triple, of the stored signed Raviart-Thomas functions is the identity
+    mesh, topo, geometry, (_, dof_v, *_) = _random_tet_spaces(7)
+    assert (topo.tet_face_sign < 0).any()
     rule = triangle_rule(5)
-    for k, (a, b, c) in enumerate(TET_FACES):
-        ra, rb, rc = REF_VERTS[a], REF_VERTS[b], REF_VERTS[c]
-        ref_pts = ra + rule.points[:, 0:1] * (rb - ra) + rule.points[:, 1:2] * (rc - ra)
-        phys = piola_map(*geometry, ref_pts)[2][0]
-        pa, pb, pc = (to_physical(p) for p in (ra, rb, rc))
-        n2 = np.cross(pb - pa, pc - pa)
-        flux = np.einsum("q,qd,d->", rule.weights, phys[k].reshape(-1, 3), n2)
-        assert flux == pytest.approx(1.0, abs=1e-12)
+    F = np.zeros((4, 4))
+    for k in range(4):
+        pa, pb, pc = mesh.vertices[topo.faces[dof_v.cell_dofs[0, k]]]
+        X = pa + rule.points[:, 0:1] * (pb - pa) + rule.points[:, 1:2] * (pc - pa)
+        phys = _at_points(dof_v, barycentric(to_reference(geometry, 0, X)))[0]
+        F[k] = np.einsum("q,qid,d->i", rule.weights, phys, np.cross(pb - pa, pc - pa))
+    assert np.abs(F - np.eye(4)).max() <= 1e-12
 
 
 def _face_samples(mesh, topo, f):

@@ -23,6 +23,15 @@ def test_invalid_params_rejected():
         MaterialParams(chi3=-1.0)
 
 
+@pytest.mark.parametrize("name", ["eps0", "mu0", "chi1", "chi3"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_params_rejected_by_name(name, value):
+    # NaN compares False with every bound, so each parameter is checked for
+    # finiteness first
+    with pytest.raises(MaterialError, match=f"{name} must be finite"):
+        MaterialParams(**{name: value})
+
+
 def test_eps_vacuum_is_identity():
     p = MaterialParams(eps0=2.5)
     E = np.array([3.0, -1.0, 0.5])
