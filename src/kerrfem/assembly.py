@@ -278,7 +278,10 @@ def assemble_gradient(ctx: FemContext, pinned_vertex: int = 0) -> sp.csr_matrix:
     """Whitney coefficients of gradients of P1 hats: +1 at the edge head,
     -1 at the tail, with the pinned gauge vertex's column dropped."""
     edges = ctx.topo.edges
-    nv = int(edges.max()) + 1
+    nv = ctx.mesh.num_vertices
+    if not 0 <= pinned_vertex < nv:
+        raise ValueError(f"pinned_vertex {pinned_vertex} is not a vertex: the valid "
+                         f"range is 0..{nv - 1}")
     vmap = np.arange(nv, dtype=np.int64)
     vmap[pinned_vertex] = -1
     vmap[pinned_vertex + 1:] -= 1
@@ -312,20 +315,21 @@ def curl_project(forms: AssembledForms, target, target_curl,
                  pinned_vertex: int = 0) -> np.ndarray:
     """Curl-matching projection onto the edge space.
 
-    Solves, as one saddle system, (curl u_h, curl psi) = (curl v, curl psi)
-    for all edge test functions together with the gradient-moment matching
-    (u_h, grad p) = (v, grad p) over gauge-fixed P1 scalars.  The result is
+    Finds u_h with (curl u_h, curl psi) = (curl v, curl psi) for all edge
+    test functions and the gradient-moment matching (u_h, grad p) =
+    (v, grad p) over gauge-fixed P1 scalars, by :func:`linalg.solve_saddle`:
+    gradients span the kernel of the curl-curl matrix and the curl load
+    vanishes on them, so u_h is a CG solution of the singular curl-curl
+    system plus the gradient of a P1 Laplacian solve.  The result is
     independent of the pinned gauge vertex.
     """
     ctx = forms.ctx
     dofU = forms.dof_u
     grad = assemble_gradient(ctx, pinned_vertex=pinned_vertex)
-    G = forms.mass_u1 @ grad
     cell_curl = assemble_source(ctx, target_curl, ctx.dof_w).reshape(-1, 3)
     f = _scatter_vector(np.einsum("tid,td->ti", ctx.edge_curls, cell_curl), dofU)
     g = grad.T @ assemble_source(ctx, target, dofU)
-    u, _ = linalg.solve_saddle(forms.curl_curl, G.T, f, g)
-    return u
+    return linalg.solve_saddle(forms.curl_curl, grad.T @ forms.mass_u1, grad, f, g)
 
 
 @dataclass(frozen=True)

@@ -137,9 +137,10 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
 
     lee-madsen: E -> cellwise averages, H -> curl-matching projection (pass
     ``H0_curl`` whenever it is known; it defaults to zero, which is exact for
-    the zero field).  These choices make the initial-data terms of the error
-    bound vanish.  nedelec: tangential edge interpolation of E (boundary
-    dofs zeroed) and face-flux interpolation of H.
+    the zero field), one CG solve and one P1 Laplacian LU.  These choices
+    make the initial-data terms of the error bound vanish.  nedelec:
+    tangential edge interpolation of E (boundary dofs zeroed) and face-flux
+    interpolation of H.
     """
     _validate_formulation(formulation)
     ctx = forms.ctx

@@ -2,10 +2,12 @@
 
 Matrices are plain scipy.sparse CSR matrices (built by :func:`from_triplets`,
 or by assembly straight into a fixed pattern) and factorizations are scipy's
-SuperLU; the conjugate gradient loop is written out here because callers
-need to distinguish an indefinite operator (breakdown) from a slow one
-(non-convergence), which the library solvers do not report.  Everything is
-float64.
+SuperLU, of symmetric positive definite matrices only; the conjugate gradient
+loop is written out here because callers need to distinguish an indefinite
+operator (breakdown) from a slow one (non-convergence), which the library
+solvers do not report.  The one saddle-point system (the curl projection's)
+has a zero multiplier and splits into a singular CG solve and an SPD LU, so
+no indefinite matrix is factorized.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ class CgBreakdownError(LinalgError):
 
 class CgNonConvergenceError(LinalgError):
     """Iteration cap reached before the residual tolerance."""
-
-
-class SaddleSolveError(LinalgError):
-    """Saddle-point solve failed or left a large residual."""
 
 
 def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
@@ -110,14 +108,6 @@ def _finite(value: float, name: str) -> float:
     return value
 
 
-# SuperLU settings of both factorizations: minimum degree ordering on the
-# structure of A + A^T in symmetric mode, which fills far less than the
-# default unsymmetric column ordering on these symmetric matrices, and no
-# relaxed supernodes (SuperLU's default of up to 10 columns made the nedelec
-# matrices 3-4x slower to factorize at the same fill).
-_SYMMETRIC_LU = dict(permc_spec="MMD_AT_PLUS_A", relax=1, options={"SymmetricMode": True})
-
-
 # Largest relative error of the probe back-solve in :func:`factorized`; a
 # well-posed time-loop matrix recovers the probe to about 1e-14.
 PROBE_TOL = 1e-8
@@ -133,8 +123,14 @@ def factorized(A: sp.spmatrix):
     factorization fails, e.g. on an exactly singular matrix, or when the
     probe misses, on a numerically singular one.
     """
+    # Minimum degree ordering on the structure of A + A^T in symmetric mode
+    # fills far less than the default unsymmetric column ordering on these
+    # symmetric matrices; relaxed supernodes (SuperLU's default of up to 10
+    # columns) made the nedelec matrices 3-4x slower to factorize at the
+    # same fill.
     try:
-        lu = spla.splu(A.tocsc(), diag_pivot_thresh=0.0, **_SYMMETRIC_LU)
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       relax=1, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise LinalgError(f"sparse LU factorization failed: {exc}") from exc
     x = np.cos(np.arange(A.shape[0]))
@@ -146,36 +142,46 @@ def factorized(A: sp.spmatrix):
     return lu.solve
 
 
-def solve_saddle(A: sp.spmatrix, B: sp.spmatrix, f: np.ndarray, g: np.ndarray,
-                 rel_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle system  [A B^T; B 0] [u; p] = [f; g].
+# Largest ||N^T f|| / (||N||_F ||f||) that :func:`solve_saddle` accepts as a
+# consistent right-hand side (roundoff level).
+_CONSISTENCY_TOL = 1e-13
 
-    A is symmetric positive semidefinite, B has full row rank after gauge
-    fixing.  The full indefinite block matrix is assembled and solved by a
-    sparse direct factorization (appropriate at the ~1e5-dof scale this
-    package targets), with columns ordered by minimum degree on the
-    structure of K + K^T in SuperLU's symmetric mode; pivoting keeps its
-    threshold, because the (2,2) block is zero.  Residuals of both block
-    equations are verified against rel_tol before returning.
+
+def solve_saddle(A: sp.spmatrix, B: sp.spmatrix, N: sp.spmatrix, f: np.ndarray,
+                 g: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+    """Solve the saddle system  [A B^T; B 0] [u; p] = [f; g]  whose multiplier
+    p is zero, and return u.
+
+    A is symmetric positive semidefinite, the columns of N span its kernel,
+    and B N is symmetric positive definite.  Testing the first block equation
+    with N gives (B N)^T p = N^T f, so p = 0 exactly when N^T f = 0; f must
+    satisfy that to roundoff, or LinalgError is raised before any iteration.
+    Then u = z + N s, where z solves the consistent singular system A z = f
+    by Jacobi-preconditioned CG (which converges on a consistent singular
+    system, Kaasschieter 1988) and s solves (B N) s = g - B z by
+    :func:`factorized`.  Residuals of both block equations are verified
+    against rel_tol before returning; every failure raises LinalgError.
     """
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     nu = A.shape[0]
-    if B.shape[1] != nu:
-        raise LinalgError(f"B shape {B.shape} incompatible with A {A.shape}")
-    K = sp.bmat([[A, B.T], [B, None]], format="csc")
-    try:
-        lu = spla.splu(K, **_SYMMETRIC_LU)
-        sol = lu.solve(np.concatenate([f, g]))
-    except RuntimeError as exc:
-        raise SaddleSolveError(f"sparse factorization failed: {exc}") from exc
-    u, p = sol[:nu], sol[nu:]
-    scale = max(np.linalg.norm(f), np.linalg.norm(g), 1e-30)
-    res1 = np.linalg.norm(A @ u + B.T @ p - f)
+    if B.shape != (N.shape[1], nu) or N.shape[0] != nu:
+        raise LinalgError(f"B {B.shape} and N {N.shape} incompatible with A {A.shape}")
+    f_norm = np.linalg.norm(f)
+    kernel_load = np.linalg.norm(N.T @ f)
+    if kernel_load > _CONSISTENCY_TOL * spla.norm(N) * f_norm:
+        raise LinalgError(f"inconsistent right-hand side: ||N^T f|| = {kernel_load:.3e} "
+                          f"for ||f|| = {f_norm:.3e}, so the multiplier is not zero")
+    # CG takes 1% of the residual budget; A N s, zero in exact arithmetic,
+    # leaves roundoff in the rest
+    z = cg_solve(A, f, 0.01 * rel_tol)
+    u = z + N @ factorized(B @ N)(g - B @ z)
+    scale = max(f_norm, np.linalg.norm(g), 1e-30)
+    res1 = np.linalg.norm(A @ u - f)
     res2 = np.linalg.norm(B @ u - g)
     if max(res1, res2) > rel_tol * scale:
-        raise SaddleSolveError(
+        raise LinalgError(
             f"saddle residuals ({res1:.3e}, {res2:.3e}) exceed "
             f"{rel_tol:.1e} * {scale:.3e}"
         )
-    return u, p
+    return u

@@ -570,6 +570,50 @@ def test_curl_project_gauge_invariance(forms2):
     assert np.abs(u0 - u7).max() < 1e-9
 
 
+def test_curl_project_matches_dense_saddle_solve():
+    # v = cavity shape + grad(xyz), so both the curl load and the gradient
+    # moments are nonzero; the oracle solves the assembled block system
+    # [A_cc, M_u G; G^T M_u, 0] densely
+    mesh = _jittered_permuted_mesh(3, 31)
+    forms = build_forms(mesh, build_topology(mesh), MaterialParams())
+    ctx, dof_u = forms.ctx, forms.dof_u
+
+    def v(X):
+        x, y, z = np.atleast_2d(X).T
+        return np.stack([-np.sin(np.pi * x) * np.cos(np.pi * y) + y * z,
+                         np.cos(np.pi * x) * np.sin(np.pi * y) + x * z, x * y], axis=-1)
+
+    def vc(X):
+        x, y, _ = np.atleast_2d(X).T
+        zero = np.zeros_like(x)
+        return np.stack([zero, zero, -2.0 * np.pi * np.sin(np.pi * x) * np.sin(np.pi * y)],
+                        axis=-1)
+
+    u = curl_project(forms, v, vc)
+    cell_curl = assemble_source(ctx, vc, ctx.dof_w).reshape(-1, 3)
+    f = np.zeros(dof_u.num_dofs)
+    np.add.at(f, dof_u.cell_dofs, np.einsum("tid,td->ti", ctx.edge_curls, cell_curl))
+    G = assemble_gradient(ctx).toarray()
+    MG = forms.mass_u1.toarray() @ G
+    g = G.T @ assemble_source(ctx, v, dof_u)
+    K = np.block([[forms.curl_curl.toarray(), MG], [MG.T, np.zeros((G.shape[1],) * 2)]])
+    ref = np.linalg.solve(K, np.concatenate([f, g]))[:dof_u.num_dofs]
+    assert np.linalg.norm(f) > 0.0 and np.linalg.norm(g) > 0.0
+    assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_curl_project_zero_field_is_exactly_zero(forms2):
+    zero = lambda X: np.zeros_like(np.atleast_2d(X))
+    assert not curl_project(forms2, zero, zero).any()
+
+
+@pytest.mark.parametrize("vertex", [-1, 27])
+def test_gradient_rejects_out_of_range_gauge_vertex(ctx2, vertex):
+    assert ctx2.mesh.num_vertices == 27
+    with pytest.raises(ValueError, match=rf"pinned_vertex {vertex} .*0\.\.26"):
+        assemble_gradient(ctx2, pinned_vertex=vertex)
+
+
 def test_assemble_source_zero_and_constant(ctx2):
     dm = ctx2.dof_w
     zero = assemble_source(ctx2, lambda X: np.zeros_like(np.atleast_2d(X)), dm)

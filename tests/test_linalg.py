@@ -9,7 +9,6 @@ from kerrfem.linalg import (
     CgBreakdownError,
     CgNonConvergenceError,
     LinalgError,
-    SaddleSolveError,
     cg_solve,
     factorized,
     from_triplets,
@@ -133,36 +132,47 @@ def test_cg_rejects_bad_tolerance():
         cg_solve(A, np.array([1.0]), rel_tol=0.0)
 
 
-def test_saddle_3x3_hand_solve():
-    A = from_triplets([0, 1], [0, 1], [1.0, 1.0], shape=(2, 2))
-    B = from_triplets([0, 0], [0, 1], [1.0, 1.0], shape=(1, 2))
-    u, p = solve_saddle(A, B, np.array([1.0, 0.0]), np.array([0.0]))
-    assert np.allclose(u, [0.5, -0.5], atol=1e-12)
-    assert np.allclose(p, [0.5], atol=1e-12)
+def _saddle_problem(rng, nu=12, nk=3):
+    """Random PSD A = C^T C with kernel N (nu x nk) and B = N^T M for an SPD
+    M, as sparse matrices, with the dense N and M."""
+    Nd = rng.normal(size=(nu, nk))
+    Q, _ = np.linalg.qr(Nd, mode="complete")
+    C = rng.normal(size=(nu, nu - nk)) @ Q[:, nk:].T  # rows orthogonal to N
+    Md = dense_random_spd(rng, nu)
+    return sp.csr_matrix(C.T @ C), sp.csr_matrix(Nd.T @ Md), sp.csr_matrix(Nd), Nd
 
 
-def test_saddle_residual_contract_random():
+def test_saddle_matches_dense_block_solve():
     rng = np.random.default_rng(4)
-    D = dense_random_spd(rng, 12)
-    rows, cols = np.nonzero(D)
-    A = from_triplets(rows, cols, D[rows, cols], shape=(12, 12))
-    Bd = rng.normal(size=(3, 12))
-    br, bc = np.nonzero(Bd)
-    B = from_triplets(br, bc, Bd[br, bc], shape=(3, 12))
-    f = rng.normal(size=12)
-    g = rng.normal(size=3)
-    u, p = solve_saddle(A, B, f, g, rel_tol=1e-10)
+    A, B, N, Nd = _saddle_problem(rng)
+    nu, nk = Nd.shape
+    f = A @ rng.normal(size=nu)  # in the range of A, so N^T f = 0
+    g = rng.normal(size=nk)
+    u = solve_saddle(A, B, N, f, g, rel_tol=1e-10)
+    K = np.block([[A.toarray(), B.toarray().T], [B.toarray(), np.zeros((nk, nk))]])
+    ref = np.linalg.solve(K, np.concatenate([f, g]))
+    assert np.abs(ref[nu:]).max() <= 1e-10 * np.abs(ref).max()  # p = 0
+    assert np.linalg.norm(u - ref[:nu]) <= 1e-10 * np.linalg.norm(ref[:nu])
     scale = max(np.linalg.norm(f), np.linalg.norm(g))
-    assert np.linalg.norm(A @ u + B.toarray().T @ p - f) <= 1e-10 * scale
+    assert np.linalg.norm(A @ u - f) <= 1e-10 * scale
     assert np.linalg.norm(B @ u - g) <= 1e-10 * scale
 
 
+def test_saddle_inconsistent_rhs_raises():
+    rng = np.random.default_rng(5)
+    A, B, N, Nd = _saddle_problem(rng)
+    f = A @ rng.normal(size=Nd.shape[0]) + 1e-6 * Nd[:, 0]
+    with pytest.raises(LinalgError, match="inconsistent"):
+        solve_saddle(A, B, N, f, np.zeros(Nd.shape[1]))
+
+
 def test_saddle_singular_system_raises():
-    # B with a zero row makes the block system singular
-    A = from_triplets([0, 1], [0, 1], [1.0, 1.0], shape=(2, 2))
-    B = from_triplets([0, 0], [0, 1], [1.0, 1.0], shape=(2, 2))  # row 1 empty
-    with pytest.raises(SaddleSolveError):
-        solve_saddle(A, B, np.ones(2), np.zeros(2))
+    # B N singular: B is zero on the second kernel vector
+    A = from_triplets([0], [0], [1.0], shape=(3, 3))
+    N = from_triplets([1, 2], [0, 1], [1.0, 1.0], shape=(3, 2))
+    B = from_triplets([0], [1], [1.0], shape=(2, 3))
+    with pytest.raises(LinalgError):
+        solve_saddle(A, B, N, np.array([1.0, 0.0, 0.0]), np.zeros(2))
 
 
 def test_transpose():
