@@ -134,7 +134,7 @@ def test_cg_rejects_bad_tolerance():
 
 def _saddle_problem(rng, nu=12, nk=3):
     """Random PSD A = C^T C with kernel N (nu x nk) and B = N^T M for an SPD
-    M, as sparse matrices, with the dense N and M."""
+    M, as sparse matrices, and the dense N."""
     Nd = rng.normal(size=(nu, nk))
     Q, _ = np.linalg.qr(Nd, mode="complete")
     C = rng.normal(size=(nu, nu - nk)) @ Q[:, nk:].T  # rows orthogonal to N
