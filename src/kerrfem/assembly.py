@@ -382,7 +382,7 @@ def _edge_pattern(ctx: FemContext, edges: np.ndarray | None = None) -> EdgePatte
 @dataclass
 class AssembledForms:
     """All constant matrices of both semi-discrete formulations, the face
-    mass LU and the one time-loop LU (:meth:`kept_solver`), and the load
+    mass LU and the one time-loop solve (:meth:`kept_solver`), and the load
     vectors and Gram matrices of separable sources (all made on first use,
     then kept)."""
 
@@ -394,8 +394,8 @@ class AssembledForms:
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
     coupling_ned: sp.csr_matrix    # faces x free edges
-    # the one time-loop LU kept, ((name, dt), solve); see kept_solver
-    _time_loop_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # the one time-loop solve kept, ((name, dt), solve); see kept_solver
+    _time_loop_solver: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, dof map)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # L2 Gram matrices of the factors of one current, keyed by (g_1, ..., g_K)
@@ -456,23 +456,25 @@ class AssembledForms:
         RK4 mass."""
         solve = self.kept_solver(formulation, dt)
         if solve is None:
-            solve = self.keep_solver(formulation, dt, self.reduced_matrix(formulation, dt))
+            solve = self.keep_solver(formulation, dt,
+                                     linalg.factorized(self.reduced_matrix(formulation, dt)))
         return solve
 
     def kept_solver(self, name: str, dt: float):
-        """The kept time-loop LU solve if it was made for ``(name, dt)``,
-        else None.  One is kept at a time: the linear reduced matrix of a
-        formulation (``name`` the formulation), or the lagged Kerr Jacobian
-        of one (``name`` "lee-madsen-kerr" or "nedelec-kerr"), which the
-        next step at the same dt starts from."""
-        key, solve = self._time_loop_lu
+        """The kept time-loop solve if it was made for ``(name, dt)``, else
+        None.  One is kept at a time: the LU of a formulation's linear
+        reduced matrix (``name`` the formulation), or the solve with the
+        lagged Kerr Jacobian of one (``name`` "lee-madsen-kerr", a
+        Jacobi-PCG solver, or "nedelec-kerr", an LU), which the next step at
+        the same dt starts from."""
+        key, solve = self._time_loop_solver
         return solve if key == (name, dt) else None
 
-    def keep_solver(self, name: str, dt: float, matrix: sp.spmatrix):
-        """Factorize ``matrix`` as the kept time-loop LU of ``(name, dt)``,
-        replacing the one kept before, and return its solve."""
-        self._time_loop_lu = ((name, dt), linalg.factorized(matrix))
-        return self._time_loop_lu[1]
+    def keep_solver(self, name: str, dt: float, solve):
+        """Keep the ready ``solve`` as the time-loop solve of ``(name, dt)``,
+        replacing the one kept before, and return it."""
+        self._time_loop_solver = ((name, dt), solve)
+        return solve
 
 
 def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> AssembledForms:

@@ -17,10 +17,13 @@ and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
 within the tolerance.  In both formulations they solve with the Kerr
-Jacobian of their residual, lagged (a chord method): its factorization is
-kept on the forms and carried from step to step while dt is unchanged, and
+Jacobian of their residual, lagged (a chord method): its solver is kept on
+the forms and carried from step to step while dt is unchanged, and
 re-evaluated at the current iterate only after an update that shrank by
-less than :data:`REFRESH_RATIO`.
+less than :data:`REFRESH_RATIO`.  The nedelec chord solves by LU; the
+lee-madsen one, mass-dominated, by Jacobi-PCG to the relative residual
+:data:`CHORD_FORCING` (an inexact Newton forcing term, Eisenstat and Walker
+1996), so a lee-madsen Kerr march factorizes nothing.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
 MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
 REFRESH_RATIO = 0.05  # a sweep contracting less than this refreshes a lagged Jacobian
+CHORD_FORCING = 1e-3  # relative residual of the lee-madsen Kerr chord's PCG solves
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 
 
@@ -137,8 +141,9 @@ def initialize(E0, H0, formulation: str, forms: AssembledForms,
 
     lee-madsen: E -> cellwise averages, H -> curl-matching projection (pass
     ``H0_curl`` whenever it is known; it defaults to zero, which is exact for
-    the zero field), one CG solve and one P1 Laplacian LU.  These choices
-    make the initial-data terms of the error bound vanish.  nedelec:
+    the zero field), one CG solve and one P1 Laplacian LU, which a zero H0
+    skips: its projection is exactly zero.  These choices make the
+    initial-data terms of the error bound vanish.  nedelec:
     tangential edge interpolation of E (boundary dofs zeroed) and face-flux
     interpolation of H.
     """
@@ -264,23 +269,24 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     return e1, h1
 
 
-def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, e_start):
+def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
+                  e_start):
     """The solve a midpoint step's sweeps start from, and the function
-    ``refresh(e)`` that replaces it by the factorized
-    ``jacobian(forms, e, dt)``.
+    ``refresh(e)`` that replaces it by ``solver(jacobian(forms, e, dt))``
+    (``solver`` maps a matrix to its solve function).
 
-    Linear media solve with the cached reduced solver, the exact and
-    constant Jacobian (their one sweep never refreshes it).  Kerr media
-    solve with the lagged Kerr Jacobian that ``forms`` keeps for this dt
-    under "<formulation>-kerr", left by the step before; only when it keeps
-    none is it evaluated and factorized afresh at the start iterate
-    ``e_start``."""
+    Linear media solve with the cached reduced LU, the exact and constant
+    Jacobian (their one sweep never refreshes it).  Kerr media solve with
+    the lagged Kerr Jacobian whose solver ``forms`` keeps for this dt under
+    "<formulation>-kerr", left by the step before; only when it keeps none
+    is the Jacobian evaluated at the start iterate ``e_start`` and its
+    solver made afresh."""
     if forms.params.chi3 == 0.0:
         return forms.reduced_solver(formulation, dt), None
     name = formulation + "-kerr"
 
     def refresh(e):
-        return forms.keep_solver(name, dt, jacobian(forms, e, dt))
+        return forms.keep_solver(name, dt, solver(jacobian(forms, e, dt)))
 
     solve = forms.kept_solver(name, dt)
     return (refresh(e_start) if solve is None else solve), refresh
@@ -293,9 +299,10 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     j_m), then E1 = E(H1) by cellwise constitutive inversion, which the next
     sweep's residual reads.  Its Jacobian
     mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
-    (:func:`assemble_nonlinear_curl_curl`) is held as :func:`_chord_solver`
-    says, and re-evaluated at the current E1 when ``refresh`` is set (see
-    :func:`_midpoint_sweeps`)."""
+    (:func:`assemble_nonlinear_curl_curl`) is mass-dominated, so it is
+    solved by Jacobi-PCG to :data:`CHORD_FORCING`, held as
+    :func:`_chord_solver` says, and re-evaluated at the current E1 when
+    ``refresh`` is set (see :func:`_midpoint_sweeps`)."""
     params = forms.params
     vol = forms.ctx.vol[:, None]
     C = forms.coupling_lm
@@ -308,13 +315,14 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         return e_of_d(params, d1).ravel()
 
     e_start = e_end(h0)
-    solve, refactorize = _chord_solver(forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
-                                       e_start)
+    solve, refresh_solver = _chord_solver(
+        forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
+        lambda A: linalg.cg_solver(A, CHORD_FORCING), e_start)
 
     def sweep(e1, h1, refresh):
         nonlocal solve
         if refresh:
-            solve = refactorize(e1)
+            solve = refresh_solver(e1)
         h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
                         + dt * (CT @ (0.5 * (e0 + e1)) + jm))
         return e_end(h1), h1
@@ -326,9 +334,9 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
                    je: np.ndarray, jm: np.ndarray):
     """Sweep of the nedelec step: a chord update of E on the free edges for
     R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), whose Jacobian
-    :func:`assemble_nonlinear_mass_curl` is held as :func:`_chord_solver`
-    says, and re-evaluated at the current E1 when ``refresh`` is set (see
-    :func:`_midpoint_sweeps`).  H1 follows exactly from the discrete curl of
+    :func:`assemble_nonlinear_mass_curl` is factorized and held as
+    :func:`_chord_solver` says, and re-evaluated at the current E1 when
+    ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows exactly from the discrete curl of
     E1, so the ``h1`` argument is not read.  The start iterate is E0
     itself."""
     params = forms.params
@@ -338,7 +346,8 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     e0, h0 = state.e, state.h
     jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
-    solve, refactorize = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl, e0)
+    solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
+                                          linalg.factorized, e0)
 
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
@@ -348,7 +357,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         residual = (assemble_flux_load(ctx, params, e1)[free] - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
         if refresh:
-            solve = refactorize(e1)
+            solve = refresh_solver(e1)
         e1 = e1.copy()
         e1[free] -= solve(residual)
         return e1, h_end(e1)

@@ -5,7 +5,9 @@ or by assembly straight into a fixed pattern) and factorizations are scipy's
 SuperLU, of symmetric positive definite matrices only; the conjugate gradient
 loop is written out here because callers need to distinguish an indefinite
 operator (breakdown) from a slow one (non-convergence), which the library
-solvers do not report.  The one saddle-point system (the curl projection's)
+solvers do not report.  Both are made once per matrix and return a solve
+function of the right-hand side (:func:`factorized`, :func:`cg_solver`), so
+a caller may keep either.  The one saddle-point system (the curl projection's)
 has a zero multiplier and splits into a singular CG solve and an SPD LU, so
 no indefinite matrix is factorized.  Everything is float64.
 """
@@ -42,11 +44,14 @@ def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
     return sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
 
 
-def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def cg_solver(A: sp.spmatrix, rel_tol: float):
+    """Jacobi-preconditioned conjugate gradients for SPD systems, as a solve
+    function ``solve(b)`` for repeated right-hand sides with one A.
 
-    Returns x with ||Ax - b|| <= rel_tol * ||b||, checked on the true
-    residual once the recursively updated one meets the tolerance.  Raises
+    The Jacobi scaling is computed once, here.  Each solve returns x with
+    ||Ax - b|| <= rel_tol * ||b||, checked on the true residual once the
+    recursively updated one meets the tolerance.  Raises LinalgError here
+    for a rel_tol outside (0, 1) or a non-square A; a solve raises
     CgBreakdownError on negative curvature (non-SPD operator),
     CgNonConvergenceError when the iteration cap of 10 n is exhausted or the
     true residual misses a tolerance that the recursive one met (a rel_tol
@@ -58,48 +63,57 @@ def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise LinalgError(f"matrix is not square: {A.shape}")
-    b = np.asarray(b, dtype=np.float64)
+    diag = A.diagonal()
     with np.errstate(over="ignore", invalid="ignore"):
-        bnorm = _finite(np.linalg.norm(b), "||b||")
-        if bnorm == 0.0:
-            return np.zeros(n)
-        diag = A.diagonal()
         inv_diag = np.where(np.abs(diag) > 0.0, 1.0 / np.where(diag != 0.0, diag, 1.0), 1.0)
+    cap = 10 * n
 
-        x = np.zeros(n)
-        r = b.copy()
-        z = inv_diag * r
-        p = z.copy()
-        rz = _finite(float(r @ z), "r^T z")
-        cap = 10 * n
-        for _ in range(cap):
-            Ap = A @ p
-            pAp = _finite(float(p @ Ap), "p^T A p")
-            if pAp <= 0.0:
-                raise CgBreakdownError(
-                    f"negative curvature p^T A p = {pAp:.3e}; matrix not positive definite"
-                )
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            rnorm = _finite(np.linalg.norm(r), "residual")
-            if rnorm <= rel_tol * bnorm:
-                true_res = np.linalg.norm(b - A @ x)
-                if true_res <= rel_tol * bnorm:
-                    return x
-                raise CgNonConvergenceError(
-                    f"recursive residual {rnorm / bnorm:.3e} of ||b|| met "
-                    f"rel_tol {rel_tol:.1e}, but the true residual is "
-                    f"{true_res / bnorm:.3e} of ||b||"
-                )
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bnorm = _finite(np.linalg.norm(b), "||b||")
+            if bnorm == 0.0:
+                return np.zeros(n)
+            x = np.zeros(n)
+            r = b.copy()
             z = inv_diag * r
-            rz_new = _finite(float(r @ z), "r^T z")
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-    raise CgNonConvergenceError(
-        f"no convergence in {cap} iterations; residual "
-        f"{np.linalg.norm(r) / bnorm:.3e} of ||b||"
-    )
+            p = z.copy()
+            rz = _finite(float(r @ z), "r^T z")
+            for _ in range(cap):
+                Ap = A @ p
+                pAp = _finite(float(p @ Ap), "p^T A p")
+                if pAp <= 0.0:
+                    raise CgBreakdownError(
+                        f"negative curvature p^T A p = {pAp:.3e}; matrix not positive definite"
+                    )
+                alpha = rz / pAp
+                x += alpha * p
+                r -= alpha * Ap
+                rnorm = _finite(np.linalg.norm(r), "residual")
+                if rnorm <= rel_tol * bnorm:
+                    true_res = np.linalg.norm(b - A @ x)
+                    if true_res <= rel_tol * bnorm:
+                        return x
+                    raise CgNonConvergenceError(
+                        f"recursive residual {rnorm / bnorm:.3e} of ||b|| met "
+                        f"rel_tol {rel_tol:.1e}, but the true residual is "
+                        f"{true_res / bnorm:.3e} of ||b||"
+                    )
+                z = inv_diag * r
+                rz_new = _finite(float(r @ z), "r^T z")
+                p = z + (rz_new / rz) * p
+                rz = rz_new
+        raise CgNonConvergenceError(
+            f"no convergence in {cap} iterations; residual "
+            f"{np.linalg.norm(r) / bnorm:.3e} of ||b||"
+        )
+
+    return solve
+
+
+def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
+    """One solve of A x = b by :func:`cg_solver`, with its checks."""
+    return cg_solver(A, rel_tol)(b)
 
 
 def _finite(value: float, name: str) -> float:
@@ -159,7 +173,9 @@ def solve_saddle(A: sp.spmatrix, B: sp.spmatrix, N: sp.spmatrix, f: np.ndarray,
     Then u = z + N s, where z solves the consistent singular system A z = f
     by Jacobi-preconditioned CG (which converges on a consistent singular
     system, Kaasschieter 1988) and s solves (B N) s = g - B z by
-    :func:`factorized`.  Residuals of both block equations are verified
+    :func:`factorized`, or is zero without a factorization when g - B z is
+    exactly zero (a zero f and g, such as the projection of a zero field).
+    Residuals of both block equations are verified
     against rel_tol before returning; every failure raises LinalgError.
     """
     f = np.asarray(f, dtype=np.float64)
@@ -175,7 +191,8 @@ def solve_saddle(A: sp.spmatrix, B: sp.spmatrix, N: sp.spmatrix, f: np.ndarray,
     # CG takes 1% of the residual budget; A N s, zero in exact arithmetic,
     # leaves roundoff in the rest
     z = cg_solve(A, f, 0.01 * rel_tol)
-    u = z + N @ factorized(B @ N)(g - B @ z)
+    gz = g - B @ z
+    u = z + N @ factorized(B @ N)(gz) if gz.any() else z
     scale = max(f_norm, np.linalg.norm(g), 1e-30)
     res1 = np.linalg.norm(A @ u - f)
     res2 = np.linalg.norm(B @ u - g)

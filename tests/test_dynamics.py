@@ -10,6 +10,7 @@ from kerrfem.assembly import (
     assemble_nonlinear_curl_curl,
     assemble_source,
     build_forms,
+    curl_project,
     l2_project,
 )
 from kerrfem.dynamics import (
@@ -71,17 +72,18 @@ def count_sweeps(monkeypatch) -> list:
     return sweeps
 
 
-def count_factorizations(monkeypatch) -> list:
-    """The list to which each later :func:`linalg.factorized` call appends
-    its matrix."""
+def record_matrices(monkeypatch, name: str = "factorized") -> list:
+    """The list to which each later call of the solver maker ``linalg.<name>``
+    (:func:`linalg.factorized` or :func:`linalg.cg_solver`) appends its
+    matrix."""
     matrices = []
-    original = linalg.factorized
+    original = getattr(linalg, name)
 
-    def counted(A):
+    def recorded(A, *args):
         matrices.append(A)
-        return original(A)
+        return original(A, *args)
 
-    monkeypatch.setattr(linalg, "factorized", counted)
+    monkeypatch.setattr(linalg, name, recorded)
     return matrices
 
 
@@ -119,6 +121,24 @@ def test_initialize_requires_curl_for_nonzero_h(cav_forms2):
     one = lambda X: np.ones_like(np.atleast_2d(X))
     with pytest.raises(ValueError, match="H0_curl"):
         initialize(zero, one, "lee-madsen", cav_forms2)
+
+
+def test_initialize_zero_h_builds_no_factorization(cav_forms2, cavity, monkeypatch):
+    # the curl-matching projection of an H0 that is identically zero is
+    # exactly zero and solves nothing with the P1 Laplacian; a nonzero H0
+    # still factorizes it once
+    factorized_matrices = record_matrices(monkeypatch)
+    st = cavity_state(cavity, cav_forms2)
+    assert factorized_matrices == []
+    assert st.h.shape == (cav_forms2.dof_u.num_dofs,) and np.all(st.h == 0.0)
+    H0 = lambda X: np.stack([X[:, 1] * X[:, 2], np.sin(X[:, 0]), X[:, 0] ** 2], axis=1)
+    curl_H0 = lambda X: np.stack([np.zeros(len(X)), X[:, 1] - 2.0 * X[:, 0],
+                                  np.cos(X[:, 0]) - X[:, 2]], axis=1)
+    st = initialize(lambda X: cavity.E(0.0, X), H0, "lee-madsen", cav_forms2,
+                    H0_curl=curl_H0)
+    assert len(factorized_matrices) == 1
+    assert np.array_equal(st.h, curl_project(cav_forms2, H0, curl_H0))
+    assert np.linalg.norm(st.h) > 0.0
 
 
 def test_initialize_projection_errors_shrink(cavity):
@@ -248,7 +268,7 @@ def test_nedelec_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkey
     # factorizes afresh, at the start state of its first step
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-    factorized_matrices = count_factorizations(monkeypatch)
+    factorized_matrices = record_matrices(monkeypatch)
     st = cavity_state(cavity, forms, formulation="nedelec")
     mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
     assert 1 <= len(factorized_matrices) < 5
@@ -326,17 +346,30 @@ def test_lee_madsen_kerr_converges_at_dt_h(cube4, cavity):
     assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_lee_madsen_kerr_converges_at_large_dt(cavity, n):
-    # the README's measured limit: the lee-madsen chord, whose Kerr Jacobian
+@pytest.mark.parametrize("n, dt_over_h", [pytest.param(4, 2.0, id="4"),
+                                          pytest.param(8, 2.0, id="8"),
+                                          pytest.param(8, 5.0, id="8-5h")])
+def test_lee_madsen_kerr_converges_at_large_dt(cavity, n, dt_over_h):
+    # the README's measured limits: the lee-madsen chord, whose Kerr Jacobian
     # is refreshed when the sweeps slow down, takes three cavity steps at
-    # dt = 2 h; sweeps with the linear reduced matrix stall there by 1.1 h
-    # (n = 4) and 1.4 h (n = 8)
+    # dt = 2 h, and at 5 h on n = 8; sweeps with the linear reduced matrix
+    # stall by 1.1 h (n = 4) and 1.4 h (n = 8)
     mesh = generate_structured_cube(n)
     forms = build_forms(mesh, build_topology(mesh), MaterialParams(chi3=1.0))
     st = cavity_state(cavity, forms)
-    end, _ = integrate(st, 2.0 * mesh_size(mesh), 3, ZERO_SOURCES, forms, collect=False)
+    end, _ = integrate(st, dt_over_h * mesh_size(mesh), 3, ZERO_SOURCES, forms,
+                       collect=False)
     assert np.isfinite(end.e).all() and np.isfinite(end.h).all()
+
+
+def test_lee_madsen_kerr_stalls_at_five_h_on_n4(cube4, cavity):
+    # the README's measured limit on the coarse mesh: a step of dt = 5 h =
+    # 2.17, longer than twice the light-crossing time, stalls
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms)
+    with pytest.raises(NonlinearSolveError, match="reduce dt$"):
+        integrate(st, 5.0 * mesh_size(mesh), 3, ZERO_SOURCES, forms, collect=False)
 
 
 def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
@@ -351,23 +384,55 @@ def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
 
 
 def test_lee_madsen_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
-    # as in nedelec: 5 steps at one dt factorize fewer than 5 Jacobians, and
-    # a new dt factorizes afresh at the start iterate E(H0) of its first step
+    # as in nedelec: 5 steps at one dt hand fewer than 5 Jacobians to the
+    # PCG solver maker, and a new dt starts from a fresh Jacobian at the
+    # start iterate E(H0) of its first step
     mesh, topo = cube2
     params = MaterialParams(chi3=1.0)
     forms = build_forms(mesh, topo, params)
-    factorized_matrices = count_factorizations(monkeypatch)
     st = cavity_state(cavity, forms)
+    jacobians = record_matrices(monkeypatch, "cg_solver")
     mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
-    assert 1 <= len(factorized_matrices) < 5
-    factorized_matrices.clear()
+    assert 1 <= len(jacobians) < 5
+    jacobians.clear()
     dt = 0.02
     integrate(mid, dt, 1, ZERO_SOURCES, forms, collect=False)
-    assert factorized_matrices
+    assert jacobians
     d_start = (d_of_e(params, mid.e.reshape(-1, 3))
                + (dt / forms.ctx.vol[:, None]) * (forms.coupling_lm @ mid.h).reshape(-1, 3))
     fresh = assemble_nonlinear_curl_curl(forms, e_of_d(params, d_start).ravel(), dt)
-    assert (factorized_matrices[0] != fresh).nnz == 0
+    assert (jacobians[0] != fresh).nnz == 0
+
+
+def test_only_the_nedelec_kerr_march_factorizes(cube2, cavity, monkeypatch):
+    # the lee-madsen Kerr chord solves by PCG, so its march builds no LU;
+    # the nedelec chord keeps its LU
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    factorized_matrices = record_matrices(monkeypatch)
+    factorizations = {}
+    for formulation in ("lee-madsen", "nedelec"):
+        st = cavity_state(cavity, forms, formulation=formulation)
+        factorized_matrices.clear()
+        integrate(st, 0.01, 5, ZERO_SOURCES, forms)
+        factorizations[formulation] = len(factorized_matrices)
+    assert factorizations["lee-madsen"] == 0 and factorizations["nedelec"] >= 1
+
+
+def test_lee_madsen_chord_nonconvergence_names_the_step(cube2, cavity, monkeypatch):
+    # a chord PCG solve that runs out of iterations fails the step, which
+    # integrate reports with its number, time and dt
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms)
+
+    def failing_solver(A, rel_tol):
+        def solve(b):
+            raise linalg.CgNonConvergenceError("no convergence in 10 iterations")
+        return solve
+
+    monkeypatch.setattr(linalg, "cg_solver", failing_solver)
+    with pytest.raises(linalg.LinalgError,
+                       match=r"^step 1 \(t = 0\.01, dt = 0\.01\): no convergence .*; reduce dt$"):
+        integrate(st, 0.01, 3, ZERO_SOURCES, forms, collect=False)
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])

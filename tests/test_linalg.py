@@ -10,6 +10,7 @@ from kerrfem.linalg import (
     CgNonConvergenceError,
     LinalgError,
     cg_solve,
+    cg_solver,
     factorized,
     from_triplets,
     solve_saddle,
@@ -132,6 +133,48 @@ def test_cg_rejects_bad_tolerance():
         cg_solve(A, np.array([1.0]), rel_tol=0.0)
 
 
+def _random_spd_csr(rng, n):
+    D = dense_random_spd(rng, n)
+    rows, cols = np.nonzero(D)
+    return from_triplets(rows, cols, D[rows, cols], shape=(n, n))
+
+
+def test_cg_solver_is_bitwise_cg_solve():
+    rng = np.random.default_rng(6)
+    A = _random_spd_csr(rng, 40)
+    solve = cg_solver(A, 1e-9)
+    for _ in range(3):
+        b = rng.normal(size=40)
+        assert np.array_equal(solve(b), cg_solve(A, b, 1e-9))
+
+
+def test_cg_solver_scales_once_per_solver():
+    # the Jacobi scaling is computed when the solver is made, not per solve
+    class CountedDiagonal(sp.csr_matrix):
+        calls = 0
+
+        def diagonal(self, k=0):
+            CountedDiagonal.calls += 1
+            return super().diagonal(k)
+
+    rng = np.random.default_rng(7)
+    A = CountedDiagonal(_random_spd_csr(rng, 30))
+    solve = cg_solver(A, 1e-10)
+    for _ in range(4):
+        b = rng.normal(size=30)
+        assert np.linalg.norm(A @ solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+    assert CountedDiagonal.calls == 1
+
+
+def test_cg_solver_rejects_bad_input_when_made():
+    A = from_triplets([0], [0], [1.0], shape=(1, 1))
+    for rel_tol in (0.0, 1.0, -1e-3, float("nan")):
+        with pytest.raises(LinalgError, match="rel_tol"):
+            cg_solver(A, rel_tol)
+    with pytest.raises(LinalgError, match="not square"):
+        cg_solver(from_triplets([0], [0], [1.0], shape=(2, 3)), 1e-8)
+
+
 def _saddle_problem(rng, nu=12, nk=3):
     """Random PSD A = C^T C with kernel N (nu x nk) and B = N^T M for an SPD
     M, as sparse matrices, and the dense N."""
@@ -167,12 +210,16 @@ def test_saddle_inconsistent_rhs_raises():
 
 
 def test_saddle_singular_system_raises():
-    # B N singular: B is zero on the second kernel vector
+    # B N singular: B is zero on the second kernel vector, so the LU of B N
+    # fails once g - B z needs a solve with it; a zero g - B z needs none,
+    # and the returned u (s = 0) solves both block equations
     A = from_triplets([0], [0], [1.0], shape=(3, 3))
     N = from_triplets([1, 2], [0, 1], [1.0, 1.0], shape=(3, 2))
     B = from_triplets([0], [1], [1.0], shape=(2, 3))
+    f = np.array([1.0, 0.0, 0.0])
     with pytest.raises(LinalgError):
-        solve_saddle(A, B, N, np.array([1.0, 0.0, 0.0]), np.zeros(2))
+        solve_saddle(A, B, N, f, np.array([0.0, 1.0]))
+    assert np.array_equal(solve_saddle(A, B, N, f, np.zeros(2)), f)
 
 
 def test_transpose():
