@@ -394,6 +394,8 @@ class AssembledForms:
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
     coupling_ned: sp.csr_matrix    # faces x free edges
+    coupling_lm_t: sp.csr_matrix   # coupling_lm.T as CSR, for the time loop's matvecs
+    coupling_ned_t: sp.csr_matrix  # coupling_ned.T as CSR
     # the one time-loop solve kept, ((name, dt), solve); see kept_solver
     _time_loop_solver: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, dof map)
@@ -483,20 +485,25 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     Each operator is assembled once: the two Gram matrices, the lee-madsen
     coupling C and the discrete curl.  The nedelec coupling
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
-    discrete curl, restricted to the free (interior) edges.
+    discrete curl, restricted to the free (interior) edges.  C^T and K^T
+    are kept as CSR copies, so the time loop builds no transpose per step.
     """
     ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
     free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
     mass_u1 = assemble_mass(ctx, ctx.dof_u)
     mass_v1 = assemble_mass(ctx, ctx.dof_v)
     discrete_curl = assemble_discrete_curl(topo)
+    coupling_lm = assemble_coupling(ctx, ctx.dof_u)
+    coupling_ned = (mass_v1 @ discrete_curl)[:, free_edges]
     return AssembledForms(
         ctx=ctx,
         params=params,
         free_edges=free_edges,
         mass_u1=mass_u1,
         mass_v1=mass_v1,
-        coupling_lm=assemble_coupling(ctx, ctx.dof_u),
+        coupling_lm=coupling_lm,
         discrete_curl=discrete_curl,
-        coupling_ned=(mass_v1 @ discrete_curl)[:, free_edges],
+        coupling_ned=coupling_ned,
+        coupling_lm_t=coupling_lm.T.tocsr(),
+        coupling_ned_t=coupling_ned.T.tocsr(),
     )

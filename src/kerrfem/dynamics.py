@@ -16,7 +16,11 @@ independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
-within the tolerance.  In both formulations they solve with the Kerr
+within the tolerance.  They start from the sweep unknown extrapolated from
+the last accepted steps of the march (:func:`_midpoint_start`, up to
+:data:`EXTRAPOLATION_ORDER`), where that extrapolation predicted the last
+step better than the constant start, and from the current state otherwise.
+In both formulations they solve with the Kerr
 Jacobian of their residual, lagged (a chord method): its solver is kept on
 the forms and carried from step to step while dt is unchanged, and
 re-evaluated at the current iterate only after an update that shrank by
@@ -52,6 +56,7 @@ MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
 REFRESH_RATIO = 0.05  # a sweep contracting less than this refreshes a lagged Jacobian
 CHORD_FORCING = 1e-3  # relative residual of the lee-madsen Kerr chord's PCG solves
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
+EXTRAPOLATION_ORDER = 3  # highest order of the extrapolated start of a Kerr midpoint step
 
 
 class NonlinearSolveError(Exception):
@@ -204,10 +209,10 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
         inv_blocks = cm_matrix(params, E) / (params.eps0 * forms.ctx.vol[:, None, None])
         b = (forms.coupling_lm @ state.h - je).reshape(-1, 3)
         de = np.einsum("tij,tj->ti", inv_blocks, b).ravel()
-        dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm.T @ state.e) - jm)
+        dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm_t @ state.e) - jm)
         return de, dh
     free = forms.free_edges
-    rhs_e = (forms.coupling_ned.T @ state.h) - je[free]
+    rhs_e = (forms.coupling_ned_t @ state.h) - je[free]
     de = np.zeros_like(state.e)
     if params.chi3 == 0.0:
         de[free] = forms.reduced_solver("nedelec", 0.0)(rhs_e)
@@ -220,7 +225,7 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     return de, -dh / params.mu0
 
 
-def _picard_exit(delta: float, tol: float, iteration: int) -> bool:
+def _sweep_exit(delta: float, tol: float, iteration: int) -> bool:
     """Whether the sweeps stop after an update of relative size ``delta``:
     at the first one within ``tol``, the stopping rule of a simplified Newton
     iteration (Hairer and Wanner, *Solving ODEs II*, IV.8).  Raises
@@ -244,12 +249,14 @@ def _relative_update(new: np.ndarray, old: np.ndarray, floor: float) -> float:
 
 
 def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: bool):
-    """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` from the start iterate to
-    the end-of-step fields, each one Newton update of the formulation's edge
-    unknown with the other field recovered in closed form.  A linear step is
-    affine and its first sweep exact, so it takes one; otherwise they stop
-    per :func:`_picard_exit` on the larger update of the two fields, each
-    relative to its own norm floored at its norm at the step start.
+    """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` from the start iterate
+    (built from the current state or from the extrapolated one of
+    :func:`_midpoint_start`) to the end-of-step fields, each one Newton
+    update of the formulation's edge unknown with the other field recovered
+    in closed form.  A linear step is affine and its first sweep exact, so
+    it takes one; otherwise they stop per :func:`_sweep_exit` on the larger
+    update of the two fields, each relative to its own norm floored at its
+    norm at the start iterate.
     ``refresh`` tells a sweep with a lagged Jacobian to re-evaluate it at
     the current iterate: it is set after an update larger than
     :data:`REFRESH_RATIO` times the one before."""
@@ -262,11 +269,46 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
             delta = max(_relative_update(e1_new, e1, e_floor),
                         _relative_update(h1_new, h1, h_floor))
             e1, h1 = e1_new, h1_new
-            if _picard_exit(delta, tol, it) or linear:
+            if _sweep_exit(delta, tol, it) or linear:
                 break
             refresh = delta > REFRESH_RATIO * prev
             prev = delta
     return e1, h1
+
+
+def _extrapolate(xs):
+    """Order-k polynomial extrapolation, k = len(xs) - 1, of the equally
+    spaced samples ``xs`` (oldest first) one step past the newest x_n:
+    sum_j (-1)^j C(k+1, j+1) x_{n-j}, j = 0..k."""
+    k = len(xs) - 1
+    return sum((-1) ** j * math.comb(k + 1, j + 1) * x for j, x in enumerate(reversed(xs)))
+
+
+def _midpoint_start(states, dt: float):
+    """The predicted end state of the next Kerr midpoint step, or None for
+    the constant start from the current state.  ``states`` are the accepted
+    states of this march, oldest first and the current one last; the
+    prediction extrapolates each field to order k = min(EXTRAPOLATION_ORDER,
+    len(states) - 2) (Hairer and Wanner, *Solving ODEs II*, IV.8).  It is
+    made only if the same order, built one step back, predicted the current
+    state better than the state before it did, each miss measured as the
+    sweeps measure an update: the larger of the two fields' misses, each
+    relative to that field's norm.  This keeps large steps, along which the
+    fields are far from polynomial, on the constant start."""
+    k = min(EXTRAPOLATION_ORDER, len(states) - 2)
+    if k < 1:
+        return None
+    current, back = states[-1], states[-k - 2:-1]
+
+    def miss(e, h):
+        return max(_relative_update(current.e, e, 0.0), _relative_update(current.h, h, 0.0))
+
+    extrapolated = miss(_extrapolate([s.e for s in back]), _extrapolate([s.h for s in back]))
+    if not extrapolated < miss(back[-1].e, back[-1].h):
+        return None
+    recent = states[-k - 1:]
+    return State(current.formulation, _extrapolate([s.e for s in recent]),
+                 _extrapolate([s.h for s in recent]), current.t + dt)
 
 
 def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
@@ -293,11 +335,12 @@ def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, 
 
 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
-                      je: np.ndarray, jm: np.ndarray):
-    """Sweep of the lee-madsen step and its start iterate (E(H0), H0): a
-    chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 + E1)/2 +
-    j_m), then E1 = E(H1) by cellwise constitutive inversion, which the next
-    sweep's residual reads.  Its Jacobian
+                      je: np.ndarray, jm: np.ndarray, start: State | None):
+    """Sweep of the lee-madsen step and its start iterate (E(H_s), H_s),
+    with H_s the H of the predicted end state ``start`` or, when it is None,
+    H0: a chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 +
+    E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion, which
+    the next sweep's residual reads.  Its Jacobian
     mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
     (:func:`assemble_nonlinear_curl_curl`) is mass-dominated, so it is
     solved by Jacobi-PCG to :data:`CHORD_FORCING`, held as
@@ -305,8 +348,7 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     ``refresh`` is set (see :func:`_midpoint_sweeps`)."""
     params = forms.params
     vol = forms.ctx.vol[:, None]
-    C = forms.coupling_lm
-    CT = C.T
+    C, CT = forms.coupling_lm, forms.coupling_lm_t
     e0, h0 = state.e, state.h
     d0 = d_of_e(params, e0.reshape(-1, 3))
 
@@ -314,7 +356,8 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
         return e_of_d(params, d1).ravel()
 
-    e_start = e_end(h0)
+    h_start = h0 if start is None else start.h
+    e_start = e_end(h_start)
     solve, refresh_solver = _chord_solver(
         forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
         lambda A: linalg.cg_solver(A, CHORD_FORCING), e_start)
@@ -327,30 +370,37 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
                         + dt * (CT @ (0.5 * (e0 + e1)) + jm))
         return e_end(h1), h1
 
-    return sweep, e_start
+    return sweep, e_start, h_start
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
-                   je: np.ndarray, jm: np.ndarray):
-    """Sweep of the nedelec step: a chord update of E on the free edges for
-    R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e), whose Jacobian
-    :func:`assemble_nonlinear_mass_curl` is factorized and held as
-    :func:`_chord_solver` says, and re-evaluated at the current E1 when
-    ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows exactly from the discrete curl of
-    E1, so the ``h1`` argument is not read.  The start iterate is E0
-    itself."""
+                   je: np.ndarray, jm: np.ndarray, start: State | None):
+    """Sweep of the nedelec step and its start iterate: a chord update of E
+    on the free edges for R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e),
+    whose Jacobian :func:`assemble_nonlinear_mass_curl` is factorized and
+    held as :func:`_chord_solver` says, and re-evaluated at the current E1
+    when ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows
+    exactly from the discrete curl of E1, so the ``h1`` argument is not
+    read.  The start iterate is (E0, H0) or, from the predicted end state
+    ``start``, its free-edge E with H following from it."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
-    KT = forms.coupling_ned.T
+    KT = forms.coupling_ned_t
     e0, h0 = state.e, state.h
     jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
-    solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
-                                          linalg.factorized, e0)
 
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
+
+    e_start, h_start = e0, h0
+    if start is not None:
+        e_start = e0.copy()
+        e_start[free] = start.e[free]
+        h_start = h_end(e_start)
+    solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
+                                          linalg.factorized, e_start)
 
     def sweep(e1, h1, refresh):
         nonlocal solve
@@ -362,18 +412,21 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         e1[free] -= solve(residual)
         return e1, h_end(e1)
 
-    return sweep, e0
+    return sweep, e_start, h_start
 
 
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
 def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
-                   jm: np.ndarray, tol: float) -> State:
+                   jm: np.ndarray, tol: float, start: State | None = None) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
-    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2."""
-    sweep, e_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm)
-    e1, h1 = _midpoint_sweeps(e_start, state.h, sweep, tol, forms.params.chi3 == 0.0)
+    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2; its
+    sweeps start from the predicted end state ``start`` (see
+    :func:`_midpoint_start`) or, when it is None, from ``state``."""
+    sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
+                                                                  start)
+    e1, h1 = _midpoint_sweeps(e_start, h_start, sweep, tol, forms.params.chi3 == 0.0)
     return State(state.formulation, e1, h1, state.t + dt)
 
 
@@ -478,6 +531,10 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
+    Kerr midpoint steps keep the last accepted states of this call, from
+    which each step extrapolates its sweeps' start (:func:`_midpoint_start`);
+    a march split over two calls restarts that history, so its steps agree
+    with one call's to the sweep tolerance, not bitwise.
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
     ValueError for an unknown formulation or stepper, a nonpositive or NaN
@@ -498,6 +555,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         trace.sample(state, forms, sources)
     # midpoint loads: read by the midpoint step and by the power column
     need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
+    # the accepted states a Kerr midpoint step extrapolates its start from
+    history = [state] if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
     current = state
     for step in range(1, num_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -505,7 +564,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 if need_loads:
                     je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
-                    new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol)
+                    start = _midpoint_start(history, dt) if history else None
+                    new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, start)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
             except (linalg.LinalgError, NonlinearSolveError) as exc:
@@ -528,6 +588,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 trace.sample(new, forms, sources, power)
         if on_step is not None:
             on_step(step, new)
+        if history is not None:
+            history = history[-EXTRAPOLATION_ORDER - 1:] + [new]
         current = new
     return current, trace
 

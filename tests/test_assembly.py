@@ -242,6 +242,18 @@ def test_coupling_transpose_identity(forms2):
     assert a == pytest.approx(b, rel=1e-15)
 
 
+def test_kept_coupling_transposes_are_exact_csr_copies(forms2):
+    # the time loop's C^T and K^T are the CSR form of the transposes, and
+    # their matvecs are bitwise those of the transposed views
+    rng = np.random.default_rng(6)
+    for A, AT in ((forms2.coupling_lm, forms2.coupling_lm_t),
+                  (forms2.coupling_ned, forms2.coupling_ned_t)):
+        assert AT.format == "csr" and AT.shape == A.T.shape
+        assert (AT != A.T).nnz == 0
+        x = rng.normal(size=A.shape[0])
+        assert np.array_equal(AT @ x, A.T @ x)
+
+
 def test_nedelec_coupling_matches_quadrature(cube1):
     mesh, topo = cube1
     forms = build_forms(mesh, topo, MaterialParams())

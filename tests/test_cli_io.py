@@ -202,6 +202,11 @@ RUN_NEDELEC_KERR = ["run", "--n", "3", "--formulation", "nedelec", "--case",
                     "custom-zero-source", "--chi3", "1", "--t-end", "0.04", "--dt", "0.02",
                     "--vtk-every", "2", "--vtk-prefix", "run_nedelec_kerr_n3",
                     "--energy-csv", "run_nedelec_kerr_n3_energy.csv"]
+# six steps, so the later ones start from extrapolated fields
+RUN_NEDELEC_KERR_6_STEPS = ["run", "--n", "3", "--formulation", "nedelec", "--case",
+                            "custom-zero-source", "--chi3", "1", "--t-end", "0.12",
+                            "--dt", "0.02", "--energy-csv",
+                            "run_nedelec_kerr_n3_6_steps_energy.csv"]
 # a short lee-madsen Kerr run, several chord sweeps per step
 RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case",
                        "custom-zero-source", "--chi3", "1", "--t-end", "0.2", "--dt", "0.05",
@@ -222,9 +227,10 @@ RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case
     (["mesh", "--n", "3"], "cube3.tetmesh"),
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_000002.vtk"),
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_energy.csv"),
+    (RUN_NEDELEC_KERR_6_STEPS, "run_nedelec_kerr_n3_6_steps_energy.csv"),
     (RUN_LEE_MADSEN_KERR, "run_lee_madsen_kerr_n3_energy.csv"),
 ], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
-        "run-vtk", "run-energy", "run-energy-lee-madsen"])
+        "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-lee-madsen"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -60,15 +61,15 @@ def one_step(state, dt, sources, forms):
 def count_sweeps(monkeypatch) -> list:
     """The list to which each later midpoint step appends its sweep count."""
     sweeps = []
-    picard_exit = dynamics._picard_exit
+    sweep_exit = dynamics._sweep_exit
 
     def counted(delta, tol, iteration):
         if iteration == 0:
             sweeps.append(0)
         sweeps[-1] += 1
-        return picard_exit(delta, tol, iteration)
+        return sweep_exit(delta, tol, iteration)
 
-    monkeypatch.setattr(dynamics, "_picard_exit", counted)
+    monkeypatch.setattr(dynamics, "_sweep_exit", counted)
     return sweeps
 
 
@@ -301,13 +302,13 @@ def test_kerr_sweeps_stop_at_the_first_update_within_tolerance(cube2, cavity, fo
     mesh, topo = cube2
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
     updates = []
-    original = dynamics._picard_exit
+    original = dynamics._sweep_exit
 
     def recorded(delta, *args):
         updates[-1].append(delta)
         return original(delta, *args)
 
-    monkeypatch.setattr(dynamics, "_picard_exit", recorded)
+    monkeypatch.setattr(dynamics, "_sweep_exit", recorded)
     st = cavity_state(cavity, forms, formulation=formulation)
     updates.append([])
     integrate(st, 0.05, 4, ZERO_SOURCES, forms, collect=False,
@@ -373,7 +374,7 @@ def test_lee_madsen_kerr_stalls_at_five_h_on_n4(cube4, cavity):
 
 
 def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
-    # 8 cavity steps at dt = h/4 average 6.1 sweeps with the Kerr Jacobian;
+    # 8 cavity steps at dt = h/4 average 7.0 sweeps with the Kerr Jacobian;
     # with the linear reduced matrix they averaged 17.4
     sweeps = count_sweeps(monkeypatch)
     mesh, topo = cube4
@@ -381,6 +382,61 @@ def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
     st = cavity_state(cavity, forms)
     integrate(st, 0.25 * mesh_size(mesh), 8, ZERO_SOURCES, forms, collect=False)
     assert len(sweeps) == 8 and np.mean(sweeps) <= 8.0, sweeps
+
+
+def test_extrapolation_is_exact_for_polynomials_of_its_order():
+    # order k reproduces a degree-k polynomial sampled at equal steps
+    t = np.arange(5.0)
+    for k in range(4):
+        p = np.polynomial.Polynomial(np.arange(1.0, k + 2))
+        assert dynamics._extrapolate(list(p(t[:k + 1]))) == pytest.approx(p(k + 1), rel=1e-14)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_kerr_march_split_in_two_calls_agrees_with_one(cube2, formulation):
+    # each call extrapolates its step starts from its own states only, so a
+    # second call restarts from the constant start; both marches converge
+    # each step to the sweep tolerance, and so agree to about that
+    params = MaterialParams(chi3=1.0)
+    case = kerr_manufactured_case(params, t_final=1.0)
+    forms = build_forms(*cube2, params)
+    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation, forms,
+                    H0_curl=lambda X: case.curl_H(0.0, X))
+    dt = 0.05
+    whole, _ = integrate(st, dt, 12, case.sources, forms, collect=False)
+    half, _ = integrate(st, dt, 7, case.sources, forms, collect=False)
+    split, _ = integrate(half, dt, 5, case.sources, forms, collect=False)
+    for a, b in ((split.e, whole.e), (split.h, whole.h)):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_lee_madsen_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
+    # the n = 4 level of the Kerr EOC study (dt = 0.08 h^2, 67 steps): the
+    # extrapolated starts take 4.2 sweeps per step, the constant start 5.1
+    sweeps = count_sweeps(monkeypatch)
+    params = MaterialParams(chi3=1.0)
+    case = kerr_manufactured_case(params)
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, params)
+    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "lee-madsen", forms,
+                    H0_curl=lambda X: case.curl_H(0.0, X))
+    num_steps = math.ceil(case.t_final / (0.08 * mesh_size(mesh) ** 2))
+    integrate(st, case.t_final / num_steps, num_steps, case.sources, forms, collect=False)
+    assert len(sweeps) == num_steps == 67 and np.mean(sweeps) <= 4.5, np.mean(sweeps)
+
+
+@pytest.mark.parametrize("dt_over_h", [2.0, 5.0])
+def test_nedelec_kerr_large_steps_keep_the_constant_start(cube4, cavity, dt_over_h,
+                                                         monkeypatch):
+    # along large cavity steps the fields are far from polynomial: the
+    # guard keeps their constant start, 6.1 and 6.25 sweeps per step, where
+    # the unguarded extrapolation took 16.5 and 10.75
+    sweeps = count_sweeps(monkeypatch)
+    mesh, topo = cube4
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms, formulation="nedelec")
+    integrate(st, dt_over_h * mesh_size(mesh), 8, ZERO_SOURCES, forms, collect=False)
+    assert len(sweeps) == 8 and np.mean(sweeps) <= 6.75, sweeps
 
 
 def test_lee_madsen_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
