@@ -16,22 +16,18 @@ independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
-within the tolerance.  They start from the sweep unknown extrapolated from
-the last accepted steps of the march (:func:`_midpoint_start`, up to
-:data:`EXTRAPOLATION_ORDER`), where that extrapolation predicted the last
-step better than the constant start, and from the current state otherwise.
-In both formulations they solve with the Kerr
-Jacobian of their residual, lagged (a chord method): its solver is kept on
-the forms and carried from step to step while dt is unchanged, and
-re-evaluated at the current iterate only after an update that shrank by
-less than :data:`REFRESH_RATIO`.  The nedelec chord solves by LU; the
-lee-madsen one, mass-dominated, by Jacobi-PCG to the relative residual
-:data:`CHORD_FORCING` (an inexact Newton forcing term, Eisenstat and Walker
-1996), so a lee-madsen Kerr march factorizes nothing.
+within the tolerance.  They start from an extrapolation of the accepted
+states of the march, of the order its backward differences choose
+(:func:`_start_order`), and solve with the Kerr Jacobian of their residual,
+lagged and carried from step to step (a chord method, :func:`_chord_solver`):
+by LU in nedelec, and in lee-madsen, mass-dominated, by Jacobi-PCG to the
+relative residual :data:`CHORD_FORCING` (an inexact Newton forcing term,
+Eisenstat and Walker 1996), so a lee-madsen Kerr march factorizes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -56,7 +52,7 @@ MAX_SWEEPS = 50  # cap on the midpoint sweeps of one step
 REFRESH_RATIO = 0.05  # a sweep contracting less than this refreshes a lagged Jacobian
 CHORD_FORCING = 1e-3  # relative residual of the lee-madsen Kerr chord's PCG solves
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
-EXTRAPOLATION_ORDER = 3  # highest order of the extrapolated start of a Kerr midpoint step
+EXTRAPOLATION_ORDER = 12  # highest order of the extrapolated start of a Kerr midpoint step
 
 
 class NonlinearSolveError(Exception):
@@ -250,13 +246,12 @@ def _relative_update(new: np.ndarray, old: np.ndarray, floor: float) -> float:
 
 def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: bool):
     """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` from the start iterate
-    (built from the current state or from the extrapolated one of
-    :func:`_midpoint_start`) to the end-of-step fields, each one Newton
-    update of the formulation's edge unknown with the other field recovered
-    in closed form.  A linear step is affine and its first sweep exact, so
-    it takes one; otherwise they stop per :func:`_sweep_exit` on the larger
-    update of the two fields, each relative to its own norm floored at its
-    norm at the start iterate.
+    to the end-of-step fields, each one Newton update of the formulation's
+    edge unknown with the other field recovered in closed form.  A linear
+    step is affine and its first sweep exact, so it takes one; otherwise
+    they stop per :func:`_sweep_exit` on the larger update of the two
+    fields, each relative to its own norm floored at its norm at the start
+    iterate.
     ``refresh`` tells a sweep with a lagged Jacobian to re-evaluate it at
     the current iterate: it is set after an update larger than
     :data:`REFRESH_RATIO` times the one before."""
@@ -276,39 +271,42 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     return e1, h1
 
 
-def _extrapolate(xs):
-    """Order-k polynomial extrapolation, k = len(xs) - 1, of the equally
-    spaced samples ``xs`` (oldest first) one step past the newest x_n:
-    sum_j (-1)^j C(k+1, j+1) x_{n-j}, j = 0..k."""
-    k = len(xs) - 1
-    return sum((-1) ** j * math.comb(k + 1, j + 1) * x for j, x in enumerate(reversed(xs)))
+def _push_differences(table, state: State):
+    """The backward-difference table with ``state`` the newest accepted
+    state: row j = 0 .. EXTRAPOLATION_ORDER + 1 holds the j-th differences
+    (e, h) at it, each one subtraction of the old table's row j - 1."""
+    rows = [(state.e, state.h)]
+    for e, h in table[:EXTRAPOLATION_ORDER + 1]:
+        rows.append((rows[-1][0] - e, rows[-1][1] - h))
+    return rows
 
 
-def _midpoint_start(states, dt: float):
-    """The predicted end state of the next Kerr midpoint step, or None for
-    the constant start from the current state.  ``states`` are the accepted
-    states of this march, oldest first and the current one last; the
-    prediction extrapolates each field to order k = min(EXTRAPOLATION_ORDER,
-    len(states) - 2) (Hairer and Wanner, *Solving ODEs II*, IV.8).  It is
-    made only if the same order, built one step back, predicted the current
-    state better than the state before it did, each miss measured as the
-    sweeps measure an update: the larger of the two fields' misses, each
-    relative to that field's norm.  This keeps large steps, along which the
-    fields are far from polynomial, on the constant start."""
-    k = min(EXTRAPOLATION_ORDER, len(states) - 2)
-    if k < 1:
-        return None
-    current, back = states[-1], states[-k - 2:-1]
+def _start_order(table) -> int:
+    """The order k of the next Kerr midpoint step's start, raised from 0 up
+    to :data:`EXTRAPOLATION_ORDER` while the next order missed the newest
+    state by less (the order choice of multistep codes, Shampine and Gordon
+    1975).  The order-k prediction made one step back missed it by exactly
+    table row k + 1, measured as the sweeps measure an update: the larger
+    of the two fields' norms, each relative to that field's norm."""
+    e_norm, h_norm = (np.linalg.norm(x) or 1.0 for x in table[0])
 
-    def miss(e, h):
-        return max(_relative_update(current.e, e, 0.0), _relative_update(current.h, h, 0.0))
+    @functools.cache
+    def miss(k):
+        e, h = table[k + 1]
+        return max(np.linalg.norm(e) / e_norm, np.linalg.norm(h) / h_norm)
 
-    extrapolated = miss(_extrapolate([s.e for s in back]), _extrapolate([s.h for s in back]))
-    if not extrapolated < miss(back[-1].e, back[-1].h):
-        return None
-    recent = states[-k - 1:]
-    return State(current.formulation, _extrapolate([s.e for s in recent]),
-                 _extrapolate([s.h for s in recent]), current.t + dt)
+    k = 0
+    while k < min(EXTRAPOLATION_ORDER, len(table) - 2) and miss(k + 1) < miss(k):
+        k += 1
+    return k
+
+
+def _midpoint_start(table):
+    """The predicted end fields (e, h) of the next Kerr midpoint step, the
+    sum of the table's rows 0 .. k for k = :func:`_start_order` (Hairer and
+    Wanner, *Solving ODEs II*, IV.8), or None for the constant start."""
+    rows = table[:_start_order(table) + 1]
+    return (sum(e for e, _ in rows), sum(h for _, h in rows)) if len(rows) > 1 else None
 
 
 def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
@@ -335,12 +333,12 @@ def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, 
 
 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
-                      je: np.ndarray, jm: np.ndarray, start: State | None):
+                      je: np.ndarray, jm: np.ndarray, start):
     """Sweep of the lee-madsen step and its start iterate (E(H_s), H_s),
-    with H_s the H of the predicted end state ``start`` or, when it is None,
-    H0: a chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T (E0 +
-    E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion, which
-    the next sweep's residual reads.  Its Jacobian
+    with H_s the H of the predicted end fields ``start`` or, when it is
+    None, H0: a chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T
+    (E0 + E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion,
+    which the next sweep's residual reads.  Its Jacobian
     mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
     (:func:`assemble_nonlinear_curl_curl`) is mass-dominated, so it is
     solved by Jacobi-PCG to :data:`CHORD_FORCING`, held as
@@ -356,7 +354,7 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
         return e_of_d(params, d1).ravel()
 
-    h_start = h0 if start is None else start.h
+    h_start = h0 if start is None else start[1]
     e_start = e_end(h_start)
     solve, refresh_solver = _chord_solver(
         forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
@@ -374,15 +372,15 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
-                   je: np.ndarray, jm: np.ndarray, start: State | None):
+                   je: np.ndarray, jm: np.ndarray, start):
     """Sweep of the nedelec step and its start iterate: a chord update of E
     on the free edges for R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e),
     whose Jacobian :func:`assemble_nonlinear_mass_curl` is factorized and
     held as :func:`_chord_solver` says, and re-evaluated at the current E1
     when ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows
     exactly from the discrete curl of E1, so the ``h1`` argument is not
-    read.  The start iterate is (E0, H0) or, from the predicted end state
-    ``start``, its free-edge E with H following from it."""
+    read.  The start iterate is (E0, H0) or, from the predicted end fields
+    ``start``, their E with H following from it."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -394,11 +392,8 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     def h_end(e1):
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
-    e_start, h_start = e0, h0
-    if start is not None:
-        e_start = e0.copy()
-        e_start[free] = start.e[free]
-        h_start = h_end(e_start)
+    # a march changes no constrained edge, so a predicted E keeps E0's there
+    e_start, h_start = (e0, h0) if start is None else (start[0], h_end(start[0]))
     solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
                                           linalg.factorized, e_start)
 
@@ -419,10 +414,10 @@ _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
 def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
-                   jm: np.ndarray, tol: float, start: State | None = None) -> State:
+                   jm: np.ndarray, tol: float, start=None) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
     the source loads ``je``, ``jm`` at the step's midpoint t + dt/2; its
-    sweeps start from the predicted end state ``start`` (see
+    sweeps start from the predicted end fields ``start`` (see
     :func:`_midpoint_start`) or, when it is None, from ``state``."""
     sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
                                                                   start)
@@ -531,10 +526,11 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
-    Kerr midpoint steps keep the last accepted states of this call, from
-    which each step extrapolates its sweeps' start (:func:`_midpoint_start`);
-    a march split over two calls restarts that history, so its steps agree
-    with one call's to the sweep tolerance, not bitwise.
+    Kerr midpoint steps keep the backward differences of the accepted
+    states of this call, from which each step extrapolates its sweeps' start
+    (:func:`_midpoint_start`); a march split over two calls restarts that
+    table, so its steps agree with one call's to the sweep tolerance, not
+    bitwise.
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
     ValueError for an unknown formulation or stepper, a nonpositive or NaN
@@ -555,8 +551,10 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         trace.sample(state, forms, sources)
     # midpoint loads: read by the midpoint step and by the power column
     need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
-    # the accepted states a Kerr midpoint step extrapolates its start from
-    history = [state] if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
+    # the differences of the accepted states a Kerr midpoint step starts from
+    table = None
+    if stepper == "midpoint" and forms.params.chi3 > 0.0:
+        table = _push_differences([], state)
     current = state
     for step in range(1, num_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -564,7 +562,7 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 if need_loads:
                     je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
-                    start = _midpoint_start(history, dt) if history else None
+                    start = _midpoint_start(table) if table else None
                     new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, start)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
@@ -588,8 +586,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 trace.sample(new, forms, sources, power)
         if on_step is not None:
             on_step(step, new)
-        if history is not None:
-            history = history[-EXTRAPOLATION_ORDER - 1:] + [new]
+        if table is not None:
+            table = _push_differences(table, new)
         current = new
     return current, trace
 

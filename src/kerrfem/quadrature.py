@@ -1,12 +1,11 @@
 """Gauss quadrature on the reference tetrahedron, triangle, and segment.
 
-Simplex rules are conical products of Gauss-Jacobi lines (Stroud), so a rule
-with q points per direction integrates all polynomials of total degree
-2q - 1 exactly and has strictly positive weights.  Next to them sits one
-fixed symmetric tet rule, :func:`symmetric_tetrahedron_rule`: 14 points,
-exact to degree 5 like the 27-point conical rule, with positive weights.
-It is the one tet rule the library integrates on; the conical tet rule
-serves only as a reference of higher degree.  Weights sum to the reference
+Triangle and segment rules are conical products of Gauss-Jacobi lines
+(Stroud), so a rule with q points per direction integrates all polynomials
+of total degree 2q - 1 exactly and has strictly positive weights.  The one
+tet rule the library integrates on is a fixed symmetric one,
+:func:`symmetric_tetrahedron_rule`: 14 points, exact to degree 5 like the
+27-point conical rule, with positive weights.  Weights sum to the reference
 measure: 1/6 (tet), 1/2 (triangle), 1 (segment on [0, 1]).
 """
 
@@ -57,12 +56,6 @@ def _conical_rule(dim: int, q: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def tetrahedron_rule(degree: int = 5) -> QuadratureRule:
-    """Conical product rule on the reference tet {x, y, z >= 0, x+y+z <= 1}."""
-    return _conical_rule(3, _points_per_axis(degree))
-
-
-@lru_cache(maxsize=None)
 def triangle_rule(degree: int = 5) -> QuadratureRule:
     """Conical product rule on the reference triangle {u, v >= 0, u+v <= 1}."""
     return _conical_rule(2, _points_per_axis(degree))
@@ -87,7 +80,7 @@ _EDGE_ORBIT = (0.045503704125649649492, 0.007091003462846911073)
 @lru_cache(maxsize=None)
 def symmetric_tetrahedron_rule() -> QuadratureRule:
     """Symmetric rule on the reference tet, exact to degree 5, with
-    positive weights: 14 points where ``tetrahedron_rule(5)`` has 27."""
+    positive weights: 14 points where the conical rule of degree 5 has 27."""
     bary, wts = [], []
     for a, w in _VERTEX_ORBITS:
         for k in range(4):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +15,7 @@ from kerrfem.mesh import (
     generate_structured_cube,
     make_mesh,
 )
+from kerrfem.quadrature import QuadratureRule, _conical_rule, _points_per_axis
 
 # Property tests draw the same examples on every run, keep no example
 # database, and have no per-example time limit, so the suite stays
@@ -53,6 +56,14 @@ def jittered_cube(n, rng):
     interior = np.all((verts > 0.0) & (verts < 1.0), axis=1)
     verts[interior] += rng.uniform(-0.1 / n, 0.1 / n, size=verts.shape)[interior]
     return verts, base.tets
+
+
+@lru_cache(maxsize=None)
+def tetrahedron_rule(degree: int = 5) -> QuadratureRule:
+    """Conical product rule on the reference tet {x, y, z >= 0, x+y+z <= 1},
+    exact to ``degree``: the reference of higher degree against which the
+    tests measure the library's 14-point rule."""
+    return _conical_rule(3, _points_per_axis(degree))
 
 
 # The reference bases and their Piola map: an oracle built from the reference

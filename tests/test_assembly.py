@@ -16,6 +16,7 @@ from conftest import (
     jittered_cube,
     piecewise_curl_closure,
     piola_map,
+    tetrahedron_rule,
 )
 from kerrfem import assembly
 from kerrfem.assembly import (
@@ -49,7 +50,6 @@ from kerrfem.mesh import (
 from kerrfem.quadrature import (
     segment_rule,
     symmetric_tetrahedron_rule,
-    tetrahedron_rule,
     triangle_rule,
 )
 from kerrfem.verification import cavity_mode_case

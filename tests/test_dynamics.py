@@ -384,12 +384,82 @@ def test_lee_madsen_kerr_chord_takes_few_sweeps(cube4, cavity, monkeypatch):
     assert len(sweeps) == 8 and np.mean(sweeps) <= 8.0, sweeps
 
 
-def test_extrapolation_is_exact_for_polynomials_of_its_order():
-    # order k reproduces a degree-k polynomial sampled at equal steps
-    t = np.arange(5.0)
-    for k in range(4):
-        p = np.polynomial.Polynomial(np.arange(1.0, k + 2))
-        assert dynamics._extrapolate(list(p(t[:k + 1]))) == pytest.approx(p(k + 1), rel=1e-14)
+def difference_table(samples):
+    """The backward-difference table of the (e, h) samples, oldest first."""
+    table = []
+    for e, h in samples:
+        table = dynamics._push_differences(table, State("nedelec", e, h, 0.0))
+    return table
+
+
+def test_difference_table_holds_the_backward_differences():
+    # row j is the j-th backward difference at the newest sample, and the
+    # table keeps the rows up to the cap's miss, EXTRAPOLATION_ORDER + 1
+    rng = np.random.default_rng(7)
+    samples = [(rng.normal(size=6), rng.normal(size=4)) for _ in range(20)]
+    table = difference_table(samples)
+    assert len(table) == dynamics.EXTRAPOLATION_ORDER + 2
+    for field in range(2):
+        x = np.array([sample[field] for sample in samples])
+        for j, row in enumerate(table):
+            assert np.allclose(row[field], np.diff(x, n=j, axis=0)[-1], rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("degree", range(dynamics.EXTRAPOLATION_ORDER + 1))
+def test_start_order_is_the_degree_of_polynomial_samples(degree):
+    # samples of p(t) = C(t, degree) times integer vectors: the j-th backward
+    # difference at t is C(t - j, degree - j), exact in floating point and
+    # shrinking with j up to the degree, beyond which it is zero.  So the
+    # rule picks the degree, and the start of that order is exact.
+    def sample(t):
+        p = math.comb(t, degree)
+        return p * np.array([1.0, -2.0, 3.0]), p * np.array([4.0, 5.0])
+
+    num = dynamics.EXTRAPOLATION_ORDER + 2
+    table = difference_table([sample(t) for t in range(num)])
+    assert dynamics._start_order(table) == degree
+    start = dynamics._midpoint_start(table)
+    if degree == 0:
+        assert start is None  # the constant start, exact for a constant
+    else:
+        for got, want in zip(start, sample(num)):
+            assert np.array_equal(got, want)
+
+
+def test_start_order_is_zero_on_growing_differences():
+    # alternating samples double their differences with each order, so
+    # every extrapolation missed by more than the constant start
+    v = (np.array([1.0, 2.0]), np.array([3.0]))
+    table = difference_table([tuple((-1) ** t * x for x in v) for t in range(8)])
+    assert dynamics._start_order(table) == 0
+    assert dynamics._midpoint_start(table) is None
+
+
+def kerr_manufactured_march(forms, formulation, num_steps, state=None):
+    """The state after ``num_steps`` midpoint steps of dt = 0.05 of the
+    Kerr-manufactured case on ``forms``, from ``state`` or from its initial
+    data."""
+    case = kerr_manufactured_case(forms.params, t_final=1.0)
+    if state is None:
+        state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation,
+                           forms, H0_curl=lambda X: case.curl_H(0.0, X))
+    return integrate(state, 0.05, num_steps, case.sources, forms, collect=False)[0]
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_kerr_march_agrees_with_its_constant_start_march(cube2, formulation, monkeypatch):
+    # the start changes the sweep count, never the answer: with
+    # EXTRAPOLATION_ORDER = 0 every step starts from the current state, and
+    # both marches converge each step to the sweep tolerance
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    sweeps = count_sweeps(monkeypatch)
+    extrapolated = kerr_manufactured_march(forms, formulation, 12)
+    extrapolated_sweeps = sum(sweeps)
+    monkeypatch.setattr(dynamics, "EXTRAPOLATION_ORDER", 0)
+    constant = kerr_manufactured_march(forms, formulation, 12)
+    assert extrapolated_sweeps < sum(sweeps) - extrapolated_sweeps
+    for a, b in ((extrapolated.e, constant.e), (extrapolated.h, constant.h)):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
@@ -397,40 +467,47 @@ def test_kerr_march_split_in_two_calls_agrees_with_one(cube2, formulation):
     # each call extrapolates its step starts from its own states only, so a
     # second call restarts from the constant start; both marches converge
     # each step to the sweep tolerance, and so agree to about that
-    params = MaterialParams(chi3=1.0)
-    case = kerr_manufactured_case(params, t_final=1.0)
-    forms = build_forms(*cube2, params)
-    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation, forms,
-                    H0_curl=lambda X: case.curl_H(0.0, X))
-    dt = 0.05
-    whole, _ = integrate(st, dt, 12, case.sources, forms, collect=False)
-    half, _ = integrate(st, dt, 7, case.sources, forms, collect=False)
-    split, _ = integrate(half, dt, 5, case.sources, forms, collect=False)
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    whole = kerr_manufactured_march(forms, formulation, 12)
+    half = kerr_manufactured_march(forms, formulation, 7)
+    split = kerr_manufactured_march(forms, formulation, 5, half)
     for a, b in ((split.e, whole.e), (split.h, whole.h)):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_lee_madsen_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
-    # the n = 4 level of the Kerr EOC study (dt = 0.08 h^2, 67 steps): the
-    # extrapolated starts take 4.2 sweeps per step, the constant start 5.1
+def study_level_sweeps(cube4, formulation, monkeypatch):
+    """Sweeps per step of the n = 4 level of the Kerr EOC study (dt =
+    0.08 h^2, 67 steps)."""
     sweeps = count_sweeps(monkeypatch)
     params = MaterialParams(chi3=1.0)
     case = kerr_manufactured_case(params)
     mesh, topo = cube4
     forms = build_forms(mesh, topo, params)
-    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "lee-madsen", forms,
+    st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation, forms,
                     H0_curl=lambda X: case.curl_H(0.0, X))
     num_steps = math.ceil(case.t_final / (0.08 * mesh_size(mesh) ** 2))
     integrate(st, case.t_final / num_steps, num_steps, case.sources, forms, collect=False)
-    assert len(sweeps) == num_steps == 67 and np.mean(sweeps) <= 4.5, np.mean(sweeps)
+    assert len(sweeps) == num_steps == 67
+    return np.mean(sweeps)
+
+
+def test_lee_madsen_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
+    # the extrapolated starts take 3.12 sweeps per step, the constant start 5.09
+    assert study_level_sweeps(cube4, "lee-madsen", monkeypatch) <= 3.5
+
+
+def test_nedelec_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
+    # the extrapolated starts take 4.57 sweeps per step, the constant start 6.6
+    assert study_level_sweeps(cube4, "nedelec", monkeypatch) <= 5.0
 
 
 @pytest.mark.parametrize("dt_over_h", [2.0, 5.0])
 def test_nedelec_kerr_large_steps_keep_the_constant_start(cube4, cavity, dt_over_h,
                                                          monkeypatch):
-    # along large cavity steps the fields are far from polynomial: the
-    # guard keeps their constant start, 6.1 and 6.25 sweeps per step, where
-    # the unguarded extrapolation took 16.5 and 10.75
+    # along large cavity steps the fields are far from polynomial, so their
+    # backward differences grow with the order: the order rule keeps their
+    # constant start, 6.125 and 6.25 sweeps per step, where an unguarded
+    # order-3 extrapolation took 16.5 and 10.75
     sweeps = count_sweeps(monkeypatch)
     mesh, topo = cube4
     forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
