@@ -20,9 +20,10 @@ lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Kerr
 flux load, the nedelec Kerr Jacobian and the energy density.
 
 :func:`build_forms` assembles each constant operator of both formulations
-once; :class:`AssembledForms` keeps the one LU factorization the time loop
-solves with (a linear reduced matrix or the lagged Kerr Jacobian of either
-formulation) and, on first use, the :class:`EdgePattern` into which each
+once; :class:`AssembledForms` keeps the one solve the time loop starts
+each step from (the LU of a linear reduced matrix, or the solve with the
+lagged Kerr Jacobian: an LU in nedelec, a Jacobi-PCG solver in lee-madsen)
+and, on first use, the :class:`EdgePattern` into which each
 Kerr Jacobian is assembled: the free edges for nedelec, all edges for
 lee-madsen.
 """

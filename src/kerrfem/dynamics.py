@@ -16,8 +16,8 @@ independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
-within the tolerance.  They start from an extrapolation of the accepted
-states of the march, of the order its backward differences choose
+within the tolerance.  They start from an extrapolation of their edge
+unknown, of the order its backward differences over the march choose
 (:func:`_start_order`), and solve with the Kerr Jacobian of their residual,
 lagged and carried from step to step (a chord method, :func:`_chord_solver`):
 by LU in nedelec, and in lee-madsen, mass-dominated, by Jacobi-PCG to the
@@ -67,9 +67,6 @@ class State:
     e: np.ndarray
     h: np.ndarray
     t: float
-
-    def copy(self) -> "State":
-        return State(self.formulation, self.e.copy(), self.h.copy(), self.t)
 
 
 @dataclass(frozen=True)
@@ -271,30 +268,24 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     return e1, h1
 
 
-def _push_differences(table, state: State):
-    """The backward-difference table with ``state`` the newest accepted
-    state: row j = 0 .. EXTRAPOLATION_ORDER + 1 holds the j-th differences
-    (e, h) at it, each one subtraction of the old table's row j - 1."""
-    rows = [(state.e, state.h)]
-    for e, h in table[:EXTRAPOLATION_ORDER + 1]:
-        rows.append((rows[-1][0] - e, rows[-1][1] - h))
+def _push_differences(table, x):
+    """The backward-difference table with ``x`` the newest accepted value of
+    the iterated unknown: row j = 0 .. EXTRAPOLATION_ORDER + 1 holds its
+    j-th difference there, one subtraction of the old table's row j - 1."""
+    rows = [x]
+    for row in table[:EXTRAPOLATION_ORDER + 1]:
+        rows.append(rows[-1] - row)
     return rows
 
 
 def _start_order(table) -> int:
     """The order k of the next Kerr midpoint step's start, raised from 0 up
     to :data:`EXTRAPOLATION_ORDER` while the next order missed the newest
-    state by less (the order choice of multistep codes, Shampine and Gordon
+    value by less (the order choice of multistep codes, Shampine and Gordon
     1975).  The order-k prediction made one step back missed it by exactly
-    table row k + 1, measured as the sweeps measure an update: the larger
-    of the two fields' norms, each relative to that field's norm."""
-    e_norm, h_norm = (np.linalg.norm(x) or 1.0 for x in table[0])
-
-    @functools.cache
-    def miss(k):
-        e, h = table[k + 1]
-        return max(np.linalg.norm(e) / e_norm, np.linalg.norm(h) / h_norm)
-
+    table row k + 1; the misses are compared by their norms (relative to
+    the newest value's, a common factor), computed up to the chosen order + 1."""
+    miss = functools.cache(lambda k: np.linalg.norm(table[k + 1]))
     k = 0
     while k < min(EXTRAPOLATION_ORDER, len(table) - 2) and miss(k + 1) < miss(k):
         k += 1
@@ -302,11 +293,12 @@ def _start_order(table) -> int:
 
 
 def _midpoint_start(table):
-    """The predicted end fields (e, h) of the next Kerr midpoint step, the
-    sum of the table's rows 0 .. k for k = :func:`_start_order` (Hairer and
-    Wanner, *Solving ODEs II*, IV.8), or None for the constant start."""
+    """The predicted end value of the next Kerr midpoint step's iterated
+    unknown, the sum of the table's rows 0 .. k for k =
+    :func:`_start_order` (Hairer and Wanner, *Solving ODEs II*, IV.8), or
+    None for the constant start."""
     rows = table[:_start_order(table) + 1]
-    return (sum(e for e, _ in rows), sum(h for _, h in rows)) if len(rows) > 1 else None
+    return sum(rows) if len(rows) > 1 else None
 
 
 def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
@@ -335,8 +327,8 @@ def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
                       je: np.ndarray, jm: np.ndarray, start):
     """Sweep of the lee-madsen step and its start iterate (E(H_s), H_s),
-    with H_s the H of the predicted end fields ``start`` or, when it is
-    None, H0: a chord update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T
+    with H_s the predicted end H ``start`` or, when it is None, H0: a chord
+    update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T
     (E0 + E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion,
     which the next sweep's residual reads.  Its Jacobian
     mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
@@ -345,16 +337,16 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     :func:`_chord_solver` says, and re-evaluated at the current E1 when
     ``refresh`` is set (see :func:`_midpoint_sweeps`)."""
     params = forms.params
-    vol = forms.ctx.vol[:, None]
     C, CT = forms.coupling_lm, forms.coupling_lm_t
     e0, h0 = state.e, state.h
     d0 = d_of_e(params, e0.reshape(-1, 3))
+    dt_vol = dt / forms.ctx.vol[:, None]
 
     def e_end(h1):
-        d1 = d0 + (dt / vol) * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
+        d1 = d0 + dt_vol * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
         return e_of_d(params, d1).ravel()
 
-    h_start = h0 if start is None else start[1]
+    h_start = h0 if start is None else start
     e_start = e_end(h_start)
     solve, refresh_solver = _chord_solver(
         forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
@@ -379,8 +371,8 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
     held as :func:`_chord_solver` says, and re-evaluated at the current E1
     when ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows
     exactly from the discrete curl of E1, so the ``h1`` argument is not
-    read.  The start iterate is (E0, H0) or, from the predicted end fields
-    ``start``, their E with H following from it."""
+    read.  The start iterate is (E0, H0) or the predicted end E ``start``
+    with H following from it."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -393,7 +385,7 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
     # a march changes no constrained edge, so a predicted E keeps E0's there
-    e_start, h_start = (e0, h0) if start is None else (start[0], h_end(start[0]))
+    e_start, h_start = (e0, h0) if start is None else (start, h_end(start))
     solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
                                           linalg.factorized, e_start)
 
@@ -411,14 +403,16 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
 
 
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
+_ITERATED_FIELD = {"lee-madsen": "h", "nedelec": "e"}  # the State field each sweep updates
 
 
 def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
                    jm: np.ndarray, tol: float, start=None) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
     the source loads ``je``, ``jm`` at the step's midpoint t + dt/2; its
-    sweeps start from the predicted end fields ``start`` (see
-    :func:`_midpoint_start`) or, when it is None, from ``state``."""
+    sweeps start from the predicted end value ``start`` of the iterated
+    unknown (see :func:`_midpoint_start`) or, when it is None, from
+    ``state``."""
     sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
                                                                   start)
     e1, h1 = _midpoint_sweeps(e_start, h_start, sweep, tol, forms.params.chi3 == 0.0)
@@ -526,8 +520,9 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
-    Kerr midpoint steps keep the backward differences of the accepted
-    states of this call, from which each step extrapolates its sweeps' start
+    Kerr midpoint steps keep the backward differences of the iterated
+    unknown (H for lee-madsen, E for nedelec) over the accepted states of
+    this call, from which each step extrapolates its sweeps' start
     (:func:`_midpoint_start`); a march split over two calls restarts that
     table, so its steps agree with one call's to the sweep tolerance, not
     bitwise.
@@ -551,12 +546,13 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         trace.sample(state, forms, sources)
     # midpoint loads: read by the midpoint step and by the power column
     need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
-    # the differences of the accepted states a Kerr midpoint step starts from
-    table = None
-    if stepper == "midpoint" and forms.params.chi3 > 0.0:
-        table = _push_differences([], state)
+    # the differences of the iterated unknown a Kerr midpoint step starts from
+    table = [] if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
+    iterated = _ITERATED_FIELD[state.formulation]
     current = state
     for step in range(1, num_steps + 1):
+        if table is not None:
+            table = _push_differences(table, getattr(current, iterated))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if need_loads:
@@ -586,8 +582,6 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
                 trace.sample(new, forms, sources, power)
         if on_step is not None:
             on_step(step, new)
-        if table is not None:
-            table = _push_differences(table, new)
         current = new
     return current, trace
 

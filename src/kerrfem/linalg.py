@@ -14,6 +14,8 @@ no indefinite matrix is factorized.  Everything is float64.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -71,13 +73,14 @@ def cg_solver(A: sp.spmatrix, rel_tol: float):
     def solve(b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         with np.errstate(over="ignore", invalid="ignore"):
-            bnorm = _finite(np.linalg.norm(b), "||b||")
+            bnorm = _finite(math.sqrt(b @ b), "||b||")
             if bnorm == 0.0:
                 return np.zeros(n)
             x = np.zeros(n)
             r = b.copy()
             z = inv_diag * r
             p = z.copy()
+            step = np.empty(n)  # alpha p, then alpha A p
             rz = _finite(float(r @ z), "r^T z")
             for _ in range(cap):
                 Ap = A @ p
@@ -87,9 +90,9 @@ def cg_solver(A: sp.spmatrix, rel_tol: float):
                         f"negative curvature p^T A p = {pAp:.3e}; matrix not positive definite"
                     )
                 alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                rnorm = _finite(np.linalg.norm(r), "residual")
+                x += np.multiply(alpha, p, out=step)
+                r -= np.multiply(alpha, Ap, out=step)
+                rnorm = _finite(math.sqrt(r @ r), "residual")
                 if rnorm <= rel_tol * bnorm:
                     true_res = np.linalg.norm(b - A @ x)
                     if true_res <= rel_tol * bnorm:
@@ -99,9 +102,10 @@ def cg_solver(A: sp.spmatrix, rel_tol: float):
                         f"rel_tol {rel_tol:.1e}, but the true residual is "
                         f"{true_res / bnorm:.3e} of ||b||"
                     )
-                z = inv_diag * r
+                np.multiply(inv_diag, r, out=z)
                 rz_new = _finite(float(r @ z), "r^T z")
-                p = z + (rz_new / rz) * p
+                p *= rz_new / rz
+                p += z
                 rz = rz_new
         raise CgNonConvergenceError(
             f"no convergence in {cap} iterations; residual "

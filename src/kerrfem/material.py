@@ -41,20 +41,15 @@ class MaterialParams:
         for name in ("eps0", "mu0", "chi1", "chi3"):
             if not math.isfinite(getattr(self, name)):
                 raise MaterialError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.eps0 > 0.0):
-            raise MaterialError(f"eps0 must be > 0, got {self.eps0}")
-        if not (self.mu0 > 0.0):
-            raise MaterialError(f"mu0 must be > 0, got {self.mu0}")
-        if self.chi1 < 0.0:
-            raise MaterialError(
-                f"chi1 must be >= 0 (nonnegative susceptibilities keep the "
-                f"permittivity positive definite), got {self.chi1}"
-            )
-        if self.chi3 < 0.0:
-            raise MaterialError(
-                f"chi3 must be >= 0 (nonnegative susceptibilities keep the "
-                f"permittivity positive definite), got {self.chi3}"
-            )
+        for name in ("eps0", "mu0"):
+            if not getattr(self, name) > 0.0:
+                raise MaterialError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("chi1", "chi3"):
+            if getattr(self, name) < 0.0:
+                raise MaterialError(
+                    f"{name} must be >= 0 (nonnegative susceptibilities keep the "
+                    f"permittivity positive definite), got {getattr(self, name)}"
+                )
 
     @property
     def eps_lin(self) -> float:
@@ -62,10 +57,16 @@ class MaterialParams:
         return self.eps0 * (1.0 + self.chi1)
 
 
+def _norm_sq(E: np.ndarray) -> np.ndarray:
+    """|E|^2 per vector, equal bit for bit to np.sum(E * E, axis=-1)."""
+    x, y, z = E[..., 0], E[..., 1], E[..., 2]
+    return x * x + y * y + z * z
+
+
 def eps_scalar(p: MaterialParams, E) -> np.ndarray:
     """Scalar permittivity factor 1 + chi1 + chi3*|E|^2 (shape (...,))."""
     E = np.asarray(E, dtype=np.float64)
-    return 1.0 + p.chi1 + p.chi3 * np.sum(E * E, axis=-1)
+    return 1.0 + p.chi1 + p.chi3 * _norm_sq(E)
 
 
 def eps_matrix(p: MaterialParams, E) -> np.ndarray:
@@ -90,11 +91,10 @@ def cm_matrix(p: MaterialParams, E) -> np.ndarray:
     """
     E = np.asarray(E, dtype=np.float64)
     es = eps_scalar(p, E)
-    denom = 1.0 + p.chi1 + 3.0 * p.chi3 * np.sum(E * E, axis=-1)
+    denom = 1.0 + p.chi1 + 3.0 * p.chi3 * _norm_sq(E)
     outer = E[..., :, None] * E[..., None, :]
-    return (np.eye(3) - (2.0 * p.chi3 / denom)[..., None, None] * outer) / es[
-        ..., None, None
-    ]
+    scale = (2.0 * p.chi3 / denom)[..., None, None]
+    return (np.eye(3) - scale * outer) / es[..., None, None]
 
 
 def d_of_e(p: MaterialParams, E) -> np.ndarray:

@@ -150,7 +150,7 @@ def test_criterion_6_energy_law():
     st_k = cavity_initial_state(kerr_forms)
     res = {}
     for dt in (4e-3, 2e-3):
-        _, tr = integrate(st_k.copy(), dt, round(0.5 / dt), ZERO_SOURCES, kerr_forms)
+        _, tr = integrate(st_k, dt, round(0.5 / dt), ZERO_SOURCES, kerr_forms)
         res[dt] = float(np.abs(energy_law_residual(tr)).max())
         r2, v2 = stability_bound_check(tr)
         ok_a = ok_a and not v2 and bool(np.all(r2 <= 1.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kerrfem.material import (
     MaterialError,
@@ -9,6 +10,7 @@ from kerrfem.material import (
     d_of_e,
     e_of_d,
     eps_matrix,
+    eps_scalar,
 )
 
 
@@ -204,3 +206,34 @@ def test_constitutive_round_trip_below_squared_underflow(params, magnitude, dire
     back = d_of_e(params, E)
     assert np.abs(back - D).max() <= 1e-14 * np.abs(D).max()
     assert np.abs(E / np.abs(E).max() - D / np.abs(D).max()).max() <= 1e-14
+
+
+def test_eps_scalar_is_the_plain_sum_bit_for_bit():
+    # on full-mantissa components another summation order rounds
+    # differently for about a quarter of the vectors
+    E = np.random.default_rng(9).normal(size=(10_000, 3))
+    p = MaterialParams(chi1=0.5, chi3=1.5)
+    assert np.array_equal(eps_scalar(p, E), 1.0 + p.chi1 + p.chi3 * np.sum(E * E, axis=-1))
+
+
+# a single 3-vector, an empty batch and (a, b, 3) batches
+FIELD_SHAPES = st.one_of(
+    st.just((3,)),
+    st.just((0, 3)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda ab: ab + (3,)),
+)
+
+
+@given(params=NONDIM,
+       E=FIELD_SHAPES.flatmap(lambda shape: arrays(np.float64, shape,
+                                                   elements=st.floats(-100.0, 100.0))))
+def test_permittivity_and_flux_of_any_field_batch(params, E):
+    # |E|^2 summed component by component is the plain formula's np.sum, bit
+    # for bit, on every batch shape; the round trip E(D(E)) returns E
+    es = 1.0 + params.chi1 + params.chi3 * np.sum(E * E, axis=-1)
+    assert eps_scalar(params, E).shape == E.shape[:-1]
+    assert np.array_equal(eps_scalar(params, E), es)
+    assert np.array_equal(d_of_e(params, E), params.eps0 * es[..., None] * E)
+    back = e_of_d(params, d_of_e(params, E))
+    assert back.shape == E.shape
+    assert np.all(np.linalg.norm(back - E, axis=-1) <= 1e-12 * np.linalg.norm(E, axis=-1))
