@@ -16,9 +16,10 @@ independent cross-check.  A midpoint step eliminates one field in closed form
 and takes Newton sweeps on the other's edge unknowns (H for lee-madsen, E for
 nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
-within the tolerance.  They start from an extrapolation of their edge
-unknown, of the order its backward differences over the march choose
-(:func:`_start_order`), and solve with the Kerr Jacobian of their residual,
+within the tolerance.  They start from a prediction of their edge unknown
+from the march's accepted steps, a polynomial extrapolation or a
+least-squares polynomial fit, whichever missed by less one step back
+(:class:`_KerrStart`), and solve with the Kerr Jacobian of their residual,
 lagged and carried from step to step (a chord method, :func:`_chord_solver`):
 by LU in nedelec, and in lee-madsen, mass-dominated, by Jacobi-PCG to the
 relative residual :data:`CHORD_FORCING` (an inexact Newton forcing term,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -53,6 +55,8 @@ REFRESH_RATIO = 0.05  # a sweep contracting less than this refreshes a lagged Ja
 CHORD_FORCING = 1e-3  # relative residual of the lee-madsen Kerr chord's PCG solves
 SOLVER_TOL = 1e-11  # default relative tolerance of the midpoint sweeps and CG solves
 EXTRAPOLATION_ORDER = 12  # highest order of the extrapolated start of a Kerr midpoint step
+LSQ_WINDOW = 20  # accepted values the least-squares start of a Kerr midpoint step fits
+LSQ_DEGREE = 14  # degree of the polynomial it fits
 
 
 class NonlinearSolveError(Exception):
@@ -251,7 +255,9 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     iterate.
     ``refresh`` tells a sweep with a lagged Jacobian to re-evaluate it at
     the current iterate: it is set after an update larger than
-    :data:`REFRESH_RATIO` times the one before."""
+    :data:`REFRESH_RATIO` times the one before.  With it a nedelec Kerr
+    cavity step takes 6-9 sweeps at dt = 0.5-5 h; without it a step at
+    n = 8 and dt = h took 49, one short of the :data:`MAX_SWEEPS` cap."""
     e_floor, h_floor = np.linalg.norm(e1), np.linalg.norm(h1)
     prev = math.inf
     refresh = False
@@ -292,13 +298,81 @@ def _start_order(table) -> int:
     return k
 
 
-def _midpoint_start(table):
-    """The predicted end value of the next Kerr midpoint step's iterated
-    unknown, the sum of the table's rows 0 .. k for k =
-    :func:`_start_order` (Hairer and Wanner, *Solving ODEs II*, IV.8), or
-    None for the constant start."""
-    rows = table[:_start_order(table) + 1]
-    return sum(rows) if len(rows) > 1 else None
+def _least_squares_weights(window: int, degree: int) -> np.ndarray:
+    """Weights w, oldest sample first, of the value at the next sample of
+    the polynomial of ``degree`` fitted by least squares to ``window``
+    equally spaced samples (a Savitzky-Golay predictor, Anal. Chem. 36,
+    1964): the smallest w in the 2-norm that reproduces every polynomial of
+    that degree, w = V (V^T V)^{-1} v for the Vandermonde matrix V of the
+    samples and the row v of the next one.  Computed in exact rational
+    arithmetic on the abscissae 1 - window, 3 - window, ..., window - 1 (the
+    next one window + 1), which keeps the numbers small; the oldest weight,
+    the smallest, is then set so that the rounded weights sum to 1."""
+    m = degree + 1
+    V = [[t**j for j in range(m)] for t in range(1 - window, window, 2)]
+    # Gauss-Jordan elimination on [V^T V | v], symmetric positive definite
+    G = [[Fraction(sum(row[i] * row[j] for row in V)) for j in range(m)]
+         + [Fraction((window + 1) ** i)] for i in range(m)]
+    for c in range(m):
+        for r in range(m):
+            if r != c and G[r][c]:
+                f = G[r][c] / G[c][c]
+                G[r] = [x - f * y for x, y in zip(G[r], G[c])]
+    y = [G[i][m] / G[i][i] for i in range(m)]
+    w = [float(sum(v * yj for v, yj in zip(row, y))) for row in V]
+    w[0] = float(1 - sum(map(Fraction, w[1:])))
+    return np.array(w)
+
+
+_LSQ_WEIGHTS = _least_squares_weights(LSQ_WINDOW, LSQ_DEGREE)
+
+
+class _KerrStart:
+    """The starts of the Kerr midpoint steps of one march, from the accepted
+    values of its iterated unknown (Hairer and Wanner, *Solving ODEs II*,
+    IV.8), pushed one per step by calling it.
+
+    Two candidates predict the next value.  The backward-difference table
+    gives the order-k polynomial extrapolation, k = :func:`_start_order`, or
+    the constant start for k = 0.  Once :data:`LSQ_WINDOW` values are in,
+    the least-squares polynomial of degree :data:`LSQ_DEGREE` through them
+    gives the other, :data:`_LSQ_WEIGHTS` applied to a ring of those values.
+    A step starts from the fit only when, made one step back, it missed
+    the newest value by less than the extrapolation of order k did (the
+    table's row k + 1).  Calls of at most LSQ_WINDOW steps never reach it.
+
+    An order-k extrapolation multiplies the noise of the accepted values,
+    each converged only to the sweep tolerance, by sum |w| = 2^(k+1) - 1,
+    8191 at the cap of 12; the least-squares weights by 1643.  So where
+    truncation dominates (coarse meshes, large dt) the extrapolation wins,
+    and where noise does the fit: on the n = 8 level of the ``kerr-eoc``
+    study it starts 157 of the 267 lee-madsen steps, which take 1.13
+    sweeps each against 1.44 from the extrapolation alone.  Of windows
+    16-30 and degrees 12-18 tried there, 20 and 14 took the fewest sweeps: a
+    lower degree leaves truncation, a higher one amplifies noise.  The ring
+    holds LSQ_WINDOW vectors of the unknown's size, 0.67 MB at n = 8."""
+
+    def __init__(self):
+        self.table = []  # backward differences at the newest value
+        self.ring = None  # the last LSQ_WINDOW values, the i-th pushed in row i % LSQ_WINDOW
+        self.pushed = 0
+        self.fit = None  # the least-squares prediction of the value pushed next
+
+    def __call__(self, x: np.ndarray):
+        """The predicted end value of the step that starts from the newest
+        value ``x``, or None for the constant start."""
+        self.table = _push_differences(self.table, x)
+        if self.ring is None:
+            self.ring = np.empty((LSQ_WINDOW, x.size))
+        self.ring[self.pushed % LSQ_WINDOW] = x
+        self.pushed += 1
+        fit = self.fit
+        if self.pushed >= LSQ_WINDOW:
+            self.fit = np.roll(_LSQ_WEIGHTS, self.pushed) @ self.ring
+        k = _start_order(self.table)
+        if fit is not None and np.linalg.norm(x - fit) < np.linalg.norm(self.table[k + 1]):
+            return self.fit
+        return sum(self.table[:k + 1]) if k else None
 
 
 def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
@@ -335,15 +409,24 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     (:func:`assemble_nonlinear_curl_curl`) is mass-dominated, so it is
     solved by Jacobi-PCG to :data:`CHORD_FORCING`, held as
     :func:`_chord_solver` says, and re-evaluated at the current E1 when
-    ``refresh`` is set (see :func:`_midpoint_sweeps`)."""
+    ``refresh`` is set (see :func:`_midpoint_sweeps`).  On the ``kerr-eoc``
+    study a solve takes 8.5 PCG iterations.  The inexact solves cost
+    sweeps (4.0 -> 4.4 per step from the constant start, against an LU
+    chord) but not accuracy: each sweep forms the exact residual, and the
+    committed lee-madsen ``converge`` references are those of the LU chord."""
     params = forms.params
     C, CT = forms.coupling_lm, forms.coupling_lm_t
     e0, h0 = state.e, state.h
-    d0 = d_of_e(params, e0.reshape(-1, 3))
     dt_vol = dt / forms.ctx.vol[:, None]
+    # the step's constants: D1 = D(E0) - (dt/|K|) j_e + (dt/(2|K|)) C (H0 + H1)
+    d_fixed = d_of_e(params, e0.reshape(-1, 3)) - dt_vol * je.reshape(-1, 3)
+    half_dt_vol = 0.5 * dt_vol
+    dt_jm = dt * jm
 
     def e_end(h1):
-        d1 = d0 + dt_vol * (C @ (0.5 * (h0 + h1)) - je).reshape(-1, 3)
+        d1 = (C @ (h0 + h1)).reshape(-1, 3)
+        d1 *= half_dt_vol
+        d1 += d_fixed
         return e_of_d(params, d1).ravel()
 
     h_start = h0 if start is None else start
@@ -356,8 +439,13 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         nonlocal solve
         if refresh:
             solve = refresh_solver(e1)
-        h1 = h1 - solve(params.mu0 * (forms.mass_u1 @ (h1 - h0))
-                        + dt * (CT @ (0.5 * (e0 + e1)) + jm))
+        residual = forms.mass_u1 @ (h1 - h0)
+        residual *= params.mu0
+        residual += dt_jm
+        flux = CT @ (e0 + e1)
+        flux *= 0.5 * dt
+        residual += flux
+        h1 = h1 - solve(residual)
         return e_end(h1), h1
 
     return sweep, e_start, h_start
@@ -411,7 +499,7 @@ def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarra
     """One implicit-midpoint step on the flux form, second order in dt, with
     the source loads ``je``, ``jm`` at the step's midpoint t + dt/2; its
     sweeps start from the predicted end value ``start`` of the iterated
-    unknown (see :func:`_midpoint_start`) or, when it is None, from
+    unknown (see :class:`_KerrStart`) or, when it is None, from
     ``state``."""
     sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
                                                                   start)
@@ -520,11 +608,12 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
-    Kerr midpoint steps keep the backward differences of the iterated
-    unknown (H for lee-madsen, E for nedelec) over the accepted states of
-    this call, from which each step extrapolates its sweeps' start
-    (:func:`_midpoint_start`); a march split over two calls restarts that
-    table, so its steps agree with one call's to the sweep tolerance, not
+    Kerr midpoint steps predict their sweeps' start from the accepted
+    values of the iterated unknown (H for lee-madsen, E for nedelec) in
+    this call (:class:`_KerrStart`): the first two steps start from the
+    current state, the least-squares candidate enters at step
+    :data:`LSQ_WINDOW` + 1, and a march split over two calls starts afresh,
+    so its steps agree with one call's to the sweep tolerance, not
     bitwise.
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
@@ -546,19 +635,16 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         trace.sample(state, forms, sources)
     # midpoint loads: read by the midpoint step and by the power column
     need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
-    # the differences of the iterated unknown a Kerr midpoint step starts from
-    table = [] if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
+    kerr_start = _KerrStart() if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
     iterated = _ITERATED_FIELD[state.formulation]
     current = state
     for step in range(1, num_steps + 1):
-        if table is not None:
-            table = _push_differences(table, getattr(current, iterated))
+        start = None if kerr_start is None else kerr_start(getattr(current, iterated))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if need_loads:
                     je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
-                    start = _midpoint_start(table) if table else None
                     new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, start)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)

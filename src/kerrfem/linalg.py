@@ -121,7 +121,7 @@ def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def _finite(value: float, name: str) -> float:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise LinalgError(f"conjugate gradients met a non-finite {name}: the values overflowed")
     return value
 

@@ -112,14 +112,28 @@ def field_magnitude_from_flux(p: MaterialParams, r) -> np.ndarray:
     k = sqrt(b / 3a) (Nickalls, Math. Gazette 77, 1993): s = 2k sinh(t)
     turns the cubic into sinh(3t) = r / (2 a k^3).  One Newton step polishes
     its roundoff, with s^3 formed as s (a s^2) so that it cannot overflow.
+    Each step works in place on s and two work arrays, and rounds as the
+    plain expressions of these formulas do.
     """
     r = np.asarray(r, dtype=np.float64)
     a = p.eps0 * p.chi3
     b = p.eps_lin
     k = np.sqrt(b / (3.0 * a))
-    s = 2.0 * k * np.sinh(np.arcsinh(r / (2.0 * a * k**3)) / 3.0)
-    as2 = a * s * s
-    return s - (s * (as2 + b) - r) / (3.0 * as2 + b)
+    s = np.divide(r, 2.0 * a * k**3, out=np.empty_like(r))
+    np.arcsinh(s, out=s)
+    s /= 3.0
+    np.sinh(s, out=s)
+    s *= 2.0 * k
+    as2 = a * s
+    as2 *= s
+    newton = as2 + b
+    newton *= s
+    newton -= r
+    as2 *= 3.0
+    as2 += b
+    newton /= as2
+    s -= newton
+    return s[()]  # a scalar for a scalar r, as the plain expressions give
 
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal float64

@@ -211,6 +211,11 @@ RUN_NEDELEC_KERR_6_STEPS = ["run", "--n", "3", "--formulation", "nedelec", "--ca
 RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case",
                        "custom-zero-source", "--chi3", "1", "--t-end", "0.2", "--dt", "0.05",
                        "--energy-csv", "run_lee_madsen_kerr_n3_energy.csv"]
+# 30 lee-madsen Kerr steps, of which steps 21 to 24 start from the least-squares fit
+RUN_LEE_MADSEN_KERR_30_STEPS = ["run", "--n", "3", "--formulation", "lee-madsen", "--case",
+                                "custom-zero-source", "--chi3", "1", "--t-end", "0.6",
+                                "--dt", "0.02", "--energy-csv",
+                                "run_lee_madsen_kerr_n3_30_steps_energy.csv"]
 
 
 @pytest.mark.parametrize("argv,reference", [
@@ -229,8 +234,10 @@ RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_energy.csv"),
     (RUN_NEDELEC_KERR_6_STEPS, "run_nedelec_kerr_n3_6_steps_energy.csv"),
     (RUN_LEE_MADSEN_KERR, "run_lee_madsen_kerr_n3_energy.csv"),
+    (RUN_LEE_MADSEN_KERR_30_STEPS, "run_lee_madsen_kerr_n3_30_steps_energy.csv"),
 ], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
-        "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-lee-madsen"])
+        "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-lee-madsen",
+        "run-energy-lee-madsen-30-steps"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     monkeypatch.chdir(tmp_path)

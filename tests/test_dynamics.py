@@ -409,14 +409,16 @@ def test_start_order_is_the_degree_of_polynomial_samples(degree):
     # samples of p(t) = C(t, degree) times an integer vector: the j-th
     # backward difference at t is C(t - j, degree - j), exact in floating
     # point and shrinking with j up to the degree, beyond which it is zero.
-    # So the rule picks the degree, and the start of that order is exact.
+    # So the rule picks the degree, the start of that order is exact, and
+    # its zero miss keeps it over the least-squares fit.
     def sample(t):
         return math.comb(t, degree) * np.array([1.0, -2.0, 3.0, 4.0, 5.0])
 
-    num = dynamics.EXTRAPOLATION_ORDER + 2
-    table = difference_table([sample(t) for t in range(num)])
-    assert dynamics._start_order(table) == degree
-    start = dynamics._midpoint_start(table)
+    num = dynamics.LSQ_WINDOW + 2
+    kerr_start = dynamics._KerrStart()
+    for t in range(num):
+        start = kerr_start(sample(t))
+    assert dynamics._start_order(kerr_start.table) == degree
     if degree == 0:
         assert start is None  # the constant start, exact for a constant
     else:
@@ -427,9 +429,45 @@ def test_start_order_is_zero_on_growing_differences():
     # alternating samples double their differences with each order, so
     # every extrapolation missed by more than the constant start
     v = np.array([1.0, 2.0, 3.0])
-    table = difference_table([(-1) ** t * v for t in range(8)])
-    assert dynamics._start_order(table) == 0
-    assert dynamics._midpoint_start(table) is None
+    kerr_start = dynamics._KerrStart()
+    starts = [kerr_start((-1) ** t * v) for t in range(8)]
+    assert dynamics._start_order(kerr_start.table) == 0
+    assert starts[-1] is None
+
+
+def test_least_squares_weights_reproduce_polynomials_of_their_degree():
+    # the fit reproduces every polynomial of degree <= LSQ_DEGREE on its
+    # window, so its weights sum to 1, here to a few ulps once rounded; it
+    # multiplies the noise of the samples by sum |w| = 1643, less than the
+    # 2^13 - 1 = 8191 of the order-12 extrapolation
+    w = dynamics._LSQ_WEIGHTS
+    assert w.shape == (dynamics.LSQ_WINDOW,)
+    assert abs(math.fsum(w) - 1.0) <= 4 * np.finfo(float).eps
+    assert np.abs(w).sum() < 2.0**13 - 1
+    t = np.arange(dynamics.LSQ_WINDOW + 1) / dynamics.LSQ_WINDOW
+    rng = np.random.default_rng(5)
+    for degree in range(dynamics.LSQ_DEGREE + 1):
+        shifted = np.polynomial.polynomial.polyval(t - 0.3, rng.normal(size=degree + 1))
+        for p in (t**degree, shifted):
+            assert abs(w @ p[:-1] - p[-1]) <= 1e-12 * np.abs(p).max()
+
+
+def test_least_squares_start_is_taken_where_it_missed_by_less():
+    # samples of C(t, LSQ_DEGREE): no extrapolation up to the order cap is
+    # exact, and the fit is, to roundoff.  The fit needs LSQ_WINDOW samples
+    # and its miss one step back, so it starts the step after the
+    # LSQ_WINDOW + 1st sample, and every later one
+    def sample(t):
+        return math.comb(t, dynamics.LSQ_DEGREE) * np.array([1.0, -2.0, 3.0])
+
+    kerr_start = dynamics._KerrStart()
+    for t in range(dynamics.LSQ_WINDOW):
+        start = kerr_start(sample(t))
+        assert start is None or start is not kerr_start.fit
+    for t in range(dynamics.LSQ_WINDOW, dynamics.LSQ_WINDOW + 8):
+        start = kerr_start(sample(t))
+        assert start is kerr_start.fit
+        assert np.allclose(start, sample(t + 1), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("formulation, field", [("lee-madsen", "h"), ("nedelec", "e")])
@@ -459,28 +497,39 @@ def test_kerr_march_tabulates_only_its_iterated_unknown(cube2, formulation, fiel
         assert np.array_equal(x, getattr(state, field))
 
 
-def kerr_manufactured_march(forms, formulation, num_steps, state=None):
-    """The state after ``num_steps`` midpoint steps of dt = 0.05 of the
+def kerr_manufactured_march(forms, formulation, num_steps, state=None, dt=0.05):
+    """The state after ``num_steps`` midpoint steps of ``dt`` of the
     Kerr-manufactured case on ``forms``, from ``state`` or from its initial
     data."""
     case = kerr_manufactured_case(forms.params, t_final=1.0)
     if state is None:
         state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation,
                            forms, H0_curl=lambda X: case.curl_H(0.0, X))
-    return integrate(state, 0.05, num_steps, case.sources, forms, collect=False)[0]
+    return integrate(state, dt, num_steps, case.sources, forms, collect=False)[0]
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
 def test_kerr_march_agrees_with_its_constant_start_march(cube2, formulation, monkeypatch):
-    # the start changes the sweep count, never the answer: with
-    # EXTRAPOLATION_ORDER = 0 every step starts from the current state, and
-    # both marches converge each step to the sweep tolerance
+    # the start changes the sweep count, never the answer: 30 steps take
+    # extrapolated and least-squares starts, and with every step started
+    # from the current state both marches converge each step to the sweep
+    # tolerance
     forms = build_forms(*cube2, MaterialParams(chi3=1.0))
     sweeps = count_sweeps(monkeypatch)
-    extrapolated = kerr_manufactured_march(forms, formulation, 12)
+    fits = []
+    kerr_start = dynamics._KerrStart.__call__
+
+    def recorded(self, x):
+        start = kerr_start(self, x)
+        fits.append(start is not None and start is self.fit)
+        return start
+
+    monkeypatch.setattr(dynamics._KerrStart, "__call__", recorded)
+    extrapolated = kerr_manufactured_march(forms, formulation, 30, dt=0.02)
     extrapolated_sweeps = sum(sweeps)
-    monkeypatch.setattr(dynamics, "EXTRAPOLATION_ORDER", 0)
-    constant = kerr_manufactured_march(forms, formulation, 12)
+    assert len(fits) == 30 and any(fits)
+    monkeypatch.setattr(dynamics._KerrStart, "__call__", lambda self, x: None)
+    constant = kerr_manufactured_march(forms, formulation, 30, dt=0.02)
     assert extrapolated_sweeps < sum(sweeps) - extrapolated_sweeps
     for a, b in ((extrapolated.e, constant.e), (extrapolated.h, constant.h)):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
@@ -499,30 +548,42 @@ def test_kerr_march_split_in_two_calls_agrees_with_one(cube2, formulation):
         assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def study_level_sweeps(cube4, formulation, monkeypatch):
-    """Sweeps per step of the n = 4 level of the Kerr EOC study (dt =
-    0.08 h^2, 67 steps)."""
+def study_level_sweeps(cube, formulation, monkeypatch):
+    """Steps and sweeps per step of the level of the Kerr EOC study (dt =
+    0.08 h^2) on ``cube``."""
     sweeps = count_sweeps(monkeypatch)
     params = MaterialParams(chi3=1.0)
     case = kerr_manufactured_case(params)
-    mesh, topo = cube4
+    mesh, topo = cube
     forms = build_forms(mesh, topo, params)
     st = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation, forms,
                     H0_curl=lambda X: case.curl_H(0.0, X))
     num_steps = math.ceil(case.t_final / (0.08 * mesh_size(mesh) ** 2))
     integrate(st, case.t_final / num_steps, num_steps, case.sources, forms, collect=False)
-    assert len(sweeps) == num_steps == 67
-    return np.mean(sweeps)
+    assert len(sweeps) == num_steps
+    return num_steps, np.mean(sweeps)
 
 
 def test_lee_madsen_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
     # the extrapolated starts take 3.12 sweeps per step, the constant start 5.09
-    assert study_level_sweeps(cube4, "lee-madsen", monkeypatch) <= 3.5
+    steps, sweeps = study_level_sweeps(cube4, "lee-madsen", monkeypatch)
+    assert steps == 67 and sweeps <= 3.5
+
+
+def test_lee_madsen_kerr_study_fine_level_takes_few_sweeps(monkeypatch):
+    # at n = 8 the extrapolations' misses sit at the noise of the accepted
+    # states, and the least-squares start misses by less: 1.13 sweeps per
+    # step, where the backward-difference start alone took 1.44
+    mesh = generate_structured_cube(8)
+    steps, sweeps = study_level_sweeps((mesh, build_topology(mesh)), "lee-madsen",
+                                       monkeypatch)
+    assert steps == 267 and sweeps <= 1.25
 
 
 def test_nedelec_kerr_study_steps_take_few_sweeps(cube4, monkeypatch):
     # the extrapolated starts take 4.57 sweeps per step, the constant start 6.6
-    assert study_level_sweeps(cube4, "nedelec", monkeypatch) <= 5.0
+    steps, sweeps = study_level_sweeps(cube4, "nedelec", monkeypatch)
+    assert steps == 67 and sweeps <= 5.0
 
 
 @pytest.mark.parametrize("dt_over_h", [2.0, 5.0])

@@ -127,6 +127,27 @@ def test_cg_signals_tolerance_below_roundoff(seed):
         cg_solve(A, rng.normal(size=30), 1e-20)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cg_rejects_non_finite_right_hand_side(bad):
+    A = from_triplets(range(4), range(4), np.full(4, 2.0), shape=(4, 4))
+    b = np.array([1.0, bad, 3.0, 0.5])
+    with pytest.raises(LinalgError, match=r"\|\|b\|\|"):
+        cg_solve(A, b, 1e-10)
+
+
+def test_cg_raises_when_the_curvature_overflows():
+    # an SPD matrix scaled by 1e-300 with strong coupling: ||b||^2 and
+    # r^T z = 5e307 are finite, yet the Jacobi-scaled direction p, near
+    # 2.5e303, gives p^T A p = 7.3 r^T z, which overflows
+    n = 8
+    D = 0.9 * np.ones((n, n)) + 0.1 * np.eye(n)
+    rows, cols = np.nonzero(D)
+    A = from_triplets(rows, cols, 1e-300 * D[rows, cols], shape=(n, n))
+    b = np.full(n, np.sqrt(5e307 * 1e-300 / n))
+    with pytest.raises(LinalgError, match=r"p\^T A p"):
+        cg_solve(A, b, 1e-10)
+
+
 def test_cg_rejects_bad_tolerance():
     A = from_triplets([0], [0], [1.0], shape=(1, 1))
     with pytest.raises(LinalgError):

@@ -11,6 +11,7 @@ from kerrfem.material import (
     e_of_d,
     eps_matrix,
     eps_scalar,
+    field_magnitude_from_flux,
 )
 
 
@@ -116,6 +117,38 @@ def test_e_of_d_examples():
     p = MaterialParams(eps0=1.0, chi3=1.0)
     assert np.allclose(e_of_d(p, np.zeros(3)), 0.0)
     assert np.allclose(e_of_d(p, np.array([2.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
+
+
+def plain_field_magnitude(p, r):
+    """The hyperbolic Cardano root and its Newton polish as plain
+    expressions, the reference of the in-place :func:`field_magnitude_from_flux`."""
+    r = np.asarray(r, dtype=np.float64)
+    a = p.eps0 * p.chi3
+    b = p.eps_lin
+    k = np.sqrt(b / (3.0 * a))
+    s = 2.0 * k * np.sinh(np.arcsinh(r / (2.0 * a * k**3)) / 3.0)
+    as2 = a * s * s
+    return s - (s * (as2 + b) - r) / (3.0 * as2 + b)
+
+
+@pytest.mark.parametrize("p", [MaterialParams(chi3=1.0),
+                               MaterialParams(eps0=8.854e-12, mu0=1.257e-6, chi1=0.5,
+                                              chi3=1e-18)])
+def test_e_of_d_is_its_plain_formula_bit_for_bit(p):
+    # a Python scalar, 0-d array, (n,) batch of flux magnitudes, and single
+    # and batched flux vectors
+    rng = np.random.default_rng(12)
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, size=500)
+    for r in (2.5, np.array(2.5), np.abs(rng.normal(size=500)) * scale, np.zeros(3)):
+        s = field_magnitude_from_flux(p, r)
+        assert np.shape(s) == np.shape(r)
+        assert np.array_equal(s, plain_field_magnitude(p, r))
+    D = rng.normal(size=(500, 3)) * scale[:, None]
+    for d in (D, D[7], np.zeros(3)):
+        r = np.sqrt(np.einsum("...i,...i->...", d, d))
+        s = plain_field_magnitude(p, r)
+        factor = np.divide(s, r, out=np.zeros_like(r), where=r > 0.0)
+        assert np.array_equal(e_of_d(p, d), factor[..., None] * d)
 
 
 def test_constitutive_roundtrip_randomized():
