@@ -46,7 +46,7 @@ from .assembly import (
     l2_project,
 )
 from .fem_spaces import interpolate_edge_dofs, interpolate_face_dofs
-from .material import cm_matrix, d_of_e, e_of_d
+from .material import _norm_sq, cm_matrix, d_of_e, e_of_d
 
 FORMULATIONS = ("lee-madsen", "nedelec")
 STEPPERS = ("midpoint", "rk4")
@@ -249,15 +249,21 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
     """Sweeps ``(e1, h1) = sweep(e1, h1, refresh)`` from the start iterate
     to the end-of-step fields, each one Newton update of the formulation's
     edge unknown with the other field recovered in closed form.  A linear
-    step is affine and its first sweep exact, so it takes one; otherwise
-    they stop per :func:`_sweep_exit` on the larger update of the two
-    fields, each relative to its own norm floored at its norm at the start
-    iterate.
+    step is affine and its first sweep exact, so it takes that one sweep
+    (one LU solve) and measures no update: it ends at :func:`_sweep_exit`
+    with a zero one and leaves a non-finite result to the caller's check of
+    the state.  Kerr sweeps stop per :func:`_sweep_exit` on the larger
+    update of the two fields, each relative to its own norm floored at its
+    norm at the start iterate.
     ``refresh`` tells a sweep with a lagged Jacobian to re-evaluate it at
     the current iterate: it is set after an update larger than
     :data:`REFRESH_RATIO` times the one before.  With it a nedelec Kerr
     cavity step takes 6-9 sweeps at dt = 0.5-5 h; without it a step at
     n = 8 and dt = h took 49, one short of the :data:`MAX_SWEEPS` cap."""
+    if linear:
+        e1, h1 = sweep(e1, h1, False)
+        _sweep_exit(0.0, tol, 0)
+        return e1, h1
     e_floor, h_floor = np.linalg.norm(e1), np.linalg.norm(h1)
     prev = math.inf
     refresh = False
@@ -267,7 +273,7 @@ def _midpoint_sweeps(e1: np.ndarray, h1: np.ndarray, sweep, tol: float, linear: 
             delta = max(_relative_update(e1_new, e1, e_floor),
                         _relative_update(h1_new, h1, h_floor))
             e1, h1 = e1_new, h1_new
-            if _sweep_exit(delta, tol, it) or linear:
+            if _sweep_exit(delta, tol, it):
                 break
             refresh = delta > REFRESH_RATIO * prev
             prev = delta
@@ -439,9 +445,12 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         nonlocal solve
         if refresh:
             solve = refresh_solver(e1)
-        residual = forms.mass_u1 @ (h1 - h0)
-        residual *= params.mu0
-        residual += dt_jm
+        if h1 is h0:  # the mass term from H0 is +0: a fresh dt_jm + 0.0 rounds as it does
+            residual = dt_jm + 0.0
+        else:
+            residual = forms.mass_u1 @ (h1 - h0)
+            residual *= params.mu0
+            residual += dt_jm
         flux = CT @ (e0 + e1)
         flux *= 0.5 * dt
         residual += flux
@@ -543,8 +552,7 @@ def total_energy(state: State, forms: AssembledForms) -> float:
     params = forms.params
     ctx = forms.ctx
     if state.formulation == "lee-madsen":
-        E = state.e.reshape(ctx.num_tets, 3)
-        e2 = np.sum(E * E, axis=1)
+        e2 = _norm_sq(state.e.reshape(ctx.num_tets, 3))
         we = np.sum(ctx.vol * (0.5 * params.eps_lin * e2
                                + 0.75 * params.eps0 * params.chi3 * e2 * e2))
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
@@ -560,12 +568,12 @@ def total_energy(state: State, forms: AssembledForms) -> float:
 def e_max_norm(state: State, forms: AssembledForms) -> float:
     """Max pointwise |E_h|, exact: an edge field is linear on each tet and
     its magnitude convex, so it peaks at a vertex."""
-    ctx = forms.ctx
     if state.formulation == "lee-madsen":
-        E = state.e.reshape(ctx.num_tets, 3)
-        return float(np.max(np.linalg.norm(E, axis=1))) if E.size else 0.0
-    E = ctx.dof_u.vertex_field(state.e)
-    return float(np.sqrt(np.max(np.einsum("tvd,tvd->tv", E, E))))
+        e2 = _norm_sq(state.e.reshape(-1, 3))
+    else:
+        E = forms.ctx.dof_u.vertex_field(state.e)
+        e2 = np.einsum("tvd,tvd->tv", E, E)
+    return float(np.sqrt(np.max(e2))) if e2.size else 0.0
 
 
 def discrete_divergence(state: State, forms: AssembledForms) -> np.ndarray:

@@ -121,8 +121,11 @@ def cg_solve(A: sp.spmatrix, b: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def _finite(value: float, name: str) -> float:
-    if not math.isfinite(value):
-        raise LinalgError(f"conjugate gradients met a non-finite {name}: the values overflowed")
+    if math.isnan(value):
+        raise LinalgError(f"conjugate gradients met a non-finite {name}: it is NaN")
+    if math.isinf(value):
+        raise LinalgError(f"conjugate gradients met a non-finite {name}: it is infinite "
+                          f"(the values hold an infinity or overflowed)")
     return value
 
 

@@ -98,8 +98,11 @@ def cm_matrix(p: MaterialParams, E) -> np.ndarray:
 
 
 def d_of_e(p: MaterialParams, E) -> np.ndarray:
-    """Electric flux D = eps0*(1 + chi1 + chi3|E|^2)*E (parallel to E)."""
+    """Electric flux D = eps0*(1 + chi1 + chi3|E|^2)*E (parallel to E); a
+    linear medium just multiplies by eps_lin."""
     E = np.asarray(E, dtype=np.float64)
+    if p.chi3 == 0.0:
+        return p.eps_lin * E
     return p.eps0 * eps_scalar(p, E)[..., None] * E
 
 

@@ -217,6 +217,14 @@ RUN_LEE_MADSEN_KERR_30_STEPS = ["run", "--n", "3", "--formulation", "lee-madsen"
                                 "--dt", "0.02", "--energy-csv",
                                 "run_lee_madsen_kerr_n3_30_steps_energy.csv"]
 
+# linear runs, one per formulation: one sweep per step and its monitors
+RUN_LEE_MADSEN_CAVITY = ["run", "--n", "4", "--formulation", "lee-madsen", "--case", "cavity",
+                         "--t-end", "0.1", "--dt", "0.001", "--energy-csv",
+                         "run_lee_madsen_cavity_n4_energy.csv"]
+RUN_NEDELEC_CAVITY = ["run", "--n", "3", "--formulation", "nedelec", "--case", "cavity",
+                      "--t-end", "0.1", "--dt", "0.005", "--energy-csv",
+                      "run_nedelec_cavity_n3_energy.csv"]
+
 
 @pytest.mark.parametrize("argv,reference", [
     (["converge", "--case", "kerr-manufactured", "--chi3", "1", "--levels", "2,4"],
@@ -235,9 +243,12 @@ RUN_LEE_MADSEN_KERR_30_STEPS = ["run", "--n", "3", "--formulation", "lee-madsen"
     (RUN_NEDELEC_KERR_6_STEPS, "run_nedelec_kerr_n3_6_steps_energy.csv"),
     (RUN_LEE_MADSEN_KERR, "run_lee_madsen_kerr_n3_energy.csv"),
     (RUN_LEE_MADSEN_KERR_30_STEPS, "run_lee_madsen_kerr_n3_30_steps_energy.csv"),
+    (RUN_LEE_MADSEN_CAVITY, "run_lee_madsen_cavity_n4_energy.csv"),
+    (RUN_NEDELEC_CAVITY, "run_nedelec_cavity_n3_energy.csv"),
 ], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
         "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-lee-madsen",
-        "run-energy-lee-madsen-30-steps"])
+        "run-energy-lee-madsen-30-steps", "run-energy-lee-madsen-linear",
+        "run-energy-nedelec-linear"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 from conftest import energy_density, jittered_cube
 from kerrfem import dynamics, linalg
@@ -656,7 +657,13 @@ def test_lee_madsen_chord_nonconvergence_names_the_step(cube2, cavity, monkeypat
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
 def test_midpoint_linear_step_takes_one_sweep(cube2, cavity, formulation, monkeypatch):
     # a linear step is affine and its first sweep solves it exactly, so each
-    # step makes one back-solve with the reduced matrix
+    # step makes one back-solve with the reduced matrix, ends at one
+    # _sweep_exit and measures no update
+    def no_norms(*args):
+        raise AssertionError("a linear step measured its update")
+
+    monkeypatch.setattr(dynamics, "_relative_update", no_norms)
+    sweeps = count_sweeps(monkeypatch)
     solves = []
     factorized = linalg.factorized
 
@@ -676,6 +683,19 @@ def test_midpoint_linear_step_takes_one_sweep(cube2, cavity, formulation, monkey
     solves.clear()
     integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
     assert len(solves) == 5
+    assert sweeps == [1] * 5
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_midpoint_linear_step_from_a_nan_names_the_step(cav_forms2, cavity, formulation):
+    # the one linear sweep measures no update, so integrate's check of the
+    # new state reports the NaN
+    st = cavity_state(cavity, cav_forms2, formulation=formulation)
+    st.e[cav_forms2.free_edges[0] if formulation == "nedelec" else 0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match=r"^step 1 \(t = 0\.01, dt = 0\.01\) left a non-finite state; "
+                             r"reduce dt$"):
+        integrate(st, 0.01, 3, ZERO_SOURCES, cav_forms2)
 
 
 @pytest.mark.parametrize("chi3", [0.0, 1.0])
@@ -1066,6 +1086,38 @@ def test_e_max_norm_nedelec_peaks_at_a_vertex(cube4, cavity):
     assert m == pytest.approx(1.0082965, rel=1e-6)
     E = forms.ctx.field(forms.dof_u, st.e)
     assert np.sqrt(np.einsum("tqd,tqd->tq", E, E).max()) < m
+
+
+@pytest.fixture(scope="module")
+def kerr_forms2(cube2):
+    mesh, topo = cube2
+    return build_forms(mesh, topo, MaterialParams(eps0=1.3, mu0=0.8, chi1=0.3, chi3=0.7))
+
+
+@given(kerr=strategies.booleans(), seed=strategies.integers(0, 2**32 - 1),
+       scale=strategies.one_of(strategies.just(0.0),
+                               strategies.floats(-300.0, 150.0).map(lambda x: 10.0**x)),
+       zeros=strategies.floats(0.0, 1.0))
+def test_lee_madsen_monitors_are_their_plain_formulas_bit_for_bit(cav_forms2, kerr_forms2,
+                                                                  kerr, seed, scale, zeros):
+    # e_max_norm and total_energy sum |E|^2 component by component; they
+    # equal the norm and np.sum expressions bit for bit, from zero fields to
+    # |E| near 1e150 (the Kerr term |E|^4 then overflows in both)
+    forms = kerr_forms2 if kerr else cav_forms2
+    ctx, params = forms.ctx, forms.params
+    rng = np.random.default_rng(seed)
+    e = scale * rng.normal(size=3 * ctx.num_tets) * (rng.random(3 * ctx.num_tets) >= zeros)
+    h = rng.normal(size=forms.dof_u.num_dofs)
+    state = State("lee-madsen", e, h, 0.0)
+    E = e.reshape(ctx.num_tets, 3)
+    with np.errstate(over="ignore"):
+        e2 = np.sum(E * E, axis=1)
+        we = np.sum(ctx.vol * (0.5 * params.eps_lin * e2
+                               + 0.75 * params.eps0 * params.chi3 * e2 * e2))
+        energy = float(we + 0.5 * params.mu0 * float(h @ (forms.mass_u1 @ h)))
+        assert np.float64(total_energy(state, forms)).tobytes() == np.float64(energy).tobytes()
+    linf = float(np.max(np.linalg.norm(E, axis=1)))
+    assert np.float64(e_max_norm(state, forms)).tobytes() == np.float64(linf).tobytes()
 
 
 def test_trace_times_strictly_increasing(cav_forms2, cavity):

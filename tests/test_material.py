@@ -270,3 +270,26 @@ def test_permittivity_and_flux_of_any_field_batch(params, E):
     back = e_of_d(params, d_of_e(params, E))
     assert back.shape == E.shape
     assert np.all(np.linalg.norm(back - E, axis=-1) <= 1e-12 * np.linalg.norm(E, axis=-1))
+
+
+# magnitudes from zero up to 1e150, where |E|^2 (at most 3e300) stays finite
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(-300.0, 150.0).map(lambda x: 10.0**x))
+
+
+@given(params=st.builds(MaterialParams, eps0=st.one_of(st.just(8.854e-12), st.floats(0.1, 10.0)),
+                       chi1=st.floats(0.0, 10.0)),
+       scale=MAGNITUDES,
+       E=FIELD_SHAPES.flatmap(lambda shape: arrays(np.float64, shape,
+                                                   elements=st.floats(-1.0, 1.0))))
+def test_linear_flux_is_the_plain_formula_bit_for_bit(params, scale, E):
+    # at chi3 = 0 the flux eps_lin E rounds as the Kerr formula with its
+    # vanishing |E|^2 term, zero and huge fields included
+    E = scale * E
+    es = 1.0 + params.chi1 + params.chi3 * np.sum(E * E, axis=-1)
+    assert d_of_e(params, E).tobytes() == (params.eps0 * es[..., None] * E).tobytes()
+
+
+def test_linear_flux_of_a_field_whose_square_overflows():
+    # beyond 1e154 the Kerr formula's 0 |E|^2 is 0 inf = NaN; eps_lin E is not
+    p = MaterialParams(eps0=2.0, chi1=1.0)
+    assert np.array_equal(d_of_e(p, [1e200, -3e190, 0.0]), [4e200, -1.2e191, 0.0])
