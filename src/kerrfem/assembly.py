@@ -1,4 +1,4 @@
-"""Quadrature-based assembly of mass, coupling, and projection operators.
+"""Assembly of the mass, coupling, Kerr and projection operators.
 
 This module owns every quadrature decision.  :func:`build_context` maps one
 rule to each element and stores the measure ``dx`` (weight times Jacobian
@@ -10,14 +10,17 @@ fields there as ``bary`` times their vertex values
 (:meth:`FemContext.field`) and integrates densities against ``dx``
 (:meth:`FemContext.integrate`), so no other module handles quadrature
 weights or orientation signs.  No basis is kept at the points: the moments
-of a load are ``bary^T (dx f)`` contracted with the vertex values, and the
-Gram matrices of the edge and face spaces are closed forms in those values.
+of a load are ``bary^T (dx f)`` contracted with the vertex values.
 
 The context of :func:`build_forms` is on one rule, the symmetric 14-point
-degree-5 tet rule: exact for every polynomial integrand, degree-5 accurate
-for source loads, projections and norms.  Every polynomial integrand of the
-lowest-order scheme has degree <= 4 in the piecewise-linear fields: the Kerr
-flux load, the nedelec Kerr Jacobian and the energy density.
+degree-5 tet rule, which serves the integrands that are not polynomials:
+source loads, projections and error norms.  Every polynomial integrand of
+the lowest-order scheme has degree <= 4 in the barycentric coordinates and
+is a closed form in the vertex values, by integral_K lambda^alpha =
+3! alpha! |K| / (|alpha| + 3)!: the Gram matrices of the edge and face
+spaces and the Kerr flux load, its nedelec Jacobian and the electric energy
+(:func:`_kerr_vertex_terms`), so the time loop evaluates no field at a
+quadrature point.
 
 :func:`build_forms` assembles each constant operator of both formulations
 once; :class:`AssembledForms` keeps the one solve the time loop starts
@@ -37,7 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
-from .fem_spaces import DofMap, barycentric, build_spaces
+from .fem_spaces import (VERTEX_MOMENTS_2, VERTEX_MOMENTS_4, DofMap, barycentric,
+                         build_spaces)
 from .linalg import from_triplets
 from .material import MaterialParams, cm_matrix
 from .mesh import Mesh, Topology, all_geometry
@@ -54,6 +58,7 @@ __all__ = [
     "assemble_nonlinear_mass_curl",
     "assemble_nonlinear_curl_curl",
     "assemble_flux_load",
+    "electric_energy",
     "assemble_coupling",
     "assemble_discrete_curl",
     "assemble_gradient",
@@ -137,14 +142,6 @@ def build_context(mesh: Mesh, topo: Topology, rule: QuadratureRule) -> FemContex
     )
 
 
-def _local_gram(measure: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Per-tet matrices of the integral of phi_i . phi_j against a weighted
-    measure (nt, nq); ``phi`` is (nt, nloc, k nq) with k components per point,
-    and the result (nt, nloc, nloc)."""
-    weights = np.repeat(measure, phi.shape[2] // measure.shape[1], axis=1)  # (nt, k nq)
-    return np.matmul(phi * weights[:, None, :], phi.transpose(0, 2, 1))
-
-
 def _local_moments(ctx: FemContext, measure: np.ndarray, vals: np.ndarray,
                    dofmap: DofMap) -> np.ndarray:
     """Per-tet integrals of vals (nt, nq, 3) . phi_i against a measure (nt, nq)
@@ -184,12 +181,38 @@ def _local_curl_curl(ctx: FemContext) -> np.ndarray:
     return np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
 
 
-def _kerr_measure(ctx: FemContext, params: MaterialParams, coeffs: np.ndarray):
-    """E_h at the points of ``ctx`` and the measure eps0 (1 + chi1 + chi3
-    |E_h|^2) dx."""
-    E = ctx.field(ctx.dof_u, coeffs)
-    es = 1.0 + params.chi1 + params.chi3 * np.einsum("tqd,tqd->tq", E, E)
-    return E, params.eps0 * es * ctx.dx
+# The ten vertex pairs a <= b of a tet: the rows 3 a + x and 3 b + x of the
+# component-major vertex values (12, nt) whose products, summed over the
+# component x, are E_a . E_b, and the table that forms from these (30,)
+# products W_cd = sum_ab I_abcd E_a . E_b (rows 4 c + d).
+_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
+_PAIR_ROWS = np.array([(3 * a + x, 3 * b + x) for a, b in _PAIRS for x in range(3)]).T
+_W_TABLE = np.repeat([[(1.0 if a == b else 2.0) * VERTEX_MOMENTS_4[a, b, c, d]
+                       for a, b in _PAIRS] for c in range(4) for d in range(4)], 3, axis=1)
+_J = VERTEX_MOMENTS_2.reshape(16, 1)
+
+
+def _kerr_vertex_terms(ctx: FemContext, coeffs: np.ndarray):
+    """The vertex values E_a of an edge field on each tet, (nt, 4, 3) and
+    component-major (12, nt) with rows 3 a + x, and W (16, nt),
+    W_cd = sum_ab I_abcd E_a . E_b with I the degree-4 table
+    (:data:`kerrfem.fem_spaces.VERTEX_MOMENTS_4`).
+
+    E_h = sum_a lambda_a E_a is affine, so the integral over K of
+    lambda_c lambda_d |E_h|^2 is |K| W_cd, and every Kerr integral is a
+    finite sum of these."""
+    E = ctx.dof_u.vertex_field(coeffs)
+    X = np.ascontiguousarray(E.reshape(len(E), 12).T)
+    return E, X, _W_TABLE @ (X[_PAIR_ROWS[0]] * X[_PAIR_ROWS[1]])
+
+
+def _vertex_moments(W: np.ndarray, lin: float, kerr: float) -> np.ndarray:
+    """lin J_cd + kerr W_cd (16, nt), the integrals of lambda_c lambda_d
+    (lin + kerr |E_h|^2) over a tet of unit volume, with J the degree-2
+    table."""
+    M = kerr * W
+    M += lin * _J
+    return M
 
 
 def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
@@ -198,20 +221,27 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
     M_eps(E_h) + dt^2/(4 mu0) A_cc, in :attr:`AssembledForms.free_edge_pattern`.
 
     M_eps[i, j] is the integral of eps(E_h) psi_i . psi_j with the field
-    derivative eps(E) = eps0 [(1 + chi1 + chi3 |E|^2) I + 2 chi3 E E^T]; E_h
-    is piecewise linear, so the degree-4 integrand is exact on the 14-point
-    rule.  The basis at the points is formed for this call only.  At dt = 0
-    this is the Kerr mass of the RK4 stages.
+    derivative eps(E) = eps0 [(1 + chi1 + chi3 |E|^2) I + 2 chi3 E E^T].  In
+    the vertex values psi_ic of the basis and E_a of the field (see
+    :func:`_kerr_vertex_terms`) its local block is, in closed form,
+    sum_cd M_cd psi_ic . psi_jd + 2 eps0 chi3 |K| sum_abcd I_abcd
+    (E_a . psi_ic) (E_b . psi_jd).  At dt = 0 this is the Kerr mass of the
+    RK4 stages.
     """
     params = forms.params
     ctx = forms.ctx
-    E, measure = _kerr_measure(ctx, params, coeffs)
-    phi = ctx.dof_u.at(ctx.bary)
-    local = _local_gram(measure, phi)
+    E, _, W = _kerr_vertex_terms(ctx, coeffs)
+    nt = len(E)
+    V = ctx.dof_u.vertex_values                               # (nt, 6, 12)
+    M = _vertex_moments(W, params.eps_lin, params.eps0 * params.chi3)
+    M *= ctx.vol
+    MV = np.matmul(np.ascontiguousarray(M.T).reshape(nt, 1, 4, 4), V.reshape(nt, 6, 4, 3))
+    local = np.matmul(V, MV.reshape(nt, 6, 12).transpose(0, 2, 1))
     if params.chi3 > 0.0:
-        prod = phi * E.reshape(len(phi), 1, -1)          # (nt, nloc, 3 nq)
-        ephi = prod[..., 0::3] + prod[..., 1::3] + prod[..., 2::3]  # E . psi_i
-        local += _local_gram((2.0 * params.eps0 * params.chi3) * ctx.dx, ephi)
+        EV = np.matmul(V.reshape(nt, 24, 3), E.transpose(0, 2, 1)).reshape(nt, 6, 16)
+        IEV = EV @ VERTEX_MOMENTS_4.reshape(16, 16)             # I is symmetric
+        IEV *= ((2.0 * params.eps0 * params.chi3) * ctx.vol)[:, None, None]
+        local += np.matmul(EV, IEV.transpose(0, 2, 1))
     pattern = forms.free_edge_pattern
     return pattern.matrix(local, dt * dt / (4.0 * params.mu0) * pattern.curl_curl)
 
@@ -239,9 +269,26 @@ def assemble_nonlinear_curl_curl(forms: AssembledForms, e: np.ndarray,
 def assemble_flux_load(ctx: FemContext, params: MaterialParams,
                        coeffs: np.ndarray) -> np.ndarray:
     """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i,
-    exact on the 14-point rule (degree 4)."""
-    E, measure = _kerr_measure(ctx, params, coeffs)
-    return _scatter_vector(_local_moments(ctx, measure, E, ctx.dof_u), ctx.dof_u)
+    in closed form: the moments of F_d = |K| sum_c M_cd E_c at the vertices
+    d, with M_cd = eps_lin J_cd + eps0 chi3 W_cd (see :func:`_vertex_moments`)."""
+    _, X, W = _kerr_vertex_terms(ctx, coeffs)
+    nt = X.shape[1]
+    M = _vertex_moments(W, params.eps_lin, params.eps0 * params.chi3)
+    F = np.einsum("cdt,cxt->dxt", M.reshape(4, 4, nt), X.reshape(4, 3, nt))
+    local = ctx.dof_u.moments(F.reshape(12, nt).T)
+    local *= ctx.vol[:, None]
+    return _scatter_vector(local, ctx.dof_u)
+
+
+def electric_energy(ctx: FemContext, params: MaterialParams, coeffs: np.ndarray) -> float:
+    """Electric energy of an edge field, the integral of
+    0.5 eps_lin |E_h|^2 + 0.75 eps0 chi3 |E_h|^4, in closed form:
+    sum_K |K| sum_cd (0.5 eps_lin J_cd + 0.75 eps0 chi3 W_cd) E_c . E_d."""
+    _, X, W = _kerr_vertex_terms(ctx, coeffs)
+    nt = X.shape[1]
+    M = _vertex_moments(W, 0.5 * params.eps_lin, 0.75 * params.eps0 * params.chi3)
+    X = X.reshape(4, 3, nt)
+    return float(np.einsum("cdt,cxt,dxt->t", M.reshape(4, 4, nt), X, X) @ ctx.vol)
 
 
 def assemble_coupling(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:

@@ -43,6 +43,7 @@ from .assembly import (
     assemble_nonlinear_mass_curl,
     assemble_source,
     curl_project,
+    electric_energy,
     l2_project,
 )
 from .fem_spaces import interpolate_edge_dofs, interpolate_face_dofs
@@ -488,7 +489,9 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
 
     def sweep(e1, h1, refresh):
         nonlocal solve
-        residual = (assemble_flux_load(ctx, params, e1)[free] - d0
+        # a start from E0 itself (every linear step) takes its load from d0
+        d1 = d0 if e1 is e0 else assemble_flux_load(ctx, params, e1)[free]
+        residual = (d1 - d0
                     - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
         if refresh:
             solve = refresh_solver(e1)
@@ -546,8 +549,9 @@ def total_energy(state: State, forms: AssembledForms) -> float:
     """Nonlinear electromagnetic energy W of the current state.
 
     W = 0.5 [ ||E||^2_{eps0(1+chi1)} + 1.5 || |E|^2 ||^2_{eps0 chi3}
-    + ||H||^2_{mu0} ]; cellwise closed form in the lee-madsen case, exact
-    quadrature otherwise.
+    + ||H||^2_{mu0} ]; in closed form, cellwise in the lee-madsen case and
+    from the vertex values (:func:`kerrfem.assembly.electric_energy`) in the
+    nedelec case.
     """
     params = forms.params
     ctx = forms.ctx
@@ -557,10 +561,7 @@ def total_energy(state: State, forms: AssembledForms) -> float:
                                + 0.75 * params.eps0 * params.chi3 * e2 * e2))
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
-    E = ctx.field(ctx.dof_u, state.e)
-    e2 = np.einsum("tqd,tqd->tq", E, E)
-    dens_e = 0.5 * params.eps_lin * e2 + 0.75 * params.eps0 * params.chi3 * e2 * e2
-    we = ctx.integrate(dens_e)
+    we = electric_energy(ctx, params, state.e)
     wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_v1 @ state.h))
     return we + wh
 

@@ -30,6 +30,7 @@ every basis array it makes, and no other code reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,24 @@ LAMBDA_GRADS = np.array(
     [[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 )
 
-# Integrals of lambda_v lambda_w over a tet of unit volume, (1 + delta_vw) / 20,
-# times I_3: the Gram matrix of vertex values (v, d) of affine fields.
-_VERTEX_GRAM = np.kron((1.0 + np.eye(4)) / 20.0, np.eye(3))
+
+def _barycentric_moments(degree: int) -> np.ndarray:
+    """Integrals of lambda_a lambda_b ... (``degree`` factors) over a tet of
+    unit volume, a (4,) * degree table: 3! alpha! / (|alpha| + 3)! for the
+    exponents alpha of the product (Eisenberg and Malvern, IJNME 7, 1973)."""
+    table = np.empty((4,) * degree)
+    for index in np.ndindex(table.shape):
+        alpha = np.bincount(index, minlength=4)
+        table[index] = (6 * math.prod(math.factorial(k) for k in alpha)
+                        / math.factorial(degree + 3))
+    return table
+
+
+# The degree-2 table, (1 + delta_ab) / 20, and the degree-4 table I_abcd.
+VERTEX_MOMENTS_2 = _barycentric_moments(2)
+VERTEX_MOMENTS_4 = _barycentric_moments(4)
+# The Gram matrix of vertex values (v, d) of affine fields on a unit tet.
+_VERTEX_GRAM = np.kron(VERTEX_MOMENTS_2, np.eye(3))
 
 
 def barycentric(points: np.ndarray) -> np.ndarray:
@@ -78,13 +94,6 @@ class DofMap:
         (nt, 4, 3)."""
         local = np.asarray(coeffs, dtype=np.float64)[self.cell_dofs]
         return np.matmul(local[:, None, :], self.vertex_values).reshape(len(local), 4, 3)
-
-    def at(self, bary: np.ndarray) -> np.ndarray:
-        """The local basis at the points of barycentric coordinates ``bary``
-        (m, 4) in every tet, (nt, nloc, 3 m): ``[t, i, 3 q + d]`` is
-        component d of function i at point q."""
-        nt, nloc, _ = self.vertex_values.shape
-        return np.matmul(bary, self.vertex_values.reshape(nt, nloc, 4, 3)).reshape(nt, nloc, -1)
 
     def moments(self, weights: np.ndarray) -> np.ndarray:
         """Per-tet sums over the vertices v of weights[t, v] . phi_i(v), for

@@ -134,6 +134,14 @@ def piola_map(jac, det, inv_jt, points):
     )
 
 
+def basis_at_points(dofmap, bary):
+    """The stored basis of ``dofmap`` at the points of barycentric
+    coordinates ``bary`` (m, 4) in every tet, (nt, m, nloc, 3): the
+    barycentric combination of its vertex values."""
+    nt, nloc, _ = dofmap.vertex_values.shape
+    return np.einsum("qv,tivd->tqid", bary, dofmap.vertex_values.reshape(nt, nloc, 4, 3))
+
+
 def to_reference(geometry, tet_id, points):
     """Reference coordinates (m, 3) of physical points in one tet, given the
     arrays of :func:`all_geometry`."""

@@ -349,14 +349,17 @@ def _kerr_edge_oracle(mesh, forms, params, e):
     return jac, load
 
 
-@pytest.mark.parametrize("chi3", [0.0, 1.0, 1e3])
-def test_kerr_jacobian_and_flux_load_match_oracle(chi3):
+@pytest.mark.parametrize("chi3,scale", [
+    pytest.param(chi3, scale, id=str(chi3) if scale == 1.0 else f"{chi3}-x{scale:g}")
+    for scale in (1.0, 1e-120, 1e40) for chi3 in (0.0, 1.0, 1e3)])
+def test_kerr_jacobian_and_flux_load_match_oracle(chi3, scale):
+    # fields from |E| ~ 1e-120, where the Kerr terms underflow, to |E| ~ 1e40
     mesh = _jittered_permuted_mesh(2, 12)
     params = MaterialParams(eps0=1.3, chi1=0.4, chi3=chi3)
     forms = build_forms(mesh, build_topology(mesh), params)
     ctx, dm = forms.ctx, forms.dof_u
     rng = np.random.default_rng(13)
-    e = rng.normal(size=dm.num_dofs)
+    e = scale * rng.normal(size=dm.num_dofs)
     jac = assemble_nonlinear_mass_curl(forms, e, 0.0).toarray()
     load = assemble_flux_load(ctx, params, e)
     jac_ref, load_ref = _kerr_edge_oracle(mesh, forms, params, e)
@@ -369,7 +372,7 @@ def test_kerr_jacobian_and_flux_load_match_oracle(chi3):
     v = np.zeros(dm.num_dofs)
     v[free] = rng.normal(size=len(free))
     v /= np.linalg.norm(v)
-    step = 1e-4
+    step = 1e-4 * scale
     fd = (assemble_flux_load(ctx, params, e + step * v)
           - assemble_flux_load(ctx, params, e - step * v))[free] / (2.0 * step)
     jv = jac @ v[free]

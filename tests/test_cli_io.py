@@ -207,6 +207,12 @@ RUN_NEDELEC_KERR_6_STEPS = ["run", "--n", "3", "--formulation", "nedelec", "--ca
                             "custom-zero-source", "--chi3", "1", "--t-end", "0.12",
                             "--dt", "0.02", "--energy-csv",
                             "run_nedelec_kerr_n3_6_steps_energy.csv"]
+# six nedelec Kerr steps in a medium with eps0, mu0 and chi1 away from their
+# defaults, so the split of the flux into eps_lin E and eps0 chi3 |E|^2 E shows
+RUN_NEDELEC_KERR_MATERIALS = ["run", "--n", "3", "--formulation", "nedelec", "--case",
+                              "custom-zero-source", "--eps0", "1.5", "--mu0", "0.8",
+                              "--chi1", "0.5", "--chi3", "2", "--t-end", "0.12", "--dt", "0.02",
+                              "--energy-csv", "run_nedelec_kerr_n3_materials_energy.csv"]
 # a short lee-madsen Kerr run, several chord sweeps per step
 RUN_LEE_MADSEN_KERR = ["run", "--n", "3", "--formulation", "lee-madsen", "--case",
                        "custom-zero-source", "--chi3", "1", "--t-end", "0.2", "--dt", "0.05",
@@ -241,14 +247,15 @@ RUN_NEDELEC_CAVITY = ["run", "--n", "3", "--formulation", "nedelec", "--case", "
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_000002.vtk"),
     (RUN_NEDELEC_KERR, "run_nedelec_kerr_n3_energy.csv"),
     (RUN_NEDELEC_KERR_6_STEPS, "run_nedelec_kerr_n3_6_steps_energy.csv"),
+    (RUN_NEDELEC_KERR_MATERIALS, "run_nedelec_kerr_n3_materials_energy.csv"),
     (RUN_LEE_MADSEN_KERR, "run_lee_madsen_kerr_n3_energy.csv"),
     (RUN_LEE_MADSEN_KERR_30_STEPS, "run_lee_madsen_kerr_n3_30_steps_energy.csv"),
     (RUN_LEE_MADSEN_CAVITY, "run_lee_madsen_cavity_n4_energy.csv"),
     (RUN_NEDELEC_CAVITY, "run_nedelec_cavity_n3_energy.csv"),
 ], ids=["kerr", "kerr-nedelec", "cavity", "cavity-nedelec", "project", "mesh",
-        "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-lee-madsen",
-        "run-energy-lee-madsen-30-steps", "run-energy-lee-madsen-linear",
-        "run-energy-nedelec-linear"])
+        "run-vtk", "run-energy", "run-energy-6-steps", "run-energy-materials",
+        "run-energy-lee-madsen", "run-energy-lee-madsen-30-steps",
+        "run-energy-lee-madsen-linear", "run-energy-nedelec-linear"])
 def test_cli_output_matches_reference_file(tmp_path, capsys, monkeypatch, argv, reference):
     # each deterministic output is byte-identical to the committed reference
     monkeypatch.chdir(tmp_path)

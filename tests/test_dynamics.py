@@ -686,6 +686,22 @@ def test_midpoint_linear_step_takes_one_sweep(cube2, cavity, formulation, monkey
     assert sweeps == [1] * 5
 
 
+def test_midpoint_linear_nedelec_step_makes_one_flux_load(cav_forms2, cavity, monkeypatch):
+    # a linear step's one sweep starts from E0, whose flux load the step
+    # already holds, so each step assembles one flux load
+    loads = []
+    original = dynamics.assemble_flux_load
+
+    def counted(*args):
+        loads.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dynamics, "assemble_flux_load", counted)
+    st = cavity_state(cavity, cav_forms2, formulation="nedelec")
+    integrate(st, 0.01, 5, ZERO_SOURCES, cav_forms2, collect=False)
+    assert len(loads) == 5
+
+
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
 def test_midpoint_linear_step_from_a_nan_names_the_step(cav_forms2, cavity, formulation):
     # the one linear sweep measures no update, so integrate's check of the

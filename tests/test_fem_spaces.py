@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import (
+    basis_at_points,
     eval_edge_basis,
     eval_face_basis,
     eval_on_tet,
     jittered_cube,
     piola_map,
+    tetrahedron_rule,
     to_reference,
 )
 from kerrfem.assembly import build_context, build_forms
 from kerrfem.fem_spaces import (
+    VERTEX_MOMENTS_4,
     barycentric,
     build_spaces,
     interpolate_edge_dofs,
@@ -114,15 +117,25 @@ def test_dof_counts_unit_cube(cube1):
     assert ctx.dof_v.num_dofs == 18
 
 
-def _at_points(dofmap, bary):
-    """The stored basis of ``dofmap`` at points of barycentric coordinates
-    ``bary`` (m, 4) in every tet, (nt, m, nloc, 3)."""
-    nt, nloc, _ = dofmap.vertex_values.shape
-    return dofmap.at(bary).reshape(nt, nloc, -1, 3).transpose(0, 2, 1, 3)
-
-
 def _close(got, want):
     return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_degree_four_table_is_the_quadrature_of_barycentric_products():
+    # I_abcd is the integral of lambda_a lambda_b lambda_c lambda_d over a tet
+    # of unit volume: on a jittered tet, by the conftest rule at points whose
+    # barycentric coordinates come from the physical points
+    verts, tets = jittered_cube(2, np.random.default_rng(7))
+    center = np.flatnonzero(np.all(np.abs(verts - 0.5) < 0.25, axis=1))
+    mesh = make_mesh(verts, tets[np.any(np.isin(tets, center), axis=1)][:1])
+    geometry = all_geometry(mesh)
+    origins, J, det, _, vol = geometry
+    rule = tetrahedron_rule(5)
+    X = origins[0] + rule.points @ J[0].T
+    lam = barycentric(to_reference(geometry, 0, X))
+    got = np.einsum("q,qa,qb,qc,qd->abcd", rule.weights * abs(det[0]), lam, lam, lam, lam)
+    assert np.abs(got - vol[0] * VERTEX_MOMENTS_4).max() <= 1e-15 * vol[0]
+    assert np.abs(got.sum() - vol[0]) <= 1e-15 * vol[0]
 
 
 @pytest.mark.parametrize("rule", ["symmetric", "vertices"])
@@ -149,12 +162,12 @@ def test_stored_bases_are_signed_piola_maps(rule):
     else:
         points, bary = REF_VERTS, np.eye(4)
     edge_vals, edge_curls, face_vals, face_divs = piola_map(J, det, invJT, points)
-    assert _close(_at_points(ctx.dof_u, bary), edge_vals * edge_sign[:, None, :, None])
-    assert _close(_at_points(ctx.dof_v, bary), face_vals * face_sign[:, None, :, None])
+    assert _close(basis_at_points(ctx.dof_u, bary), edge_vals * edge_sign[:, None, :, None])
+    assert _close(basis_at_points(ctx.dof_v, bary), face_vals * face_sign[:, None, :, None])
     assert _close(ctx.edge_curls, edge_curls * edge_sign[:, :, None])
     assert _close(ctx.face_divs, face_divs * face_sign)
     identity = np.broadcast_to(np.eye(3), (nt, len(points), 3, 3))
-    assert np.allclose(_at_points(ctx.dof_w, bary), identity, rtol=0.0, atol=1e-15)
+    assert np.allclose(basis_at_points(ctx.dof_w, bary), identity, rtol=0.0, atol=1e-15)
 
 
 def test_push_forward_identity(reference_tet_mesh):
@@ -166,8 +179,8 @@ def test_push_forward_identity(reference_tet_mesh):
     pts = np.random.default_rng(3).dirichlet(np.ones(4), size=5)[:, :3]
     vals, ref_curls = eval_edge_basis(pts)
     fvals, ref_divs = eval_face_basis(pts)
-    assert np.allclose(_at_points(dof_u, barycentric(pts))[0], vals, rtol=0.0, atol=1e-15)
-    assert np.allclose(_at_points(dof_v, barycentric(pts))[0], fvals, rtol=0.0, atol=1e-15)
+    assert np.allclose(basis_at_points(dof_u, barycentric(pts))[0], vals, rtol=0.0, atol=1e-15)
+    assert np.allclose(basis_at_points(dof_v, barycentric(pts))[0], fvals, rtol=0.0, atol=1e-15)
     assert np.array_equal(curls[0], ref_curls)
     assert np.array_equal(divs[0], ref_divs)
 
@@ -194,7 +207,7 @@ def test_mapped_edge_dof_invariance():
     for k in range(6):
         p_lo, p_hi = mesh.vertices[topo.edges[dof_u.cell_dofs[0, k]]]
         X = p_lo + rule.points[:, 0:1] * (p_hi - p_lo)
-        phys = _at_points(dof_u, barycentric(to_reference(geometry, 0, X)))[0]
+        phys = basis_at_points(dof_u, barycentric(to_reference(geometry, 0, X)))[0]
         D[k] = np.einsum("q,qid,d->i", rule.weights, phys, p_hi - p_lo)
     assert np.abs(D - np.eye(6)).max() <= 1e-12
 
@@ -209,7 +222,7 @@ def test_mapped_face_flux_invariance():
     for k in range(4):
         pa, pb, pc = mesh.vertices[topo.faces[dof_v.cell_dofs[0, k]]]
         X = pa + rule.points[:, 0:1] * (pb - pa) + rule.points[:, 1:2] * (pc - pa)
-        phys = _at_points(dof_v, barycentric(to_reference(geometry, 0, X)))[0]
+        phys = basis_at_points(dof_v, barycentric(to_reference(geometry, 0, X)))[0]
         F[k] = np.einsum("q,qid,d->i", rule.weights, phys, np.cross(pb - pa, pc - pa))
     assert np.abs(F - np.eye(4)).max() <= 1e-12
 
