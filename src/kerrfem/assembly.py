@@ -19,16 +19,20 @@ the lowest-order scheme has degree <= 4 in the barycentric coordinates and
 is a closed form in the vertex values, by integral_K lambda^alpha =
 3! alpha! |K| / (|alpha| + 3)!: the Gram matrices of the edge and face
 spaces and the Kerr flux load, its nedelec Jacobian and the electric energy
-(:func:`_kerr_vertex_terms`), so the time loop evaluates no field at a
+(:func:`_vertex_moments`), so the time loop evaluates no field at a
 quadrature point.
 
 :func:`build_forms` assembles each constant operator of both formulations
-once; :class:`AssembledForms` keeps the one solve the time loop starts
-each step from (the LU of a linear reduced matrix, or the solve with the
-lagged Kerr Jacobian: an LU in nedelec, a Jacobi-PCG solver in lee-madsen)
-and, on first use, the :class:`EdgePattern` into which each
-Kerr Jacobian is assembled: the free edges for nedelec, all edges for
-lee-madsen.
+once.  Every square matrix of a space has one sparsity pattern, the pairs
+of dofs that meet in a tet: :func:`build_forms` sorts it once per space
+into a :class:`Pattern`.  Each Gram matrix, the curl-curl matrix and the
+Kerr Jacobians are ``bincount`` sums of per-tet blocks into it, and a
+reduced matrix is a sum of their data on it.  The nedelec matrices on the
+free edges live in the edge pattern's restriction, which reads the data
+of the edge matrices on the entries that it keeps.
+:class:`AssembledForms` keeps the one solve the time loop starts each step
+from (the LU of a linear reduced matrix, or the solve with the lagged Kerr
+Jacobian: an LU in nedelec, a Jacobi-PCG solver in lee-madsen).
 """
 
 from __future__ import annotations
@@ -49,12 +53,10 @@ from .quadrature import QuadratureRule, symmetric_tetrahedron_rule
 
 __all__ = [
     "FemContext",
-    "EdgePattern",
+    "Pattern",
     "AssembledForms",
     "build_context",
     "build_forms",
-    "assemble_mass",
-    "assemble_curl_curl",
     "assemble_nonlinear_mass_curl",
     "assemble_nonlinear_curl_curl",
     "assemble_flux_load",
@@ -156,31 +158,6 @@ def _scatter_vector(local: np.ndarray, dofmap: DofMap) -> np.ndarray:
                        minlength=dofmap.num_dofs)
 
 
-def _scatter_matrix(local: np.ndarray, dofmap: DofMap) -> sp.csr_matrix:
-    """Accumulate per-tet local matrices into a global sparse matrix."""
-    nloc = dofmap.cell_dofs.shape[1]
-    rows = np.repeat(dofmap.cell_dofs[:, :, None], nloc, axis=2)
-    cols = np.repeat(dofmap.cell_dofs[:, None, :], nloc, axis=1)
-    n = dofmap.num_dofs
-    return from_triplets(rows.ravel(), cols.ravel(), local.ravel(), shape=(n, n))
-
-
-def assemble_mass(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
-    """Gram matrix (SPD) of the edge or face space of ``dofmap``, in closed
-    form (:meth:`kerrfem.fem_spaces.DofMap.gram`)."""
-    return _scatter_matrix(dofmap.gram(ctx.vol), dofmap)
-
-
-def assemble_curl_curl(ctx: FemContext, dofmap: DofMap) -> sp.csr_matrix:
-    """(curl u, curl v) on the edge space; curls are cellwise constant."""
-    return _scatter_matrix(_local_curl_curl(ctx), dofmap)
-
-
-def _local_curl_curl(ctx: FemContext) -> np.ndarray:
-    """Per-tet (curl psi_i, curl psi_j), (nt, 6, 6); curls are cellwise constant."""
-    return np.einsum("tid,tjd,t->tij", ctx.edge_curls, ctx.edge_curls, ctx.vol)
-
-
 # The ten vertex pairs a <= b of a tet: the rows 3 a + x and 3 b + x of the
 # component-major vertex values (12, nt) whose products, summed over the
 # component x, are E_a . E_b, and the table that forms from these (30,)
@@ -194,23 +171,26 @@ _J = VERTEX_MOMENTS_2.reshape(16, 1)
 
 def _kerr_vertex_terms(ctx: FemContext, coeffs: np.ndarray):
     """The vertex values E_a of an edge field on each tet, (nt, 4, 3) and
-    component-major (12, nt) with rows 3 a + x, and W (16, nt),
-    W_cd = sum_ab I_abcd E_a . E_b with I the degree-4 table
+    component-major (12, nt) with rows 3 a + x."""
+    E = ctx.dof_u.vertex_field(coeffs)
+    return E, np.ascontiguousarray(E.reshape(len(E), 12).T)
+
+
+def _vertex_moments(X: np.ndarray, lin: float, kerr: float) -> np.ndarray:
+    """lin J_cd + kerr W_cd (16, nt), the integrals of lambda_c lambda_d
+    (lin + kerr |E_h|^2) over a tet of unit volume, for the component-major
+    vertex values X of :func:`_kerr_vertex_terms`; J is the degree-2 table
+    and W_cd = sum_ab I_abcd E_a . E_b with I the degree-4 table
     (:data:`kerrfem.fem_spaces.VERTEX_MOMENTS_4`).
 
     E_h = sum_a lambda_a E_a is affine, so the integral over K of
     lambda_c lambda_d |E_h|^2 is |K| W_cd, and every Kerr integral is a
-    finite sum of these."""
-    E = ctx.dof_u.vertex_field(coeffs)
-    X = np.ascontiguousarray(E.reshape(len(E), 12).T)
-    return E, X, _W_TABLE @ (X[_PAIR_ROWS[0]] * X[_PAIR_ROWS[1]])
-
-
-def _vertex_moments(W: np.ndarray, lin: float, kerr: float) -> np.ndarray:
-    """lin J_cd + kerr W_cd (16, nt), the integrals of lambda_c lambda_d
-    (lin + kerr |E_h|^2) over a tet of unit volume, with J the degree-2
-    table."""
-    M = kerr * W
+    finite sum of these.  A linear medium (kerr = 0) forms no W, so its
+    moments are finite at any finite field."""
+    if kerr == 0.0:
+        return np.repeat(lin * _J, X.shape[1], axis=1)
+    M = _W_TABLE @ (X[_PAIR_ROWS[0]] * X[_PAIR_ROWS[1]])
+    M *= kerr
     M += lin * _J
     return M
 
@@ -223,17 +203,17 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
     M_eps[i, j] is the integral of eps(E_h) psi_i . psi_j with the field
     derivative eps(E) = eps0 [(1 + chi1 + chi3 |E|^2) I + 2 chi3 E E^T].  In
     the vertex values psi_ic of the basis and E_a of the field (see
-    :func:`_kerr_vertex_terms`) its local block is, in closed form,
+    :func:`_vertex_moments`) its local block is, in closed form,
     sum_cd M_cd psi_ic . psi_jd + 2 eps0 chi3 |K| sum_abcd I_abcd
     (E_a . psi_ic) (E_b . psi_jd).  At dt = 0 this is the Kerr mass of the
     RK4 stages.
     """
     params = forms.params
     ctx = forms.ctx
-    E, _, W = _kerr_vertex_terms(ctx, coeffs)
+    E, X = _kerr_vertex_terms(ctx, coeffs)
     nt = len(E)
     V = ctx.dof_u.vertex_values                               # (nt, 6, 12)
-    M = _vertex_moments(W, params.eps_lin, params.eps0 * params.chi3)
+    M = _vertex_moments(X, params.eps_lin, params.eps0 * params.chi3)
     M *= ctx.vol
     MV = np.matmul(np.ascontiguousarray(M.T).reshape(nt, 1, 4, 4), V.reshape(nt, 6, 4, 3))
     local = np.matmul(V, MV.reshape(nt, 6, 12).transpose(0, 2, 1))
@@ -243,7 +223,7 @@ def assemble_nonlinear_mass_curl(forms: AssembledForms, coeffs: np.ndarray,
         IEV *= ((2.0 * params.eps0 * params.chi3) * ctx.vol)[:, None, None]
         local += np.matmul(EV, IEV.transpose(0, 2, 1))
     pattern = forms.free_edge_pattern
-    return pattern.matrix(local, dt * dt / (4.0 * params.mu0) * pattern.curl_curl)
+    return pattern.matrix(local, dt * dt / (4.0 * params.mu0) * forms.curl_curl.data[pattern.kept])
 
 
 def assemble_nonlinear_curl_curl(forms: AssembledForms, e: np.ndarray,
@@ -271,9 +251,9 @@ def assemble_flux_load(ctx: FemContext, params: MaterialParams,
     """Edge-space load of the electric flux: entries integral of D(E_h) . psi_i,
     in closed form: the moments of F_d = |K| sum_c M_cd E_c at the vertices
     d, with M_cd = eps_lin J_cd + eps0 chi3 W_cd (see :func:`_vertex_moments`)."""
-    _, X, W = _kerr_vertex_terms(ctx, coeffs)
+    _, X = _kerr_vertex_terms(ctx, coeffs)
     nt = X.shape[1]
-    M = _vertex_moments(W, params.eps_lin, params.eps0 * params.chi3)
+    M = _vertex_moments(X, params.eps_lin, params.eps0 * params.chi3)
     F = np.einsum("cdt,cxt->dxt", M.reshape(4, 4, nt), X.reshape(4, 3, nt))
     local = ctx.dof_u.moments(F.reshape(12, nt).T)
     local *= ctx.vol[:, None]
@@ -284,9 +264,9 @@ def electric_energy(ctx: FemContext, params: MaterialParams, coeffs: np.ndarray)
     """Electric energy of an edge field, the integral of
     0.5 eps_lin |E_h|^2 + 0.75 eps0 chi3 |E_h|^4, in closed form:
     sum_K |K| sum_cd (0.5 eps_lin J_cd + 0.75 eps0 chi3 W_cd) E_c . E_d."""
-    _, X, W = _kerr_vertex_terms(ctx, coeffs)
+    _, X = _kerr_vertex_terms(ctx, coeffs)
     nt = X.shape[1]
-    M = _vertex_moments(W, 0.5 * params.eps_lin, 0.75 * params.eps0 * params.chi3)
+    M = _vertex_moments(X, 0.5 * params.eps_lin, 0.75 * params.eps0 * params.chi3)
     X = X.reshape(4, 3, nt)
     return float(np.einsum("cdt,cxt,dxt->t", M.reshape(4, 4, nt), X, X) @ ctx.vol)
 
@@ -381,63 +361,76 @@ def curl_project(forms: AssembledForms, target, target_curl,
 
 
 @dataclass(frozen=True)
-class EdgePattern:
-    """Canonical CSR pattern (sorted, no duplicates) of M_u + A_cc on a set
-    of edges, all of them (the pattern of :attr:`AssembledForms.mass_u1`) or
-    the free ones, with the data slot of every local entry (t, i, j) (one
-    past the last slot for a pair with an edge outside the set) and A_cc's
-    data on it."""
+class Pattern:
+    """Canonical CSR pattern (sorted, no duplicates) of the square matrices
+    of one space, the pairs of dofs that meet in a tet, with the data slot
+    of every local entry (t, i, j).  A restriction to a set of dofs
+    (:meth:`restrict`) also holds ``kept``, the parent's data slots that it
+    keeps, and gives each local entry outside the set the slot one past its
+    last."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray       # (nt * 36,)
-    curl_curl: np.ndarray   # (nnz,)
+    slots: np.ndarray                # (nt * nloc**2,)
+    kept: np.ndarray | None = None   # (nnz,) slots of the parent pattern
 
-    def matrix(self, local: np.ndarray, base: np.ndarray) -> sp.csr_matrix:
-        """Sum of per-tet matrices (nt, 6, 6) in the global edge
-        orientation plus the constant matrix whose data on the pattern is
-        ``base``."""
+    def csr(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix whose data on the pattern is ``data``."""
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def matrix(self, local: np.ndarray, base: np.ndarray | None = None) -> sp.csr_matrix:
+        """Sum of per-tet matrices (nt, nloc, nloc) in the global
+        orientation, plus the constant matrix whose data on the pattern is
+        ``base`` if given."""
         nnz = len(self.indices)
         data = np.bincount(self.slots, weights=local.ravel(), minlength=nnz + 1)[:nnz]
-        n = len(self.indptr) - 1
-        return sp.csr_matrix((data + base, self.indices, self.indptr), shape=(n, n))
+        if base is not None:
+            data += base
+        return self.csr(data)
+
+    def restrict(self, dofs: np.ndarray) -> Pattern:
+        """The pattern of the rows and columns of the sorted ``dofs``, taken
+        from this one by a mask, with no sort."""
+        nnz = len(self.indices)
+        position = np.full(len(self.indptr) - 1, -1, dtype=self.indices.dtype)
+        position[dofs] = np.arange(len(dofs))
+        rows = np.repeat(position, np.diff(self.indptr))
+        cols = position[self.indices]
+        kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+        slot = np.full(nnz + 1, len(kept))
+        slot[kept] = np.arange(len(kept))
+        indptr = np.searchsorted(rows[kept], np.arange(len(dofs) + 1)).astype(self.indptr.dtype)
+        return Pattern(indptr, cols[kept], slot[self.slots], kept)
 
 
-def _edge_pattern(ctx: FemContext, edges: np.ndarray | None = None) -> EdgePattern:
-    """The :class:`EdgePattern` of the edge space on the sorted ``edges``,
-    or on all edges when None."""
-    dofmap = ctx.dof_u
-    if edges is None:
-        edges = np.arange(dofmap.num_dofs)
-    n = len(edges)
-    position = np.full(dofmap.num_dofs, -1, dtype=np.int64)
-    position[edges] = np.arange(n)
-    local = position[dofmap.cell_dofs]                    # (nt, 6)
-    rows = np.repeat(local[:, :, None], 6, axis=2).ravel()
-    cols = np.repeat(local[:, None, :], 6, axis=1).ravel()
-    kept = (rows >= 0) & (cols >= 0)
-    keys, slot = np.unique(rows[kept] * n + cols[kept], return_inverse=True)
-    nnz = len(keys)
-    slots = np.full(len(rows), nnz, dtype=np.int64)
-    slots[kept] = slot
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-    curl_curl = _local_curl_curl(ctx).ravel()
-    return EdgePattern(indptr, keys % n, slots,
-                       np.bincount(slots, weights=curl_curl, minlength=nnz + 1)[:nnz])
+def _pattern(dofmap: DofMap) -> Pattern:
+    """The :class:`Pattern` of the space of ``dofmap``, by one sort of the
+    keys n row + col of its local entries.  They are int32 while n^2 fits,
+    which sorts faster and is the index type scipy keeps without a copy."""
+    n = dofmap.num_dofs
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    cells = dofmap.cell_dofs.astype(index)
+    keys, slots = np.unique((cells[:, :, None] * n + cells[:, None, :]).ravel(),
+                            return_inverse=True)
+    indptr = np.searchsorted(keys, n * np.arange(n + 1, dtype=index)).astype(index)
+    return Pattern(indptr, keys % n, slots)
 
 
 @dataclass
 class AssembledForms:
-    """All constant matrices of both semi-discrete formulations, the face
-    mass LU and the one time-loop solve (:meth:`kept_solver`), and the load
-    vectors and Gram matrices of separable sources (all made on first use,
-    then kept)."""
+    """All constant matrices of both semi-discrete formulations, the edge
+    space's :class:`Pattern`, into which every square edge matrix is
+    assembled, and, made on first use and then kept: the curl-curl matrix,
+    the pattern's restriction to the free edges, the face mass LU, the one
+    time-loop solve (:meth:`kept_solver`), and the load vectors and Gram
+    matrices of separable sources."""
 
     ctx: FemContext
     params: MaterialParams
     free_edges: np.ndarray  # sorted interior edges: the free E dofs of nedelec
-    mass_u1: sp.csr_matrix   # edge Gram matrix
+    edge_pattern: Pattern    # all edges; every lee-madsen Kerr Jacobian is assembled into it
+    mass_u1: sp.csr_matrix   # edge Gram matrix, on edge_pattern
     mass_v1: sp.csr_matrix   # face Gram matrix
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
@@ -468,20 +461,16 @@ class AssembledForms:
 
     @cached_property
     def curl_curl(self) -> sp.csr_matrix:
-        """(curl u, curl v) on the edge space, A_cc = C^T diag(1/|K|) C."""
-        return assemble_curl_curl(self.ctx, self.dof_u)
+        """(curl u, curl v) on the edge space, A_cc = C^T diag(1/|K|) C, on
+        :attr:`edge_pattern`; curls are cellwise constant."""
+        curls = self.ctx.edge_curls
+        return self.edge_pattern.matrix(np.einsum("tid,tjd,t->tij", curls, curls, self.ctx.vol))
 
     @cached_property
-    def edge_pattern(self) -> EdgePattern:
-        """The pattern every lee-madsen Kerr Jacobian is assembled into,
-        built on first use; it is the pattern of :attr:`mass_u1`."""
-        return _edge_pattern(self.ctx)
-
-    @cached_property
-    def free_edge_pattern(self) -> EdgePattern:
-        """The pattern every nedelec Kerr Jacobian is assembled into, built
-        on first use."""
-        return _edge_pattern(self.ctx, self.free_edges)
+    def free_edge_pattern(self) -> Pattern:
+        """The restriction of :attr:`edge_pattern` to the free edges, into
+        which every nedelec matrix of a midpoint step is assembled."""
+        return self.edge_pattern.restrict(self.free_edges)
 
     @cached_property
     def solve_mass_v1(self):
@@ -494,12 +483,12 @@ class AssembledForms:
         eps_lin M_u + dt^2/(4 mu0) A_cc (nedelec; its Kerr counterpart is
         :func:`assemble_nonlinear_mass_curl`)."""
         params = self.params
-        A = self.curl_curl
+        M, A = self.mass_u1.data, self.curl_curl.data
         if formulation == "lee-madsen":
-            return params.mu0 * self.mass_u1 + dt * dt / (4.0 * params.eps_lin) * A
-        M = params.eps_lin * self.mass_u1
-        free = self.free_edges
-        return (M + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)]
+            return self.edge_pattern.csr(params.mu0 * M + dt * dt / (4.0 * params.eps_lin) * A)
+        pattern = self.free_edge_pattern
+        kept = pattern.kept
+        return pattern.csr(params.eps_lin * M[kept] + dt * dt / (4.0 * params.mu0) * A[kept])
 
     def reduced_solver(self, formulation: str, dt: float):
         """Solve with the linear :meth:`reduced_matrix`; at dt = 0 it is the
@@ -530,16 +519,18 @@ class AssembledForms:
 def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> AssembledForms:
     """Context, dof maps and constant operators of both formulations.
 
-    Each operator is assembled once: the two Gram matrices, the lee-madsen
+    Each operator is assembled once: the two Gram matrices, each into the
+    pattern of its space (the face pattern is not kept), the lee-madsen
     coupling C and the discrete curl.  The nedelec coupling
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
     discrete curl, restricted to the free (interior) edges.  C^T and K^T
     are kept as CSR copies, so the time loop builds no transpose per step.
     """
     ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
-    free_edges = np.setdiff1d(np.arange(topo.num_edges), topo.boundary_edges)
-    mass_u1 = assemble_mass(ctx, ctx.dof_u)
-    mass_v1 = assemble_mass(ctx, ctx.dof_v)
+    free_edges = np.delete(np.arange(topo.num_edges), topo.boundary_edges)
+    edge_pattern = _pattern(ctx.dof_u)
+    mass_u1 = edge_pattern.matrix(ctx.dof_u.gram(ctx.vol))
+    mass_v1 = _pattern(ctx.dof_v).matrix(ctx.dof_v.gram(ctx.vol))
     discrete_curl = assemble_discrete_curl(topo)
     coupling_lm = assemble_coupling(ctx, ctx.dof_u)
     coupling_ned = (mass_v1 @ discrete_curl)[:, free_edges]
@@ -547,6 +538,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
         ctx=ctx,
         params=params,
         free_edges=free_edges,
+        edge_pattern=edge_pattern,
         mass_u1=mass_u1,
         mass_v1=mass_v1,
         coupling_lm=coupling_lm,

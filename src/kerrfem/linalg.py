@@ -1,7 +1,8 @@
 """Minimal sparse linear algebra used by assembly and the time steppers.
 
-Matrices are plain scipy.sparse CSR matrices (built by :func:`from_triplets`,
-or by assembly straight into a fixed pattern) and factorizations are scipy's
+Matrices are plain scipy.sparse CSR matrices (square ones assembled straight
+into the sparsity pattern of their space, see :class:`kerrfem.assembly.Pattern`;
+rectangular ones built by :func:`from_triplets`) and factorizations are scipy's
 SuperLU, of symmetric positive definite matrices only; the conjugate gradient
 loop is written out here because callers need to distinguish an indefinite
 operator (breakdown) from a slow one (non-convergence), which the library

@@ -69,19 +69,6 @@ def eps_scalar(p: MaterialParams, E) -> np.ndarray:
     return 1.0 + p.chi1 + p.chi3 * _norm_sq(E)
 
 
-def eps_matrix(p: MaterialParams, E) -> np.ndarray:
-    """Field-dependent permittivity matrix, shape (..., 3, 3).
-
-    eps(E) = eps0*[(1 + chi1 + chi3|E|^2) I + 2 chi3 E E^T]; symmetric with
-    eigenvalues >= eps0.
-    """
-    E = np.asarray(E, dtype=np.float64)
-    es = eps_scalar(p, E)
-    eye = np.eye(3)
-    outer = E[..., :, None] * E[..., None, :]
-    return p.eps0 * (es[..., None, None] * eye + 2.0 * p.chi3 * outer)
-
-
 def cm_matrix(p: MaterialParams, E) -> np.ndarray:
     """Closed-form inverse of eps(E)/eps0, shape (..., 3, 3).
 

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from kerrfem.assembly import build_forms
 from kerrfem.fem_spaces import barycentric
-from kerrfem.material import MaterialParams
+from kerrfem.material import MaterialParams, eps_scalar
 from kerrfem.mesh import (
     TET_EDGES,
     TET_FACES,
@@ -232,3 +232,15 @@ def energy_density(p, E, H):
     e2 = np.sum(E * E, axis=-1)
     h2 = np.sum(H * H, axis=-1)
     return 0.5 * (p.eps_lin * e2 + 1.5 * p.eps0 * p.chi3 * e2 * e2 + p.mu0 * h2)
+
+
+def eps_matrix(p, E):
+    """Field-dependent permittivity matrix, shape (..., 3, 3), the oracle of
+    the field derivative of ``d_of_e``.
+
+    eps(E) = eps0*[(1 + chi1 + chi3|E|^2) I + 2 chi3 E E^T]; symmetric with
+    eigenvalues >= eps0.
+    """
+    E = np.asarray(E, dtype=np.float64)
+    outer = E[..., :, None] * E[..., None, :]
+    return p.eps0 * (eps_scalar(p, E)[..., None, None] * np.eye(3) + 2.0 * p.chi3 * outer)

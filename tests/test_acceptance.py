@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import piecewise_curl_closure
+from conftest import eps_matrix, piecewise_curl_closure
 from kerrfem.assembly import build_forms, l2_project
 from kerrfem.cli_io import cli_main
 from kerrfem.dynamics import (
@@ -24,7 +24,6 @@ from kerrfem.material import (
     cm_matrix,
     d_of_e,
     e_of_d,
-    eps_matrix,
 )
 from kerrfem.mesh import build_topology, generate_structured_cube
 from kerrfem.verification import (

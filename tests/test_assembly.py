@@ -21,10 +21,8 @@ from conftest import (
 from kerrfem import assembly
 from kerrfem.assembly import (
     assemble_coupling,
-    assemble_curl_curl,
     assemble_flux_load,
     assemble_gradient,
-    assemble_mass,
     assemble_nonlinear_curl_curl,
     assemble_nonlinear_mass_curl,
     assemble_source,
@@ -126,23 +124,54 @@ def test_integrate_constant_is_volume(ctx2):
     assert ctx2.integrate(np.ones_like(ctx2.dx)) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_build_forms_assembles_each_gram_once(cube2, monkeypatch):
+def test_build_forms_sorts_one_pattern_per_space(cube2, monkeypatch):
+    # build_forms sorts the edge and the face pattern once each; Kerr
+    # marches of both formulations, which assemble Jacobians, the curl-curl
+    # matrix and the free-edge restriction, sort none
     calls = []
-    original = assembly.assemble_mass
+    original = assembly._pattern
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(dofmap):
+        calls.append(dofmap)
+        return original(dofmap)
 
-    monkeypatch.setattr(assembly, "assemble_mass", counted)
+    monkeypatch.setattr(assembly, "_pattern", counted)
     mesh, topo = cube2
-    forms = build_forms(mesh, topo, MaterialParams())
-    assert len(calls) == 2
+    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
+    assert calls == [forms.dof_u, forms.dof_v]
     calls.clear()
     case = cavity_mode_case()
-    state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), "nedelec", forms)
-    integrate(state, 0.01, 2, ZERO_SOURCES, forms, collect=False)
-    assert len(calls) == 0
+    for formulation in ("lee-madsen", "nedelec"):
+        state = initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation,
+                           forms, H0_curl=lambda X: case.curl_H(0.0, X))
+        integrate(state, 0.01, 2, ZERO_SOURCES, forms, collect=False)
+    assert calls == []
+    for A in (forms.mass_u1, forms.curl_curl):
+        assert np.array_equal(A.indptr, forms.edge_pattern.indptr)
+        assert np.array_equal(A.indices, forms.edge_pattern.indices)
+
+
+def test_reduced_matrices_match_scipy_sums_bit_for_bit():
+    # the reduced matrices are sums of data on the edge pattern and, for
+    # nedelec, on its restriction, read by a mask; they equal scipy's sums
+    # and fancy-indexed free block in data, indices and indptr (the jitter
+    # leaves no exact zero, which scipy's sum would drop)
+    mesh = make_mesh(*jittered_cube(3, np.random.default_rng(5)))
+    params = MaterialParams(eps0=1.5, mu0=0.8, chi1=0.5)
+    forms = build_forms(mesh, build_topology(mesh), params)
+    M, A = forms.mass_u1, forms.curl_curl
+    free = forms.free_edges
+    for dt in (0.0, 0.07):
+        want = {
+            "lee-madsen": params.mu0 * M + dt * dt / (4.0 * params.eps_lin) * A,
+            "nedelec": (params.eps_lin * M
+                        + dt * dt / (4.0 * params.mu0) * A)[np.ix_(free, free)],
+        }
+        for formulation, matrix in want.items():
+            got = forms.reduced_matrix(formulation, dt)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(matrix, name)), \
+                    (formulation, dt, name)
 
 
 @pytest.mark.parametrize("space", ["edge", "face"])
@@ -166,10 +195,9 @@ def test_closed_form_grams_match_quadrature_of_the_oracle(space):
     assert np.abs(gram.toarray() - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_masses_are_spd(ctx2):
+def test_masses_are_spd(forms2):
     rng = np.random.default_rng(0)
-    for dm in (ctx2.dof_u, ctx2.dof_v):
-        M = assemble_mass(ctx2, dm)
+    for dm, M in ((forms2.dof_u, forms2.mass_u1), (forms2.dof_v, forms2.mass_v1)):
         D = M.toarray()
         assert np.abs(D - D.T).max() < 1e-14
         for _ in range(5):
@@ -377,6 +405,22 @@ def test_kerr_jacobian_and_flux_load_match_oracle(chi3, scale):
           - assemble_flux_load(ctx, params, e - step * v))[free] / (2.0 * step)
     jv = jac @ v[free]
     assert np.abs(jv - fd).max() <= 1e-8 * np.abs(jv).max()
+
+
+def test_linear_flux_load_and_jacobian_are_finite_at_huge_fields(forms2):
+    # a linear medium forms no |E|^2 moments, so a field of 1e160, whose
+    # squares overflow, gives the load eps_lin M_u e and the Jacobian
+    # eps_lin M_u on the free edges
+    params = forms2.params
+    assert params.chi3 == 0.0
+    e = 1e160 * np.random.default_rng(14).normal(size=forms2.dof_u.num_dofs)
+    load = assemble_flux_load(forms2.ctx, params, e)
+    want = params.eps_lin * (forms2.mass_u1 @ e)
+    assert np.all(np.isfinite(load))
+    assert np.abs(load - want).max() <= 1e-13 * np.abs(want).max()
+    jac = assemble_nonlinear_mass_curl(forms2, e, 0.0).data
+    mass = forms2.reduced_matrix("nedelec", 0.0).data
+    assert np.abs(jac - mass).max() <= 1e-13 * np.abs(mass).max()
 
 
 @pytest.mark.parametrize("chi3", [0.0, 1.0])
@@ -708,15 +752,16 @@ def test_assembly_permutation_invariance():
     f2 = build_forms(mesh_p, build_topology(mesh_p), MaterialParams())
     # summation order differs, so agreement is to roundoff in the entries
     assert np.abs(f1.mass_u1.toarray() - f2.mass_u1.toarray()).max() < 1e-14
-    a1 = assemble_curl_curl(f1.ctx, f1.dof_u).toarray()
-    a2 = assemble_curl_curl(f2.ctx, f2.dof_u).toarray()
+    assert np.abs(f1.mass_v1.toarray() - f2.mass_v1.toarray()).max() < 1e-14
+    a1 = f1.curl_curl.toarray()
+    a2 = f2.curl_curl.toarray()
     assert np.abs(a1 - a2).max() < 1e-14
 
 
 def test_curl_curl_gram(forms2):
     rng = np.random.default_rng(10)
     u = rng.normal(size=forms2.dof_u.num_dofs)
-    quad = u @ (assemble_curl_curl(forms2.ctx, forms2.dof_u) @ u)
+    quad = u @ (forms2.curl_curl @ u)
     cell_curl = np.einsum("tid,ti->td", forms2.ctx.edge_curls, u[forms2.dof_u.cell_dofs])
     direct = np.einsum("td,td,t->", cell_curl, cell_curl, forms2.ctx.vol)
     assert quad == pytest.approx(direct, rel=1e-13)

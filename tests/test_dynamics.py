@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies
 
-from conftest import energy_density, jittered_cube
+from conftest import energy_density, eps_matrix, jittered_cube
 from kerrfem import dynamics, linalg
 from kerrfem.assembly import (
     assemble_flux_load,
@@ -32,7 +32,7 @@ from kerrfem.dynamics import (
     total_energy,
 )
 from kerrfem.fem_spaces import interpolate_edge_dofs
-from kerrfem.material import MaterialParams, d_of_e, e_of_d, eps_matrix
+from kerrfem.material import MaterialParams, d_of_e, e_of_d
 from kerrfem.mesh import build_topology, generate_structured_cube, make_mesh, mesh_size
 from kerrfem.verification import cavity_mode_case, kerr_manufactured_case
 

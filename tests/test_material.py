@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import eps_matrix
 from kerrfem.material import (
     MaterialError,
     MaterialParams,
     cm_matrix,
     d_of_e,
     e_of_d,
-    eps_matrix,
     eps_scalar,
     field_magnitude_from_flux,
 )

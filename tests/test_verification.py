@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import discrete_field_closure, piecewise_curl_closure, tetrahedron_rule
+from conftest import (discrete_field_closure, eps_matrix, piecewise_curl_closure,
+                      tetrahedron_rule)
 from kerrfem.assembly import build_context, build_forms
 from kerrfem.dynamics import Sources, State, initialize, integrate
 from kerrfem.fem_spaces import interpolate_edge_dofs
-from kerrfem.material import MaterialParams, eps_matrix
+from kerrfem.material import MaterialParams
 from kerrfem.mesh import build_topology, generate_structured_cube
 from kerrfem.quadrature import segment_rule
 from kerrfem.verification import (
