@@ -29,10 +29,10 @@ into a :class:`Pattern`.  Each Gram matrix, the curl-curl matrix and the
 Kerr Jacobians are ``bincount`` sums of per-tet blocks into it, and a
 reduced matrix is a sum of their data on it.  The nedelec matrices on the
 free edges live in the edge pattern's restriction, which reads the data
-of the edge matrices on the entries that it keeps.
-:class:`AssembledForms` keeps the one solve the time loop starts each step
-from (the LU of a linear reduced matrix, or the solve with the lagged Kerr
-Jacobian: an LU in nedelec, a Jacobi-PCG solver in lee-madsen).
+of the edge matrices on the entries that it keeps.  Every cache of
+:class:`AssembledForms` is a function of the mesh, the medium and its key
+alone; what a Kerr march carries from step to step (its lagged Jacobian's
+solve) lives on the march, in :mod:`kerrfem.dynamics`.
 """
 
 from __future__ import annotations
@@ -422,9 +422,9 @@ class AssembledForms:
     """All constant matrices of both semi-discrete formulations, the edge
     space's :class:`Pattern`, into which every square edge matrix is
     assembled, and, made on first use and then kept: the curl-curl matrix,
-    the pattern's restriction to the free edges, the face mass LU, the one
-    time-loop solve (:meth:`kept_solver`), and the load vectors and Gram
-    matrices of separable sources."""
+    the pattern's restriction to the free edges, the face mass LU, the LU
+    of the last reduced matrix solved with (:meth:`reduced_solver`), and
+    the load vectors and Gram matrices of separable sources."""
 
     ctx: FemContext
     params: MaterialParams
@@ -437,8 +437,8 @@ class AssembledForms:
     coupling_ned: sp.csr_matrix    # faces x free edges
     coupling_lm_t: sp.csr_matrix   # coupling_lm.T as CSR, for the time loop's matvecs
     coupling_ned_t: sp.csr_matrix  # coupling_ned.T as CSR
-    # the one time-loop solve kept, ((name, dt), solve); see kept_solver
-    _time_loop_solver: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # the LU of the last reduced matrix solved with, ((formulation, dt), solve)
+    _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, dof map)
     source_loads: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # L2 Gram matrices of the factors of one current, keyed by (g_1, ..., g_K)
@@ -492,27 +492,12 @@ class AssembledForms:
 
     def reduced_solver(self, formulation: str, dt: float):
         """Solve with the linear :meth:`reduced_matrix`; at dt = 0 it is the
-        RK4 mass."""
-        solve = self.kept_solver(formulation, dt)
-        if solve is None:
-            solve = self.keep_solver(formulation, dt,
-                                     linalg.factorized(self.reduced_matrix(formulation, dt)))
-        return solve
-
-    def kept_solver(self, name: str, dt: float):
-        """The kept time-loop solve if it was made for ``(name, dt)``, else
-        None.  One is kept at a time: the LU of a formulation's linear
-        reduced matrix (``name`` the formulation), or the solve with the
-        lagged Kerr Jacobian of one (``name`` "lee-madsen-kerr", a
-        Jacobi-PCG solver, or "nedelec-kerr", an LU), which the next step at
-        the same dt starts from."""
-        key, solve = self._time_loop_solver
-        return solve if key == (name, dt) else None
-
-    def keep_solver(self, name: str, dt: float, solve):
-        """Keep the ready ``solve`` as the time-loop solve of ``(name, dt)``,
-        replacing the one kept before, and return it."""
-        self._time_loop_solver = ((name, dt), solve)
+        RK4 mass.  The LU of the last ``(formulation, dt)`` asked for is
+        kept, so a march factorizes once."""
+        key, solve = self._reduced_lu
+        if key != (formulation, dt):
+            solve = linalg.factorized(self.reduced_matrix(formulation, dt))
+            self._reduced_lu = ((formulation, dt), solve)
         return solve
 
 
@@ -523,7 +508,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     pattern of its space (the face pattern is not kept), the lee-madsen
     coupling C and the discrete curl.  The nedelec coupling
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
-    discrete curl, restricted to the free (interior) edges.  C^T and K^T
+    discrete curl's columns of the free (interior) edges.  C^T and K^T
     are kept as CSR copies, so the time loop builds no transpose per step.
     """
     ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
@@ -533,7 +518,7 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     mass_v1 = _pattern(ctx.dof_v).matrix(ctx.dof_v.gram(ctx.vol))
     discrete_curl = assemble_discrete_curl(topo)
     coupling_lm = assemble_coupling(ctx, ctx.dof_u)
-    coupling_ned = (mass_v1 @ discrete_curl)[:, free_edges]
+    coupling_ned = mass_v1 @ discrete_curl[:, free_edges]
     return AssembledForms(
         ctx=ctx,
         params=params,

@@ -18,12 +18,14 @@ nedelec) with the matrix M + (dt^2/4) A_cc / material; a linear step is
 affine, so its one sweep is exact.  Kerr sweeps stop at the first update
 within the tolerance.  They start from a prediction of their edge unknown
 from the march's accepted steps, a polynomial extrapolation or a
-least-squares polynomial fit, whichever missed by less one step back
-(:class:`_KerrStart`), and solve with the Kerr Jacobian of their residual,
-lagged and carried from step to step (a chord method, :func:`_chord_solver`):
-by LU in nedelec, and in lee-madsen, mass-dominated, by Jacobi-PCG to the
-relative residual :data:`CHORD_FORCING` (an inexact Newton forcing term,
-Eisenstat and Walker 1996), so a lee-madsen Kerr march factorizes nothing.
+least-squares polynomial fit, whichever missed by less one step back,
+and solve with the Kerr Jacobian of their residual, lagged (a chord method,
+:func:`_chord_solver`): by LU in nedelec, and in lee-madsen,
+mass-dominated, by Jacobi-PCG to the relative residual
+:data:`CHORD_FORCING` (an inexact Newton forcing term, Eisenstat and
+Walker 1996), so a lee-madsen Kerr march factorizes nothing.  The march
+(:class:`_KerrMarch`, one per :func:`integrate` call) carries both the
+accepted values and the chord from step to step.
 """
 
 from __future__ import annotations
@@ -334,10 +336,12 @@ def _least_squares_weights(window: int, degree: int) -> np.ndarray:
 _LSQ_WEIGHTS = _least_squares_weights(LSQ_WINDOW, LSQ_DEGREE)
 
 
-class _KerrStart:
-    """The starts of the Kerr midpoint steps of one march, from the accepted
-    values of its iterated unknown (Hairer and Wanner, *Solving ODEs II*,
-    IV.8), pushed one per step by calling it.
+class _KerrMarch:
+    """What a Kerr midpoint march carries from step to step: the accepted
+    values of its iterated unknown, from which calling it predicts the next
+    step's start (Hairer and Wanner, *Solving ODEs II*, IV.8), and
+    ``solve``, the solve with the lagged Kerr Jacobian (the chord, see
+    :func:`_chord_solver`), None until the first step makes it.
 
     Two candidates predict the next value.  The backward-difference table
     gives the order-k polynomial extrapolation, k = :func:`_start_order`, or
@@ -364,6 +368,7 @@ class _KerrStart:
         self.ring = None  # the last LSQ_WINDOW values, the i-th pushed in row i % LSQ_WINDOW
         self.pushed = 0
         self.fit = None  # the least-squares prediction of the value pushed next
+        self.solve = None  # the chord's solve, kept for the next step
 
     def __call__(self, x: np.ndarray):
         """The predicted end value of the step that starts from the newest
@@ -383,32 +388,31 @@ class _KerrStart:
 
 
 def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, solver,
-                  e_start):
+                  e_start, kerr: _KerrMarch | None):
     """The solve a midpoint step's sweeps start from, and the function
     ``refresh(e)`` that replaces it by ``solver(jacobian(forms, e, dt))``
     (``solver`` maps a matrix to its solve function).
 
-    Linear media solve with the cached reduced LU, the exact and constant
-    Jacobian (their one sweep never refreshes it).  Kerr media solve with
-    the lagged Kerr Jacobian whose solver ``forms`` keeps for this dt under
-    "<formulation>-kerr", left by the step before; only when it keeps none
-    is the Jacobian evaluated at the start iterate ``e_start`` and its
-    solver made afresh."""
-    if forms.params.chi3 == 0.0:
+    A linear medium (``kerr`` None) solves with the cached reduced LU, the
+    exact and constant Jacobian (its one sweep never refreshes it).  A Kerr
+    march solves with the lagged Kerr Jacobian that it carries in
+    ``kerr.solve``, left by the step before; its first step evaluates the
+    Jacobian at the start iterate ``e_start`` and makes the solver."""
+    if kerr is None:
         return forms.reduced_solver(formulation, dt), None
-    name = formulation + "-kerr"
 
     def refresh(e):
-        return forms.keep_solver(name, dt, solver(jacobian(forms, e, dt)))
+        kerr.solve = solver(jacobian(forms, e, dt))
+        return kerr.solve
 
-    solve = forms.kept_solver(name, dt)
-    return (refresh(e_start) if solve is None else solve), refresh
+    return (refresh(e_start) if kerr.solve is None else kerr.solve), refresh
 
 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
-                      je: np.ndarray, jm: np.ndarray, start):
+                      je: np.ndarray, jm: np.ndarray, kerr: _KerrMarch | None):
     """Sweep of the lee-madsen step and its start iterate (E(H_s), H_s),
-    with H_s the predicted end H ``start`` or, when it is None, H0: a chord
+    with H_s the end H that the Kerr march ``kerr`` predicts or, when it
+    predicts none or the medium is linear (``kerr`` None), H0: a chord
     update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T
     (E0 + E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion,
     which the next sweep's residual reads.  Its Jacobian
@@ -436,11 +440,12 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         d1 += d_fixed
         return e_of_d(params, d1).ravel()
 
+    start = None if kerr is None else kerr(h0)
     h_start = h0 if start is None else start
     e_start = e_end(h_start)
     solve, refresh_solver = _chord_solver(
         forms, "lee-madsen", dt, assemble_nonlinear_curl_curl,
-        lambda A: linalg.cg_solver(A, CHORD_FORCING), e_start)
+        lambda A: linalg.cg_solver(A, CHORD_FORCING), e_start, kerr)
 
     def sweep(e1, h1, refresh):
         nonlocal solve
@@ -462,15 +467,15 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
-                   je: np.ndarray, jm: np.ndarray, start):
+                   je: np.ndarray, jm: np.ndarray, kerr: _KerrMarch | None):
     """Sweep of the nedelec step and its start iterate: a chord update of E
     on the free edges for R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e),
     whose Jacobian :func:`assemble_nonlinear_mass_curl` is factorized and
     held as :func:`_chord_solver` says, and re-evaluated at the current E1
     when ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows
     exactly from the discrete curl of E1, so the ``h1`` argument is not
-    read.  The start iterate is (E0, H0) or the predicted end E ``start``
-    with H following from it."""
+    read.  The start iterate is (E0, H0) or the end E that the Kerr march
+    ``kerr`` predicts, with H following from it."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
@@ -483,9 +488,10 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         return h0 - (dt / params.mu0) * (forms.discrete_curl @ (0.5 * (e0 + e1)) + jm_term)
 
     # a march changes no constrained edge, so a predicted E keeps E0's there
+    start = None if kerr is None else kerr(e0)
     e_start, h_start = (e0, h0) if start is None else (start, h_end(start))
     solve, refresh_solver = _chord_solver(forms, "nedelec", dt, assemble_nonlinear_mass_curl,
-                                          linalg.factorized, e_start)
+                                          linalg.factorized, e_start, kerr)
 
     def sweep(e1, h1, refresh):
         nonlocal solve
@@ -503,19 +509,17 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
 
 
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
-_ITERATED_FIELD = {"lee-madsen": "h", "nedelec": "e"}  # the State field each sweep updates
 
 
 def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
-                   jm: np.ndarray, tol: float, start=None) -> State:
+                   jm: np.ndarray, tol: float, kerr: _KerrMarch | None) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
-    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2; its
-    sweeps start from the predicted end value ``start`` of the iterated
-    unknown (see :class:`_KerrStart`) or, when it is None, from
-    ``state``."""
+    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2, in the
+    Kerr march ``kerr`` (see :class:`_KerrMarch`) or, when it is None, in a
+    linear medium."""
     sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
-                                                                  start)
-    e1, h1 = _midpoint_sweeps(e_start, h_start, sweep, tol, forms.params.chi3 == 0.0)
+                                                                  kerr)
+    e1, h1 = _midpoint_sweeps(e_start, h_start, sweep, tol, kerr is None)
     return State(state.formulation, e1, h1, state.t + dt)
 
 
@@ -617,13 +621,15 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
               collect: bool = True, on_step=None):
     """March ``num_steps`` steps, optionally recording an EnergyTrace.
 
-    Kerr midpoint steps predict their sweeps' start from the accepted
-    values of the iterated unknown (H for lee-madsen, E for nedelec) in
-    this call (:class:`_KerrStart`): the first two steps start from the
-    current state, the least-squares candidate enters at step
-    :data:`LSQ_WINDOW` + 1, and a march split over two calls starts afresh,
-    so its steps agree with one call's to the sweep tolerance, not
-    bitwise.
+    The Kerr midpoint steps of one call are one march (:class:`_KerrMarch`):
+    they predict their sweeps' start from the accepted values of the
+    iterated unknown (H for lee-madsen, E for nedelec) in this call, and
+    carry their lagged Jacobian from step to step.  The first two steps
+    start from the current state, the least-squares candidate enters at
+    step :data:`LSQ_WINDOW` + 1, and the first step evaluates the Jacobian
+    at its start.  A march split over two calls starts both afresh, so its
+    steps agree with one call's to the sweep tolerance, not bitwise; two
+    calls from one state at one dt are bitwise equal.
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
     ValueError for an unknown formulation or stepper, a nonpositive or NaN
@@ -644,17 +650,15 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
         trace.sample(state, forms, sources)
     # midpoint loads: read by the midpoint step and by the power column
     need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
-    kerr_start = _KerrStart() if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
-    iterated = _ITERATED_FIELD[state.formulation]
+    kerr = _KerrMarch() if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
     current = state
     for step in range(1, num_steps + 1):
-        start = None if kerr_start is None else kerr_start(getattr(current, iterated))
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 if need_loads:
                     je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
-                    new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, start)
+                    new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, kerr)
                 else:
                     new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
             except (linalg.LinalgError, NonlinearSolveError) as exc:

@@ -264,35 +264,52 @@ def test_midpoint_signals_nonconvergence(cavity, cube2, monkeypatch):
         one_step(st, 0.05, ZERO_SOURCES, forms)
 
 
-def test_nedelec_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
-    # a step starts from the Jacobian factorization the step before left on
-    # forms, so 5 steps at one dt factorize fewer than 5 Jacobians; a new dt
-    # factorizes afresh, at the start state of its first step
-    mesh, topo = cube2
-    forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-    factorized_matrices = record_matrices(monkeypatch)
-    st = cavity_state(cavity, forms, formulation="nedelec")
+def start_jacobian(forms, state, dt):
+    """The Kerr Jacobian of a midpoint step of ``dt`` from ``state``,
+    without sources, at the step's constant start iterate: E0 (nedelec) or
+    E(H0) (lee-madsen)."""
+    if state.formulation == "nedelec":
+        return dynamics.assemble_nonlinear_mass_curl(forms, state.e, dt)
+    params = forms.params
+    d_start = (d_of_e(params, state.e.reshape(-1, 3))
+               + (dt / forms.ctx.vol[:, None]) * (forms.coupling_lm @ state.h).reshape(-1, 3))
+    return assemble_nonlinear_curl_curl(forms, e_of_d(params, d_start).ravel(), dt)
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, formulation, monkeypatch):
+    # a step starts from the lagged Jacobian the step before left on its
+    # march, so 5 steps at one dt hand fewer than 5 Jacobians to the solver
+    # maker (PCG in lee-madsen, LU in nedelec).  A later call is a new
+    # march: at the same dt, and at a new one, its first step makes the
+    # chord afresh, at its start state
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    solver_maker = "cg_solver" if formulation == "lee-madsen" else "factorized"
+    jacobians = record_matrices(monkeypatch, solver_maker)
+    st = cavity_state(cavity, forms, formulation=formulation)
     mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
-    assert 1 <= len(factorized_matrices) < 5
-    factorized_matrices.clear()
-    integrate(mid, 0.02, 1, ZERO_SOURCES, forms, collect=False)
-    assert factorized_matrices
-    fresh = dynamics.assemble_nonlinear_mass_curl(forms, mid.e, 0.02)
-    assert (factorized_matrices[0] != fresh).nnz == 0
+    assert 1 <= len(jacobians) < 5
+    for dt in (0.01, 0.02):
+        jacobians.clear()
+        integrate(mid, dt, 1, ZERO_SOURCES, forms, collect=False)
+        assert jacobians
+        assert (jacobians[0] != start_jacobian(forms, mid, dt)).nnz == 0
 
 
-def test_nedelec_kerr_runs_on_fresh_forms_are_bitwise_equal(cube2, cavity):
-    # the carried factorization lives on forms, so a run on fresh forms
-    # starts from nothing that an earlier run left behind
-    mesh, topo = cube2
-    ends = []
-    for _ in range(2):
-        forms = build_forms(mesh, topo, MaterialParams(chi3=1.0))
-        st = cavity_state(cavity, forms, formulation="nedelec")
-        end, _ = integrate(st, 0.05, 5, ZERO_SOURCES, forms, collect=False)
-        ends.append(end)
-    assert np.array_equal(ends[0].e, ends[1].e)
-    assert np.array_equal(ends[0].h, ends[1].h)
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_kerr_marches_on_one_forms_at_one_dt_are_bitwise_equal(cube2, cavity, formulation):
+    # the lagged Jacobian lives on the march, not on forms: once the first
+    # march has made forms' caches, the second writes no attribute of forms
+    # and starts from nothing that the first left behind
+    forms = build_forms(*cube2, MaterialParams(chi3=1.0))
+    st = cavity_state(cavity, forms, formulation=formulation)
+    first, _ = integrate(st, 0.05, 5, ZERO_SOURCES, forms, collect=False)
+    cached = dict(vars(forms))
+    second, _ = integrate(st, 0.05, 5, ZERO_SOURCES, forms, collect=False)
+    assert vars(forms).keys() == cached.keys()
+    assert all(vars(forms)[name] is value for name, value in cached.items())
+    assert np.array_equal(first.e, second.e)
+    assert np.array_equal(first.h, second.h)
 
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
@@ -416,10 +433,10 @@ def test_start_order_is_the_degree_of_polynomial_samples(degree):
         return math.comb(t, degree) * np.array([1.0, -2.0, 3.0, 4.0, 5.0])
 
     num = dynamics.LSQ_WINDOW + 2
-    kerr_start = dynamics._KerrStart()
+    march = dynamics._KerrMarch()
     for t in range(num):
-        start = kerr_start(sample(t))
-    assert dynamics._start_order(kerr_start.table) == degree
+        start = march(sample(t))
+    assert dynamics._start_order(march.table) == degree
     if degree == 0:
         assert start is None  # the constant start, exact for a constant
     else:
@@ -430,9 +447,9 @@ def test_start_order_is_zero_on_growing_differences():
     # alternating samples double their differences with each order, so
     # every extrapolation missed by more than the constant start
     v = np.array([1.0, 2.0, 3.0])
-    kerr_start = dynamics._KerrStart()
-    starts = [kerr_start((-1) ** t * v) for t in range(8)]
-    assert dynamics._start_order(kerr_start.table) == 0
+    march = dynamics._KerrMarch()
+    starts = [march((-1) ** t * v) for t in range(8)]
+    assert dynamics._start_order(march.table) == 0
     assert starts[-1] is None
 
 
@@ -461,13 +478,13 @@ def test_least_squares_start_is_taken_where_it_missed_by_less():
     def sample(t):
         return math.comb(t, dynamics.LSQ_DEGREE) * np.array([1.0, -2.0, 3.0])
 
-    kerr_start = dynamics._KerrStart()
+    march = dynamics._KerrMarch()
     for t in range(dynamics.LSQ_WINDOW):
-        start = kerr_start(sample(t))
-        assert start is None or start is not kerr_start.fit
+        start = march(sample(t))
+        assert start is None or start is not march.fit
     for t in range(dynamics.LSQ_WINDOW, dynamics.LSQ_WINDOW + 8):
-        start = kerr_start(sample(t))
-        assert start is kerr_start.fit
+        start = march(sample(t))
+        assert start is march.fit
         assert np.allclose(start, sample(t + 1), rtol=1e-12, atol=0.0)
 
 
@@ -518,18 +535,18 @@ def test_kerr_march_agrees_with_its_constant_start_march(cube2, formulation, mon
     forms = build_forms(*cube2, MaterialParams(chi3=1.0))
     sweeps = count_sweeps(monkeypatch)
     fits = []
-    kerr_start = dynamics._KerrStart.__call__
+    predict = dynamics._KerrMarch.__call__
 
     def recorded(self, x):
-        start = kerr_start(self, x)
+        start = predict(self, x)
         fits.append(start is not None and start is self.fit)
         return start
 
-    monkeypatch.setattr(dynamics._KerrStart, "__call__", recorded)
+    monkeypatch.setattr(dynamics._KerrMarch, "__call__", recorded)
     extrapolated = kerr_manufactured_march(forms, formulation, 30, dt=0.02)
     extrapolated_sweeps = sum(sweeps)
     assert len(fits) == 30 and any(fits)
-    monkeypatch.setattr(dynamics._KerrStart, "__call__", lambda self, x: None)
+    monkeypatch.setattr(dynamics._KerrMarch, "__call__", lambda self, x: None)
     constant = kerr_manufactured_march(forms, formulation, 30, dt=0.02)
     assert extrapolated_sweeps < sum(sweeps) - extrapolated_sweeps
     for a, b in ((extrapolated.e, constant.e), (extrapolated.h, constant.h)):
@@ -538,8 +555,9 @@ def test_kerr_march_agrees_with_its_constant_start_march(cube2, formulation, mon
 
 @pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
 def test_kerr_march_split_in_two_calls_agrees_with_one(cube2, formulation):
-    # each call extrapolates its step starts from its own states only, so a
-    # second call restarts from the constant start; both marches converge
+    # each call extrapolates its step starts from its own states only and
+    # lags its own Jacobian, so a second call restarts from the constant
+    # start and a fresh Jacobian; both marches converge
     # each step to the sweep tolerance, and so agree to about that
     forms = build_forms(*cube2, MaterialParams(chi3=1.0))
     whole = kerr_manufactured_march(forms, formulation, 12)
@@ -600,27 +618,6 @@ def test_nedelec_kerr_large_steps_keep_the_constant_start(cube4, cavity, dt_over
     st = cavity_state(cavity, forms, formulation="nedelec")
     integrate(st, dt_over_h * mesh_size(mesh), 8, ZERO_SOURCES, forms, collect=False)
     assert len(sweeps) == 8 and np.mean(sweeps) <= 6.75, sweeps
-
-
-def test_lee_madsen_kerr_chord_carries_across_steps_at_one_dt(cube2, cavity, monkeypatch):
-    # as in nedelec: 5 steps at one dt hand fewer than 5 Jacobians to the
-    # PCG solver maker, and a new dt starts from a fresh Jacobian at the
-    # start iterate E(H0) of its first step
-    mesh, topo = cube2
-    params = MaterialParams(chi3=1.0)
-    forms = build_forms(mesh, topo, params)
-    st = cavity_state(cavity, forms)
-    jacobians = record_matrices(monkeypatch, "cg_solver")
-    mid, _ = integrate(st, 0.01, 5, ZERO_SOURCES, forms, collect=False)
-    assert 1 <= len(jacobians) < 5
-    jacobians.clear()
-    dt = 0.02
-    integrate(mid, dt, 1, ZERO_SOURCES, forms, collect=False)
-    assert jacobians
-    d_start = (d_of_e(params, mid.e.reshape(-1, 3))
-               + (dt / forms.ctx.vol[:, None]) * (forms.coupling_lm @ mid.h).reshape(-1, 3))
-    fresh = assemble_nonlinear_curl_curl(forms, e_of_d(params, d_start).ravel(), dt)
-    assert (jacobians[0] != fresh).nnz == 0
 
 
 def test_only_the_nedelec_kerr_march_factorizes(cube2, cavity, monkeypatch):
