@@ -123,7 +123,8 @@ class EnergyTrace:
         self.energy.append(total_energy(state, forms))
         if power is not None:
             self.power.append(power)
-        self.source_sq.append(source_norm_sq(forms, sources, state.t))
+        self.source_sq.append(0.0 if sources.is_zero
+                              else source_norm_sq(forms, sources, state.t))
         self.e_linf.append(e_max_norm(state, forms))
 
     def arrays(self):
@@ -200,19 +201,27 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     tet in closed form.  The constant masses are solved with their cached LU
     factorizations (mu0 M_u is the lee-madsen reduced matrix at dt = 0); only
     the nedelec Kerr mass, new at every stage, is solved by CG to ``cg_tol``.
+    Source-free ``sources`` form no load vector, whose subtraction changes no bit.
     """
     _validate_formulation(state.formulation)
     params = forms.params
-    je, jm = _loads(forms, state.formulation, sources, state.t)
+    je = jm = None
+    if not sources.is_zero:
+        je, jm = _loads(forms, state.formulation, sources, state.t)
     if state.formulation == "lee-madsen":
         E = state.e.reshape(-1, 3)
         inv_blocks = cm_matrix(params, E) / (params.eps0 * forms.ctx.vol[:, None, None])
-        b = (forms.coupling_lm @ state.h - je).reshape(-1, 3)
-        de = np.einsum("tij,tj->ti", inv_blocks, b).ravel()
-        dh = forms.reduced_solver("lee-madsen", 0.0)(-(forms.coupling_lm_t @ state.e) - jm)
-        return de, dh
+        b = forms.coupling_lm @ state.h
+        dh = -(forms.coupling_lm_t @ state.e)
+        if je is not None:
+            b -= je
+            dh -= jm
+        de = np.einsum("tij,tj->ti", inv_blocks, b.reshape(-1, 3)).ravel()
+        return de, forms.reduced_solver("lee-madsen", 0.0)(dh)
     free = forms.free_edges
-    rhs_e = (forms.coupling_ned_t @ state.h) - je[free]
+    rhs_e = forms.coupling_ned_t @ state.h
+    if je is not None:
+        rhs_e -= je[free]
     de = np.zeros_like(state.e)
     if params.chi3 == 0.0:
         de[free] = forms.reduced_solver("nedelec", 0.0)(rhs_e)
@@ -231,7 +240,7 @@ def _sweep_exit(delta: float, tol: float, iteration: int) -> bool:
     iteration (Hairer and Wanner, *Solving ODEs II*, IV.8).  Raises
     NonlinearSolveError on a non-finite update or when the
     :data:`MAX_SWEEPS` cap is reached above ``tol``."""
-    if not np.isfinite(delta):
+    if not math.isfinite(delta):
         raise NonlinearSolveError("midpoint iteration diverged (non-finite update); reduce dt")
     if delta <= tol:
         return True
@@ -293,18 +302,18 @@ def _push_differences(table, x):
     return rows
 
 
-def _start_order(table) -> int:
+def _start_order(table):
     """The order k of the next Kerr midpoint step's start, raised from 0 up
     to :data:`EXTRAPOLATION_ORDER` while the next order missed the newest
     value by less (the order choice of multistep codes, Shampine and Gordon
-    1975).  The order-k prediction made one step back missed it by exactly
-    table row k + 1; the misses are compared by their norms (relative to
-    the newest value's, a common factor), computed up to the chosen order + 1."""
+    1975), and ``miss``: ``miss(k)`` is the norm of table row k + 1, by
+    which the order-k prediction made one step back missed the newest value
+    (relative to its norm, a common factor), each taken once, on first use."""
     miss = functools.cache(lambda k: np.linalg.norm(table[k + 1]))
     k = 0
     while k < min(EXTRAPOLATION_ORDER, len(table) - 2) and miss(k + 1) < miss(k):
         k += 1
-    return k
+    return k, miss
 
 
 def _least_squares_weights(window: int, degree: int) -> np.ndarray:
@@ -381,8 +390,8 @@ class _KerrMarch:
         fit = self.fit
         if self.pushed >= LSQ_WINDOW:
             self.fit = np.roll(_LSQ_WEIGHTS, self.pushed) @ self.ring
-        k = _start_order(self.table)
-        if fit is not None and np.linalg.norm(x - fit) < np.linalg.norm(self.table[k + 1]):
+        k, miss = _start_order(self.table)
+        if fit is not None and np.linalg.norm(x - fit) < miss(k):
             return self.fit
         return sum(self.table[:k + 1]) if k else None
 
@@ -409,13 +418,14 @@ def _chord_solver(forms: AssembledForms, formulation: str, dt: float, jacobian, 
 
 
 def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
-                      je: np.ndarray, jm: np.ndarray, kerr: _KerrMarch | None):
+                      je: np.ndarray | None, jm: np.ndarray | None, kerr: _KerrMarch | None):
     """Sweep of the lee-madsen step and its start iterate (E(H_s), H_s),
     with H_s the end H that the Kerr march ``kerr`` predicts or, when it
     predicts none or the medium is linear (``kerr`` None), H0: a chord
     update of H for G(H1) = mu0 M_u (H1 - H0) + dt (C^T
     (E0 + E1)/2 + j_m), then E1 = E(H1) by cellwise constitutive inversion,
-    which the next sweep's residual reads.  Its Jacobian
+    which the next sweep's residual reads (without sources ``je``, ``jm``
+    are None and no load term is formed).  Its Jacobian
     mu0 M_u + (dt^2/4) C^T blockdiag(C_m(E1) / (eps0 |K|)) C
     (:func:`assemble_nonlinear_curl_curl`) is mass-dominated, so it is
     solved by Jacobi-PCG to :data:`CHORD_FORCING`, held as
@@ -428,17 +438,19 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
     params = forms.params
     C, CT = forms.coupling_lm, forms.coupling_lm_t
     e0, h0 = state.e, state.h
-    dt_vol = dt / forms.ctx.vol[:, None]
-    # the step's constants: D1 = D(E0) - (dt/|K|) j_e + (dt/(2|K|)) C (H0 + H1)
-    d_fixed = d_of_e(params, e0.reshape(-1, 3)) - dt_vol * je.reshape(-1, 3)
-    half_dt_vol = 0.5 * dt_vol
-    dt_jm = dt * jm
+    vol = forms.ctx.vol
+    # the step's constants, flat: D1 = D(E0) - (dt/|K|) j_e + (dt/(2|K|)) C (H0 + H1)
+    d_fixed = d_of_e(params, e0.reshape(-1, 3)).ravel()
+    half_dt_vol = np.repeat((0.5 * dt) / vol, 3)
+    dt_jm = None if jm is None else dt * jm
+    if je is not None:
+        d_fixed = d_fixed - np.repeat(dt / vol, 3) * je
 
     def e_end(h1):
-        d1 = (C @ (h0 + h1)).reshape(-1, 3)
+        d1 = C @ (h0 + h1)
         d1 *= half_dt_vol
         d1 += d_fixed
-        return e_of_d(params, d1).ravel()
+        return e_of_d(params, d1.reshape(-1, 3)).ravel()
 
     start = None if kerr is None else kerr(h0)
     h_start = h0 if start is None else start
@@ -451,15 +463,16 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
         nonlocal solve
         if refresh:
             solve = refresh_solver(e1)
-        if h1 is h0:  # the mass term from H0 is +0: a fresh dt_jm + 0.0 rounds as it does
-            residual = dt_jm + 0.0
+        residual = CT @ (e0 + e1)
+        residual *= 0.5 * dt
+        if h1 is h0:  # the mass term from H0 is +0: adding 0.0 rounds as it does
+            residual += 0.0 if dt_jm is None else dt_jm + 0.0
         else:
-            residual = forms.mass_u1 @ (h1 - h0)
-            residual *= params.mu0
-            residual += dt_jm
-        flux = CT @ (e0 + e1)
-        flux *= 0.5 * dt
-        residual += flux
+            mass = forms.mass_u1 @ (h1 - h0)
+            mass *= params.mu0
+            if dt_jm is not None:
+                mass += dt_jm
+            residual += mass
         h1 = h1 - solve(residual)
         return e_end(h1), h1
 
@@ -467,21 +480,22 @@ def _lee_madsen_sweep(state: State, dt: float, forms: AssembledForms,
 
 
 def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
-                   je: np.ndarray, jm: np.ndarray, kerr: _KerrMarch | None):
+                   je: np.ndarray | None, jm: np.ndarray | None, kerr: _KerrMarch | None):
     """Sweep of the nedelec step and its start iterate: a chord update of E
     on the free edges for R(E1) = D(E1) - D(E0) - dt (K^T H_mid - j_e),
     whose Jacobian :func:`assemble_nonlinear_mass_curl` is factorized and
     held as :func:`_chord_solver` says, and re-evaluated at the current E1
     when ``refresh`` is set (see :func:`_midpoint_sweeps`).  H1 follows
-    exactly from the discrete curl of E1, so the ``h1`` argument is not
-    read.  The start iterate is (E0, H0) or the end E that the Kerr march
-    ``kerr`` predicts, with H following from it."""
+    exactly from the discrete curl of E1: the ``h1`` argument is H(E1),
+    which H_mid reuses, except at the constant start (E0, H0).  The start
+    iterate is that or the end E that the Kerr march ``kerr`` predicts,
+    with H following from it.  ``je``, ``jm`` are None without sources."""
     params = forms.params
     ctx = forms.ctx
     free = forms.free_edges
     KT = forms.coupling_ned_t
     e0, h0 = state.e, state.h
-    jm_term = forms.solve_mass_v1(jm) if jm.any() else 0.0
+    jm_term = forms.solve_mass_v1(jm) if jm is not None and jm.any() else 0.0
     d0 = assemble_flux_load(ctx, params, e0)[free]
 
     def h_end(e1):
@@ -497,8 +511,10 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
         nonlocal solve
         # a start from E0 itself (every linear step) takes its load from d0
         d1 = d0 if e1 is e0 else assemble_flux_load(ctx, params, e1)[free]
-        residual = (d1 - d0
-                    - dt * (KT @ (0.5 * (h0 + h_end(e1))) - je[free]))
+        flux = KT @ (0.5 * (h0 + (h_end(e1) if h1 is h0 else h1)))
+        if je is not None:
+            flux -= je[free]
+        residual = d1 - d0 - dt * flux
         if refresh:
             solve = refresh_solver(e1)
         e1 = e1.copy()
@@ -511,12 +527,12 @@ def _nedelec_sweep(state: State, dt: float, forms: AssembledForms,
 _MIDPOINT_SWEEPS = {"lee-madsen": _lee_madsen_sweep, "nedelec": _nedelec_sweep}
 
 
-def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray,
-                   jm: np.ndarray, tol: float, kerr: _KerrMarch | None) -> State:
+def _step_midpoint(state: State, dt: float, forms: AssembledForms, je: np.ndarray | None,
+                   jm: np.ndarray | None, tol: float, kerr: _KerrMarch | None) -> State:
     """One implicit-midpoint step on the flux form, second order in dt, with
-    the source loads ``je``, ``jm`` at the step's midpoint t + dt/2, in the
-    Kerr march ``kerr`` (see :class:`_KerrMarch`) or, when it is None, in a
-    linear medium."""
+    the source loads ``je``, ``jm`` (None without sources) at the step's
+    midpoint t + dt/2, in the Kerr march ``kerr`` (see :class:`_KerrMarch`)
+    or, when it is None, in a linear medium."""
     sweep, e_start, h_start = _MIDPOINT_SWEEPS[state.formulation](state, dt, forms, je, jm,
                                                                   kerr)
     e1, h1 = _midpoint_sweeps(e_start, h_start, sweep, tol, kerr is None)
@@ -555,14 +571,17 @@ def total_energy(state: State, forms: AssembledForms) -> float:
     W = 0.5 [ ||E||^2_{eps0(1+chi1)} + 1.5 || |E|^2 ||^2_{eps0 chi3}
     + ||H||^2_{mu0} ]; in closed form, cellwise in the lee-madsen case and
     from the vertex values (:func:`kerrfem.assembly.electric_energy`) in the
-    nedelec case.
+    nedelec case.  A linear medium forms no quartic term, so a field whose
+    |E|^2 overflows has energy +inf in both formulations.
     """
     params = forms.params
     ctx = forms.ctx
     if state.formulation == "lee-madsen":
         e2 = _norm_sq(state.e.reshape(ctx.num_tets, 3))
-        we = np.sum(ctx.vol * (0.5 * params.eps_lin * e2
-                               + 0.75 * params.eps0 * params.chi3 * e2 * e2))
+        density = 0.5 * params.eps_lin * e2
+        if params.chi3 > 0.0:
+            density = density + 0.75 * params.eps0 * params.chi3 * e2 * e2
+        we = np.sum(ctx.vol * density)
         wh = 0.5 * params.mu0 * float(state.h @ (forms.mass_u1 @ state.h))
         return float(we + wh)
     we = electric_energy(ctx, params, state.e)
@@ -629,7 +648,8 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     step :data:`LSQ_WINDOW` + 1, and the first step evaluates the Jacobian
     at its start.  A march split over two calls starts both afresh, so its
     steps agree with one call's to the sweep tolerance, not bitwise; two
-    calls from one state at one dt are bitwise equal.
+    calls from one state at one dt are bitwise equal.  A source-free march
+    forms no load vector.
     ``on_step(step, state)``, when given, is called after each step
     ``step = 1 .. num_steps`` with the state that step produced.  Raises
     ValueError for an unknown formulation or stepper, a nonpositive or NaN
@@ -648,8 +668,9 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     trace = EnergyTrace() if collect else None
     if collect:
         trace.sample(state, forms, sources)
-    # midpoint loads: read by the midpoint step and by the power column
-    need_loads = stepper == "midpoint" or (collect and not sources.is_zero)
+    # midpoint loads, read by the midpoint step and by the power column
+    need_loads = not sources.is_zero and (stepper == "midpoint" or collect)
+    je = jm = None
     kerr = _KerrMarch() if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
     current = state
     for step in range(1, num_steps + 1):
