@@ -434,9 +434,8 @@ class AssembledForms:
     mass_v1: sp.csr_matrix   # face Gram matrix
     coupling_lm: sp.csr_matrix     # (3 nt) x (n_edges)
     discrete_curl: sp.csr_matrix   # faces x edges, exact curl coefficients
-    coupling_ned: sp.csr_matrix    # faces x free edges
     coupling_lm_t: sp.csr_matrix   # coupling_lm.T as CSR, for the time loop's matvecs
-    coupling_ned_t: sp.csr_matrix  # coupling_ned.T as CSR
+    coupling_ned_t: sp.csr_matrix  # K^T, free edges x faces, as CSR (see build_forms)
     # the LU of the last reduced matrix solved with, ((formulation, dt), solve)
     _reduced_lu: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # load vectors of separable source factors, keyed by (g, dof map)
@@ -508,8 +507,9 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     pattern of its space (the face pattern is not kept), the lee-madsen
     coupling C and the discrete curl.  The nedelec coupling
     K[i, j] = (phi_i^V, curl psi_j^U0) is the face Gram matrix times the
-    discrete curl's columns of the free (interior) edges.  C^T and K^T
-    are kept as CSR copies, so the time loop builds no transpose per step.
+    discrete curl's columns of the free (interior) edges; only its transpose
+    is kept.  C^T and K^T are CSR, so the time loop builds no transpose per
+    step.
     """
     ctx = build_context(mesh, topo, symmetric_tetrahedron_rule())
     free_edges = np.delete(np.arange(topo.num_edges), topo.boundary_edges)
@@ -518,7 +518,6 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
     mass_v1 = _pattern(ctx.dof_v).matrix(ctx.dof_v.gram(ctx.vol))
     discrete_curl = assemble_discrete_curl(topo)
     coupling_lm = assemble_coupling(ctx, ctx.dof_u)
-    coupling_ned = mass_v1 @ discrete_curl[:, free_edges]
     return AssembledForms(
         ctx=ctx,
         params=params,
@@ -528,7 +527,6 @@ def build_forms(mesh: Mesh, topo: Topology, params: MaterialParams) -> Assembled
         mass_v1=mass_v1,
         coupling_lm=coupling_lm,
         discrete_curl=discrete_curl,
-        coupling_ned=coupling_ned,
         coupling_lm_t=coupling_lm.T.tocsr(),
-        coupling_ned_t=coupling_ned.T.tocsr(),
+        coupling_ned_t=(mass_v1 @ discrete_curl[:, free_edges]).T.tocsr(),
     )

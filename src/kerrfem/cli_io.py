@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .assembly import build_forms
 from .dynamics import (
     FORMULATIONS,
     SOLVER_TOL,
@@ -27,24 +26,25 @@ from .dynamics import (
     State,
     discrete_divergence,
     energy_law_residual,
-    initialize,
     integrate,
     stability_bound_check,
 )
 from .linalg import LinalgError
 from .material import MaterialError, MaterialParams
-from .mesh import (
-    Mesh,
-    MeshError,
-    build_topology,
-    generate_structured_cube,
-    mesh_size,
-    read_mesh,
-    write_mesh,
+from .mesh import Mesh, MeshError, generate_structured_cube, mesh_size, read_mesh, write_mesh
+from .verification import (
+    DT_FACTOR,
+    EXACT_CASES,
+    T_FINAL,
+    discretize,
+    get_case,
+    projection_study,
+    run_convergence,
 )
-from .verification import get_case, projection_study, run_convergence
 
-CASES = ("cavity", "kerr-manufactured", "custom-zero-source")
+CASES = EXACT_CASES + ("custom-zero-source",)
+# doubling subdivisions of the converge and project studies
+LEVELS = "2,4,8"
 
 
 class ConfigError(Exception):
@@ -66,12 +66,12 @@ class RunConfig:
     mesh_n: int | None = None
     mesh_file: str | None = None
     formulation: str = "lee-madsen"
-    eps0: float = 1.0
-    mu0: float = 1.0
-    chi1: float = 0.0
-    chi3: float = 0.0
+    eps0: float = MaterialParams.eps0
+    mu0: float = MaterialParams.mu0
+    chi1: float = MaterialParams.chi1
+    chi3: float = MaterialParams.chi3
     case: str = "cavity"
-    t_end: float = 1.0
+    t_end: float = T_FINAL
     dt: float = 0.01
     stepper: str = "midpoint"
     vtk_every: int = 0
@@ -91,12 +91,9 @@ class RunConfig:
             raise ConfigError("mesh.n and mesh.file are mutually exclusive")
         if self.mesh_n is not None and self.mesh_n < 1:
             raise ConfigError(f"mesh.n must be >= 1, got {self.mesh_n}")
-        if self.formulation not in FORMULATIONS:
-            raise ConfigError(f"formulation must be one of {FORMULATIONS}")
-        if self.case not in CASES:
-            raise ConfigError(f"case must be one of {CASES}")
-        if self.stepper not in STEPPERS:
-            raise ConfigError(f"time.stepper must be one of {STEPPERS}")
+        for key, name, kind, _ in _SETTINGS:
+            if isinstance(kind, tuple) and getattr(self, name) not in kind:
+                raise ConfigError(f"{key} must be one of {kind}")
         for name, value in (("time.t_end", self.t_end), ("time.dt", self.dt)):
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
@@ -116,28 +113,34 @@ class RunConfig:
         return self
 
 
-_KEY_TABLE = {
-    "mesh.n": ("mesh_n", int),
-    "mesh.file": ("mesh_file", str),
-    "formulation": ("formulation", str),
-    "material.eps0": ("eps0", float),
-    "material.mu0": ("mu0", float),
-    "material.chi1": ("chi1", float),
-    "material.chi3": ("chi3", float),
-    "case": ("case", str),
-    "time.t_end": ("t_end", float),
-    "time.dt": ("dt", float),
-    "time.stepper": ("stepper", str),
-    "output.vtk_every": ("vtk_every", int),
-    "output.vtk_prefix": ("vtk_prefix", str),
-    "output.energy_csv": ("energy_csv", str),
-    "tol.cg": ("cg_tol", float),
-    "tol.nonlinear": ("nonlinear_tol", float),
-}
+# One row per run setting: (config key, RunConfig field, type, flag or None);
+# a tuple type lists the accepted values.  ``run`` and ``energy`` take every
+# flag, ``converge`` those of the fields in _STUDY_FIELDS.
+_SETTINGS = (
+    ("mesh.n", "mesh_n", int, "--n"),
+    ("mesh.file", "mesh_file", str, "--mesh-file"),
+    ("formulation", "formulation", FORMULATIONS, "--formulation"),
+    ("material.eps0", "eps0", float, "--eps0"),
+    ("material.mu0", "mu0", float, "--mu0"),
+    ("material.chi1", "chi1", float, "--chi1"),
+    ("material.chi3", "chi3", float, "--chi3"),
+    ("case", "case", CASES, "--case"),
+    ("time.t_end", "t_end", float, "--t-end"),
+    ("time.dt", "dt", float, "--dt"),
+    ("time.stepper", "stepper", STEPPERS, "--stepper"),
+    ("output.vtk_every", "vtk_every", int, "--vtk-every"),
+    ("output.vtk_prefix", "vtk_prefix", str, "--vtk-prefix"),
+    ("output.energy_csv", "energy_csv", str, "--energy-csv"),
+    ("tol.cg", "cg_tol", float, None),
+    ("tol.nonlinear", "nonlinear_tol", float, None),
+)
+_STUDY_FIELDS = ("formulation", "eps0", "mu0", "chi1", "chi3", "t_end", "stepper")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse ``section.key = value`` lines into a validated RunConfig."""
+    rows = {key: (name, str if isinstance(kind, tuple) else kind)
+            for key, name, kind, _ in _SETTINGS}
     values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,12 +151,12 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_TABLE:
+        if key not in rows:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
-        field_name, conv = _KEY_TABLE[key]
+        field_name, conv = rows[key]
         try:
             values[field_name] = conv(value)
         except ValueError as exc:
@@ -223,34 +226,17 @@ def write_energy_csv(trace, path) -> None:
             fh.write(f"{t[i]:.12e},{w[i]:.12e},{pw},{rs}\n")
 
 
-def _load_mesh(cfg: RunConfig) -> Mesh:
-    if cfg.mesh_n is not None:
-        return generate_structured_cube(cfg.mesh_n)
-    return read_mesh(cfg.mesh_file)
-
-
-def _setup_run(cfg: RunConfig):
-    """Mesh, forms, sources, and initial state for one configured run."""
+def _run_simulation(cfg: RunConfig):
+    """March one configured run in ``round(t_end / dt)`` equal steps, at
+    least one, so that the last ends at t_end; return the forms, the case,
+    the end state, the energy trace and the dt marched."""
     params = cfg.material()
-    mesh = _load_mesh(cfg)
-    topo = build_topology(mesh)
-    forms = build_forms(mesh, topo, params)
+    mesh = (generate_structured_cube(cfg.mesh_n) if cfg.mesh_n is not None
+            else read_mesh(cfg.mesh_file))
     # custom-zero-source: cavity-shaped initial data, J = 0, any material
     name = "cavity" if cfg.case == "custom-zero-source" else cfg.case
     case = get_case(name, params=params, t_final=cfg.t_end)
-    sources = case.sources
-    state = initialize(
-        lambda X: case.E(0.0, X),
-        lambda X: case.H(0.0, X),
-        cfg.formulation,
-        forms,
-        H0_curl=lambda X: case.curl_H(0.0, X),
-    )
-    return mesh, forms, case, sources, state
-
-
-def _run_simulation(cfg: RunConfig):
-    mesh, forms, case, sources, state = _setup_run(cfg)
+    forms, state = discretize(case, mesh, params, cfg.formulation)
     num_steps = max(1, round(cfg.t_end / cfg.dt))
     dt = cfg.t_end / num_steps
     write_fields = None
@@ -262,37 +248,27 @@ def _run_simulation(cfg: RunConfig):
 
         write_fields(0, state)
     state, trace = integrate(
-        state, dt, num_steps, sources, forms, stepper=cfg.stepper,
+        state, dt, num_steps, case.sources, forms, stepper=cfg.stepper,
         nonlinear_tol=cfg.nonlinear_tol, cg_tol=cfg.cg_tol, on_step=write_fields,
     )
     if cfg.energy_csv:
         write_energy_csv(trace, cfg.energy_csv)
-    return mesh, forms, case, sources, state, trace
+    return forms, case, state, trace, dt
 
 
-def _add_material_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps0", type=float, default=1.0)
-    p.add_argument("--mu0", type=float, default=1.0)
-    p.add_argument("--chi1", type=float, default=0.0)
-    p.add_argument("--chi3", type=float, default=0.0)
+def _add_settings(p: argparse.ArgumentParser, names, defaults: bool) -> None:
+    """One flag per _SETTINGS row of a field in ``names``; its default is
+    RunConfig's with ``defaults``, else None (the flag is unset)."""
+    for _, name, kind, flag in _SETTINGS:
+        if flag and name in names:
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(flag, dest=name, type=None if choices else kind, choices=choices,
+                           default=getattr(RunConfig, name) if defaults else None)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="configuration file (flags override it)")
-    p.add_argument("--n", type=int, dest="mesh_n", help="structured cube subdivisions")
-    p.add_argument("--mesh-file", help="mesh file path")
-    p.add_argument("--case", choices=CASES)
-    p.add_argument("--formulation", choices=FORMULATIONS)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--stepper", choices=STEPPERS)
-    p.add_argument("--chi1", type=float)
-    p.add_argument("--chi3", type=float)
-    p.add_argument("--eps0", type=float)
-    p.add_argument("--mu0", type=float)
-    p.add_argument("--energy-csv")
-    p.add_argument("--vtk-prefix")
-    p.add_argument("--vtk-every", type=int)
+    _add_settings(p, {f.name for f in fields(RunConfig)}, defaults=False)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -319,9 +295,9 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    _, _, _, _, state, trace = _run_simulation(cfg)
-    print(f"completed {cfg.case} run to t = {state.t:.6g} "
-          f"({cfg.formulation}, {cfg.stepper})")
+    _, _, state, trace, dt = _run_simulation(cfg)
+    print(f"completed {cfg.case} run to t = {state.t:.6g} ({cfg.formulation}, "
+          f"{cfg.stepper}, steps = {len(trace.times) - 1}, dt = {dt:.6g})")
     print(f"final energy W = {trace.energy[-1]:.12e}, max |E_h| = "
           f"{max(trace.e_linf):.6g}")
     if cfg.energy_csv:
@@ -331,14 +307,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _config_from_args(args)
-    _, forms, _, sources, state, trace = _run_simulation(cfg)
+    forms, case, state, trace, dt = _run_simulation(cfg)
     residual = energy_law_residual(trace)
     ratios, violated = stability_bound_check(trace)
     w0 = trace.energy[0]
     print(f"energy report: {cfg.case}, {cfg.formulation}, {cfg.stepper}, "
-          f"dt = {cfg.dt:.6g}, T = {cfg.t_end:.6g}")
+          f"steps = {len(trace.times) - 1}, dt = {dt:.6g}, T = {cfg.t_end:.6g}")
     print(f"W(0) = {w0:.12e}, W(T) = {trace.energy[-1]:.12e}")
-    if w0 > 0.0 and sources.is_zero:
+    if w0 > 0.0 and case.sources.is_zero:
         drift = max(abs(w - w0) for w in trace.energy) / w0
         print(f"max relative energy drift: {drift:.3e}")
     print(f"max |energy-law residual|: {np.max(np.abs(residual)):.6e}")
@@ -359,13 +335,13 @@ def _cmd_energy(args) -> int:
 
 def _cmd_converge(args) -> int:
     levels = [int(s) for s in args.levels.split(",")]
-    params = MaterialParams(eps0=args.eps0, mu0=args.mu0,
-                            chi1=args.chi1, chi3=args.chi3)
-    _check_case_material(args.case, params)
-    case = get_case(args.case, params=params, t_final=args.t_end)
+    cfg = RunConfig(case=args.case, **{name: getattr(args, name) for name in _STUDY_FIELDS})
+    params = cfg.material()
+    _check_case_material(cfg.case, params)
+    case = get_case(cfg.case, params=params, t_final=cfg.t_end)
     table = run_convergence(
-        case, levels, formulation=args.formulation,
-        dt_factor=args.dt_factor, stepper=args.stepper,
+        case, levels, formulation=cfg.formulation,
+        dt_factor=args.dt_factor, stepper=cfg.stepper,
     )
     table.to_csv(args.out)
     print(f"wrote {args.out}")
@@ -386,7 +362,7 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def cli_main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerrfem",
         description="Finite element simulation of Maxwell's equations in "
@@ -399,31 +375,28 @@ def cli_main(argv=None) -> int:
     p_mesh.add_argument("--n", type=int, required=True)
     p_mesh.add_argument("--out", required=True)
 
-    p_run = sub.add_parser("run", help="time-march a configured simulation")
-    _add_run_args(p_run)
-
-    p_energy = sub.add_parser(
+    _add_run_args(sub.add_parser("run", help="time-march a configured simulation"))
+    _add_run_args(sub.add_parser(
         "energy", help="run and report energy law, stability bound, monitors"
-    )
-    _add_run_args(p_energy)
+    ))
 
     p_conv = sub.add_parser("converge", help="terminal-time error study (EOC)")
-    p_conv.add_argument("--case", choices=("cavity", "kerr-manufactured"),
-                        default="cavity")
-    p_conv.add_argument("--levels", default="2,4,8",
+    p_conv.add_argument("--case", choices=EXACT_CASES, default=RunConfig.case)
+    p_conv.add_argument("--levels", default=LEVELS,
                         help="comma-separated doubling subdivisions")
-    p_conv.add_argument("--formulation", choices=FORMULATIONS, default="lee-madsen")
-    p_conv.add_argument("--stepper", choices=STEPPERS, default="midpoint")
-    p_conv.add_argument("--t-end", type=float, default=None)
-    p_conv.add_argument("--dt-factor", type=float, default=0.08,
+    p_conv.add_argument("--dt-factor", type=float, default=DT_FACTOR,
                         help="dt = factor * h^2")
     p_conv.add_argument("--out", default="eoc.csv")
-    _add_material_args(p_conv)
+    _add_settings(p_conv, _STUDY_FIELDS, defaults=True)
 
     p_proj = sub.add_parser("project", help="projection-operator rate study")
-    p_proj.add_argument("--levels", default="2,4,8")
+    p_proj.add_argument("--levels", default=LEVELS)
     p_proj.add_argument("--out", default="projection.csv")
+    return parser
 
+
+def cli_main(argv=None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -203,11 +203,15 @@ def rhs(state: State, sources: Sources, forms: AssembledForms,
     the nedelec Kerr mass, new at every stage, is solved by CG to ``cg_tol``.
     Source-free ``sources`` form no load vector, whose subtraction changes no bit.
     """
+    loads = (None, None) if sources.is_zero else _loads(forms, state.formulation, sources,
+                                                        state.t)
+    return _rhs(state, sources, forms, *loads, cg_tol)
+
+
+def _rhs(state: State, sources: Sources, forms: AssembledForms, je, jm, cg_tol: float):
+    """:func:`rhs` given the loads ``je``, ``jm`` at state.t (None without sources)."""
     _validate_formulation(state.formulation)
     params = forms.params
-    je = jm = None
-    if not sources.is_zero:
-        je, jm = _loads(forms, state.formulation, sources, state.t)
     if state.formulation == "lee-madsen":
         E = state.e.reshape(-1, 3)
         inv_blocks = cm_matrix(params, E) / (params.eps0 * forms.ctx.vol[:, None, None])
@@ -548,17 +552,30 @@ def step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms,
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    mid = (None, None) if sources.is_zero else _loads(forms, state.formulation, sources,
+                                                      state.t + 0.5 * dt)
+    return _step_rk4(state, dt, sources, forms, mid, cg_tol)
 
-    def f(e, h, t):
-        return rhs(State(state.formulation, e, h, t), sources, forms, cg_tol=cg_tol)
 
-    e, h, t = state.e, state.h, state.t
-    k1e, k1h = f(e, h, t)
-    k2e, k2h = f(e + 0.5 * dt * k1e, h + 0.5 * dt * k1h, t + 0.5 * dt)
-    k3e, k3h = f(e + 0.5 * dt * k2e, h + 0.5 * dt * k2h, t + 0.5 * dt)
-    k4e, k4h = f(e + dt * k3e, h + dt * k3h, t + dt)
+def _step_rk4(state: State, dt: float, sources: Sources, forms: AssembledForms, mid,
+              cg_tol: float) -> State:
+    """:func:`step_rk4` given the loads ``mid`` = (je, jm) at t + dt/2,
+    which stages 2 and 3 share; the loads at t and t + dt are formed once
+    each, and none without sources."""
+    formulation, e, h, t = state.formulation, state.e, state.h, state.t
+    start = end = (None, None)
+    if not sources.is_zero:
+        start, end = (_loads(forms, formulation, sources, s) for s in (t, t + dt))
+
+    def f(e, h, t, loads):
+        return _rhs(State(formulation, e, h, t), sources, forms, *loads, cg_tol)
+
+    k1e, k1h = f(e, h, t, start)
+    k2e, k2h = f(e + 0.5 * dt * k1e, h + 0.5 * dt * k1h, t + 0.5 * dt, mid)
+    k3e, k3h = f(e + 0.5 * dt * k2e, h + 0.5 * dt * k2h, t + 0.5 * dt, mid)
+    k4e, k4h = f(e + dt * k3e, h + dt * k3h, t + dt, end)
     return State(
-        state.formulation,
+        formulation,
         e + dt / 6.0 * (k1e + 2 * k2e + 2 * k3e + k4e),
         h + dt / 6.0 * (k1h + 2 * k2h + 2 * k3h + k4h),
         t + dt,
@@ -668,20 +685,19 @@ def integrate(state: State, dt: float, num_steps: int, sources: Sources,
     trace = EnergyTrace() if collect else None
     if collect:
         trace.sample(state, forms, sources)
-    # midpoint loads, read by the midpoint step and by the power column
-    need_loads = not sources.is_zero and (stepper == "midpoint" or collect)
+    # loads at each step's midpoint, read by the step and by the power column
     je = jm = None
     kerr = _KerrMarch() if stepper == "midpoint" and forms.params.chi3 > 0.0 else None
     current = state
     for step in range(1, num_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                if need_loads:
+                if not sources.is_zero:
                     je, jm = _loads(forms, current.formulation, sources, current.t + 0.5 * dt)
                 if stepper == "midpoint":
                     new = _step_midpoint(current, dt, forms, je, jm, nonlinear_tol, kerr)
                 else:
-                    new = step_rk4(current, dt, sources, forms, cg_tol=cg_tol)
+                    new = _step_rk4(current, dt, sources, forms, (je, jm), cg_tol)
             except (linalg.LinalgError, NonlinearSolveError) as exc:
                 message = str(exc)
                 if not message.endswith("reduce dt"):

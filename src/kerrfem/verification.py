@@ -19,9 +19,14 @@ import numpy as np
 from .assembly import AssembledForms, build_forms, curl_project, l2_project
 from .dynamics import Sources, State, initialize, integrate
 from .material import MaterialParams
-from .mesh import build_topology, generate_structured_cube, mesh_size
+from .mesh import Mesh, build_topology, generate_structured_cube, mesh_size
 
 PI = math.pi
+# the exactly solvable cases of :func:`get_case`, and their default final time
+EXACT_CASES = ("cavity", "kerr-manufactured")
+T_FINAL = 1.0
+# a convergence study's dt = DT_FACTOR h^2
+DT_FACTOR = 0.08
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ def _cavity_h(X):
     return np.stack([-sx * cy, cx * sy, np.zeros(len(X))], axis=-1)
 
 
-def kerr_manufactured_case(params: MaterialParams, t_final: float = 1.0) -> ManufacturedCase:
+def kerr_manufactured_case(params: MaterialParams, t_final: float = T_FINAL) -> ManufacturedCase:
     """Smooth forced solution on the unit cube for arbitrary Kerr parameters.
 
     E(t, x) = cos(t) (sin pi y sin pi z, sin pi x sin pi z, sin pi x sin pi y)
@@ -161,7 +166,7 @@ def kerr_manufactured_case(params: MaterialParams, t_final: float = 1.0) -> Manu
     )
 
 
-def cavity_mode_case(t_final: float = 1.0) -> ManufacturedCase:
+def cavity_mode_case(t_final: float = T_FINAL) -> ManufacturedCase:
     """Source-free eigenmode of the linear unit-cube cavity.
 
     E = (0, 0, sin pi x sin pi y cos omega t) with omega = sqrt(2) pi; the
@@ -182,9 +187,8 @@ def cavity_mode_case(t_final: float = 1.0) -> ManufacturedCase:
 
 
 def get_case(name: str, params: MaterialParams | None = None,
-             t_final: float | None = None) -> ManufacturedCase:
+             t_final: float = T_FINAL) -> ManufacturedCase:
     """The named case; the cavity is a vacuum solution and ignores params."""
-    t_final = 1.0 if t_final is None else t_final
     if name == "cavity":
         return cavity_mode_case(t_final)
     if name == "kerr-manufactured":
@@ -265,8 +269,19 @@ def _make_table(levels, hs, errs_e, errs_h) -> EocTable:
     )
 
 
+def discretize(case: ManufacturedCase, mesh: Mesh, params: MaterialParams,
+               formulation: str) -> tuple[AssembledForms, State]:
+    """The forms of ``mesh`` in the medium ``params`` and the discrete
+    initial data of ``case`` in ``formulation``; ``params`` need not be the
+    case's own (a source-free run may start from the cavity's data in any
+    medium)."""
+    forms = build_forms(mesh, build_topology(mesh), params)
+    return forms, initialize(lambda X: case.E(0.0, X), lambda X: case.H(0.0, X), formulation,
+                             forms, H0_curl=lambda X: case.curl_H(0.0, X))
+
+
 def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-madsen",
-                    dt_factor: float = 0.08, stepper: str = "midpoint") -> EocTable:
+                    dt_factor: float = DT_FACTOR, stepper: str = "midpoint") -> EocTable:
     """Terminal-time error study under mesh halving with dt proportional to
     h^2, so the midpoint's temporal error stays well below the spatial one."""
     if not (math.isfinite(dt_factor) and dt_factor > 0.0):
@@ -283,16 +298,9 @@ def run_convergence(case: ManufacturedCase, levels, formulation: str = "lee-mads
         if not (dt_target > 0.0 and math.isfinite(T / dt_target)):
             raise ValueError(f"t_final / (dt_factor h^2) overflows the step count at level "
                              f"{n} (t_final = {T}, dt_factor = {dt_factor}, h = {h:.6g})")
-        forms = build_forms(mesh, build_topology(mesh), case.params)
+        forms, state = discretize(case, mesh, case.params, formulation)
         num_steps = max(1, math.ceil(T / dt_target))
         dt = T / num_steps
-        state = initialize(
-            lambda X: case.E(0.0, X),
-            lambda X: case.H(0.0, X),
-            formulation,
-            forms,
-            H0_curl=lambda X: case.curl_H(0.0, X),
-        )
         state, _ = integrate(state, dt, num_steps, case.sources, forms,
                              stepper=stepper, collect=False)
         ee, eh = error_norms(state, case, forms)

@@ -272,21 +272,25 @@ def test_coupling_transpose_identity(forms2):
 
 def test_kept_coupling_transposes_are_exact_csr_copies(forms2):
     # the time loop's C^T and K^T are the CSR form of the transposes, and
-    # their matvecs are bitwise those of the transposed views
+    # their matvecs are bitwise those of the transposed views; K, the face
+    # Gram matrix times the free-edge columns of the discrete curl, is not kept
     rng = np.random.default_rng(6)
-    for A, AT in ((forms2.coupling_lm, forms2.coupling_lm_t),
-                  (forms2.coupling_ned, forms2.coupling_ned_t)):
+    K = forms2.mass_v1 @ forms2.discrete_curl[:, forms2.free_edges]
+    for A, AT in ((forms2.coupling_lm, forms2.coupling_lm_t), (K, forms2.coupling_ned_t)):
         assert AT.format == "csr" and AT.shape == A.T.shape
         assert (AT != A.T).nnz == 0
         x = rng.normal(size=A.shape[0])
         assert np.array_equal(AT @ x, A.T @ x)
+    KT = K.T.tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(forms2.coupling_ned_t, attr), getattr(KT, attr))
 
 
 def test_nedelec_coupling_matches_quadrature(cube1):
     mesh, topo = cube1
     forms = build_forms(mesh, topo, MaterialParams())
     ctx, dm_u, dm_v = forms.ctx, forms.dof_u, forms.dof_v
-    K = forms.coupling_ned.toarray()
+    K = forms.coupling_ned_t.T.toarray()
     # quadrature oracle for (phi_i^V, curl psi_j), each face function
     # evaluated by eval_on_tet
     unit = np.eye(dm_v.num_dofs)

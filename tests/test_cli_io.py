@@ -11,10 +11,13 @@ from conftest import eval_on_tet
 from kerrfem import linalg
 from kerrfem.assembly import build_forms
 from kerrfem.cli_io import (
+    _SETTINGS,
+    _STUDY_FIELDS,
     ConfigError,
     RunConfig,
     _add_run_args,
     _config_from_args,
+    _parser,
     cell_sampled_fields,
     cli_main,
     parse_config,
@@ -514,3 +517,69 @@ def test_runconfig_validate_misc():
         RunConfig(mesh_n=2, vtk_every=-1).validate()
     with pytest.raises(ConfigError, match="tol.cg"):
         RunConfig(mesh_n=2, cg_tol=2.0).validate()
+
+
+# a valid value, away from its default, for every setting with a flag
+FLAG_VALUES = {"mesh_n": "3", "mesh_file": "m.txt", "formulation": "nedelec", "eps0": "1.5",
+               "mu0": "0.8", "chi1": "0.5", "chi3": "2", "case": "kerr-manufactured",
+               "t_end": "0.5", "dt": "0.02", "stepper": "rk4", "vtk_every": "3",
+               "vtk_prefix": "snap", "energy_csv": "e.csv"}
+
+
+@pytest.mark.parametrize("key,name,flag", [(key, name, flag) for key, name, _, flag in _SETTINGS
+                                           if flag], ids=lambda v: str(v))
+def test_flag_and_config_key_give_equal_configs(key, name, flag):
+    # each flag sets the field its config key sets, on the same defaults
+    value = FLAG_VALUES[name]
+    parser = argparse.ArgumentParser()
+    _add_run_args(parser)
+    base = {} if name in ("mesh_n", "mesh_file", "case") else {"case": "kerr-manufactured"}
+    argv = [arg for k, v in base.items() for arg in (f"--{k}", v)] + [flag, value]
+    lines = {"mesh.n": "4", **base, key: value}
+    if key == "mesh.file":
+        del lines["mesh.n"]
+    from_flag = _config_from_args(parser.parse_args(argv))
+    from_key = parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert from_flag == from_key
+    assert getattr(from_key, name) != getattr(RunConfig(mesh_n=4), name)
+
+
+def test_converge_defaults_are_run_config_defaults():
+    args = _parser().parse_args(["converge"])
+    defaults = RunConfig()
+    for name in _STUDY_FIELDS + ("case",):
+        assert getattr(args, name) == getattr(defaults, name), name
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("\n```\nmesh.n = ") + len("\n```\n")
+    return readme[start:readme.index("```", start)]
+
+
+@pytest.mark.parametrize("key,name", [(key, name) for key, name, _, _ in _SETTINGS],
+                         ids=lambda v: str(v))
+def test_readme_config_block_lists_every_key_at_its_default(key, name):
+    # the documented block parses to a run's defaults (mesh.n = 4 without a
+    # config file), and names every key, optional ones in a comment
+    block = _readme_config_block()
+    assert f"{key} = " in block
+    assert getattr(parse_config(block), name) == getattr(RunConfig(mesh_n=4), name)
+
+
+@pytest.mark.parametrize("argv,report", [
+    (["energy", "--case", "cavity", "--n", "2", "--t-end", "0.1", "--dt", "0.03"],
+     "steps = 3, dt = 0.0333333, T = 0.1"),
+    (["run", "--case", "cavity", "--n", "2", "--t-end", "0.1", "--dt", "0.07"],
+     "steps = 1, dt = 0.1)"),
+], ids=["energy", "run"])
+def test_cli_reports_the_dt_it_marched(tmp_path, capsys, argv, report):
+    # t_end is marched in round(t_end / dt) equal steps, at least one; the
+    # report and the energy CSV show that dt, not the configured one
+    csv = tmp_path / "e.csv"
+    assert cli_main(argv + ["--energy-csv", str(csv)]) == 0
+    assert report in capsys.readouterr().out
+    times = [float(line.split(",")[0]) for line in csv.read_text().splitlines()[1:]]
+    steps = int(report.split("steps = ")[1].split(",")[0])
+    assert len(times) == steps + 1
+    assert np.allclose(np.diff(times), 0.1 / steps, rtol=1e-12, atol=0.0)

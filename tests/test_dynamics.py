@@ -791,7 +791,7 @@ def test_midpoint_step_solves_flux_form_equations(cube2, formulation):
         je = assemble_source(ctx, lambda X: case.j_e(tm, X), forms.dof_u)
         jm = assemble_source(ctx, lambda X: case.j_m(tm, X), forms.dof_v)
         flux = [assemble_flux_load(ctx, params, e)[free] for e in (st.e, new.e)]
-        electric = (flux[1] - flux[0], dt * (forms.coupling_ned.T @ hm - je[free]))
+        electric = (flux[1] - flux[0], dt * (forms.coupling_ned_t @ hm - je[free]))
         magnetic = (params.mu0 * (forms.mass_v1 @ (new.h - st.h)),
                     -dt * (forms.mass_v1 @ (forms.discrete_curl @ em) + jm))
         assert np.all(new.e[topo.boundary_edges] == 0.0)
@@ -1229,7 +1229,9 @@ def manufactured_state(case, forms, formulation):
 def test_source_free_march_forms_no_loads(cube2, formulation, stepper, monkeypatch):
     # a source-free march, with every monitor collected, forms no load
     # vector; a sourced midpoint step forms its loads once, read by the
-    # sweeps and the power column
+    # sweeps and the power column, and a sourced RK4 step once per distinct
+    # stage time (t, t + dt/2 and t + dt), its midpoint loads read by stages
+    # 2 and 3 and the power column, with or without monitors
     case = kerr_manufactured_case(MaterialParams(chi3=1.0))
     forms = build_forms(*cube2, case.params)
     calls = []
@@ -1243,9 +1245,50 @@ def test_source_free_march_forms_no_loads(cube2, formulation, stepper, monkeypat
     st = manufactured_state(case, forms, formulation)
     integrate(st, 0.01, 4, ZERO_SOURCES, forms, stepper=stepper)
     assert calls == []
-    if stepper == "midpoint":
-        integrate(st, 0.01, 4, case.sources, forms)
-        assert len(calls) == 4
+    per_step = {"midpoint": 1, "rk4": 3}[stepper]
+    for collect in (True, False):
+        calls.clear()
+        integrate(st, 0.01, 4, case.sources, forms, stepper=stepper, collect=collect)
+        times = [args[-1] for args in calls]
+        assert len(times) == 4 * per_step
+        assert all(len(set(times[i:i + per_step])) == per_step
+                   for i in range(0, len(times), per_step))
+
+
+@pytest.mark.parametrize("formulation", ["lee-madsen", "nedelec"])
+def test_sourced_rk4_march_is_bitwise_the_four_rhs_stages(cube2, formulation):
+    # integrate's RK4 step shares one set of loads between the stages at
+    # t + dt/2 and the power column; its states and trace are bitwise those
+    # of the four stages of rhs, each of which forms its own loads
+    case = kerr_manufactured_case(MaterialParams(chi3=1.0))
+    forms = build_forms(*cube2, case.params)
+    st = manufactured_state(case, forms, formulation)
+    dt, steps = 0.01, 4
+    end, trace = integrate(st, dt, steps, case.sources, forms, stepper="rk4")
+    ref, ref_trace = st, dynamics.EnergyTrace()
+    ref_trace.sample(ref, forms, case.sources)
+    for _ in range(steps):
+        e, h, t = ref.e, ref.h, ref.t
+
+        def f(e, h, t):
+            return rhs(State(formulation, e, h, t), case.sources, forms)
+
+        k1 = f(e, h, t)
+        k2 = f(e + 0.5 * dt * k1[0], h + 0.5 * dt * k1[1], t + 0.5 * dt)
+        k3 = f(e + 0.5 * dt * k2[0], h + 0.5 * dt * k2[1], t + 0.5 * dt)
+        k4 = f(e + dt * k3[0], h + dt * k3[1], t + dt)
+        new = State(formulation,
+                    e + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+                    h + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]), t + dt)
+        je, jm = dynamics._loads(forms, formulation, case.sources, t + 0.5 * dt)
+        ref_trace.sample(new, forms, case.sources,
+                         float(je @ (0.5 * (e + new.e)) + jm @ (0.5 * (h + new.h))))
+        ref = new
+    for got, want in ((end.e, ref.e), (end.h, ref.h)):
+        assert got.tobytes() == want.tobytes()
+    for name in ("times", "energy", "power", "source_sq", "e_linf"):
+        got, want = getattr(trace, name), getattr(ref_trace, name)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), name
 
 
 @pytest.mark.parametrize("chi3", [0.0, 1.0])
